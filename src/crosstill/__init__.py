@@ -39,9 +39,7 @@ from .errors import (
     ParseError,
 )
 from .evaluate import (
-    DepthPoint,
     EvalReport,
-    depth_sweep,
     retrieval_accuracy,
     spearman,
     sts_evaluate,
@@ -59,12 +57,14 @@ from .losses import (
 )
 from .optim import AdamW
 from .pipeline import (
+    DepthPoint,
     MetricsLog,
     OptimizerPlan,
     PipelineConfig,
     PipelineResult,
     StagePlan,
     default_stage_plans,
+    depth_sweep,
     resume_stage,
     run_pipeline,
     run_single_stage,

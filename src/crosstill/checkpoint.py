@@ -20,6 +20,7 @@ float32 width.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -34,6 +35,12 @@ VERSION = 1
 
 
 def save_checkpoint(encoder: SentenceEncoder, path) -> None:
+    """Serialize `encoder` to `path` atomically.
+
+    The bytes go to a temp file in the same directory, are synced, and only
+    then replace `path`; a failed write keeps the previous file intact and
+    removes the temp file.
+    """
     chunks: list[bytes] = [MAGIC, struct.pack("<I", VERSION)]
     cfg_blob = json.dumps(encoder.config.to_dict(), sort_keys=True).encode("utf-8")
     chunks.append(struct.pack("<Q", len(cfg_blob)))
@@ -47,7 +54,17 @@ def save_checkpoint(encoder: SentenceEncoder, path) -> None:
         chunks.append(struct.pack(f"<{p.ndim}Q", *p.shape))
         payload = np.ascontiguousarray(p.data, dtype="<f4")
         chunks.append(payload.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

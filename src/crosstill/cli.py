@@ -26,7 +26,7 @@ from .autodiff import Tensor
 from .checkpoint import load_checkpoint
 from .corpus import OracleSemantics, VocabSpec, gen_parallel_corpus, gen_sts_set, load_sts_tsv, read_parallel_tsv
 from .errors import AuditError, ConfigError, ContractError, CrosstillError, FormatError, NumericError, ParseError
-from .evaluate import EvalReport, depth_sweep, retrieval_accuracy, sts_evaluate
+from .evaluate import EvalReport, retrieval_accuracy, sts_evaluate
 from .gradcheck import finite_diff_check
 from .losses import (
     CeLossConfig,
@@ -37,7 +37,7 @@ from .losses import (
     loss_pairwise_align,
     loss_stage4,
 )
-from .pipeline import PipelineConfig, resume_stage, run_pipeline, run_single_stage
+from .pipeline import PipelineConfig, depth_sweep, resume_stage, run_pipeline, run_single_stage
 from .rng import stream
 from .sizes import PRESETS, audit_registry, model_report, preset_from_config
 from .encoder import SentenceEncoder

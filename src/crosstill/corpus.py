@@ -467,9 +467,23 @@ def read_parallel_tsv(path, vocab: VocabSpec) -> list[ParallelPair]:
     return pairs
 
 
-def _frame(ids: np.ndarray, max_seq_len: int) -> np.ndarray:
-    content = ids[: max_seq_len - 2]
-    return np.concatenate(([BOS], content, [EOS])).astype(np.int64)
+def frame_rows(sentences: list[np.ndarray], max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frame each sentence as BOS + content + EOS, truncated to `max_seq_len`.
+
+    Rows are PAD-filled to the widest framed row; the {0,1} mask marks the
+    framed tokens.
+    """
+    framed = [
+        np.concatenate(([BOS], s[: max_seq_len - 2], [EOS])).astype(np.int64)
+        for s in sentences
+    ]
+    width = max(len(f) for f in framed)
+    ids = np.full((len(framed), width), PAD, dtype=np.int64)
+    mask = np.zeros((len(framed), width), dtype=np.uint8)
+    for row, f in enumerate(framed):
+        ids[row, : len(f)] = f
+        mask[row, : len(f)] = 1
+    return ids, mask
 
 
 def batch_pairs(
@@ -478,7 +492,10 @@ def batch_pairs(
     batch_size: int,
     shuffle_seed: int | None = None,
 ) -> list[ParallelBatch]:
-    """Frame with BOS/EOS, truncate, pad per batch, and optionally shuffle."""
+    """Frame with BOS/EOS, truncate, pad per batch, and optionally shuffle.
+
+    Both sides of a batch share one width: the widest framed sentence in it.
+    """
     if max_seq_len < 3:
         raise ContractError("max_seq_len must be at least 3 to fit BOS, EOS and content")
     if batch_size < 1:
@@ -489,39 +506,17 @@ def batch_pairs(
     batches: list[ParallelBatch] = []
     for start in range(0, len(pairs), batch_size):
         chunk = [pairs[i] for i in order[start:start + batch_size]]
-        framed_src = [_frame(p.source_ids, max_seq_len) for p in chunk]
-        framed_tgt = [_frame(p.target_ids, max_seq_len) for p in chunk]
-        width = max(len(s) for s in framed_src + framed_tgt)
         n = len(chunk)
-        src = np.full((n, width), PAD, dtype=np.int64)
-        tgt = np.full((n, width), PAD, dtype=np.int64)
-        src_mask = np.zeros((n, width), dtype=np.uint8)
-        tgt_mask = np.zeros((n, width), dtype=np.uint8)
-        for row, (fs, ft) in enumerate(zip(framed_src, framed_tgt)):
-            src[row, : len(fs)] = fs
-            src_mask[row, : len(fs)] = 1
-            tgt[row, : len(ft)] = ft
-            tgt_mask[row, : len(ft)] = 1
+        ids, mask = frame_rows(
+            [p.source_ids for p in chunk] + [p.target_ids for p in chunk], max_seq_len
+        )
         batches.append(
             ParallelBatch(
-                source_ids=src, target_ids=tgt,
-                source_mask=src_mask, target_mask=tgt_mask,
+                source_ids=ids[:n], target_ids=ids[n:],
+                source_mask=mask[:n], target_mask=mask[n:],
             )
         )
     return batches
-
-
-def load_parallel_tsv(
-    path,
-    vocab: VocabSpec,
-    max_seq_len: int,
-    batch_size: int,
-    shuffle_seed: int | None = None,
-) -> list[ParallelBatch]:
-    """Read a parallel TSV straight into framed, padded batches."""
-    return batch_pairs(
-        read_parallel_tsv(path, vocab), max_seq_len, batch_size, shuffle_seed
-    )
 
 
 def load_sts_tsv(path, vocab: VocabSpec) -> list[StsExample]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, ParallelPair, StsExample
+from .corpus import ParallelPair, StsExample, frame_rows
 from .encoder import SentenceEncoder
 from .errors import ContractError
 
@@ -90,20 +90,6 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _frame_rows(sentences: list[np.ndarray], max_seq_len: int):
-    framed = [
-        np.concatenate(([BOS], s[: max_seq_len - 2], [EOS])).astype(np.int64)
-        for s in sentences
-    ]
-    width = max(len(f) for f in framed)
-    ids = np.full((len(framed), width), PAD, dtype=np.int64)
-    mask = np.zeros((len(framed), width), dtype=np.uint8)
-    for row, f in enumerate(framed):
-        ids[row, : len(f)] = f
-        mask[row, : len(f)] = 1
-    return ids, mask
-
-
 def embed_sentences(encoder, sentences: list[np.ndarray], batch_size: int = 64) -> np.ndarray:
     """Stack embeddings for content-id sentences; batches transformer encoders."""
     if not sentences:
@@ -112,7 +98,7 @@ def embed_sentences(encoder, sentences: list[np.ndarray], batch_size: int = 64) 
         rows = []
         for start in range(0, len(sentences), batch_size):
             chunk = sentences[start:start + batch_size]
-            ids, mask = _frame_rows(chunk, encoder.config.max_positions)
+            ids, mask = frame_rows(chunk, encoder.config.max_positions)
             rows.append(encoder.encode(ids, mask).data)
         return np.concatenate(rows, axis=0)
     return np.stack([np.asarray(encoder(s), dtype=np.float64) for s in sentences])
@@ -167,35 +153,3 @@ def retrieval_accuracy(
         grid = s @ t.T
         hits += int((grid.argmax(axis=1) == np.arange(block_size)).sum())
     return hits / (n_blocks * block_size)
-
-
-@dataclass
-class DepthPoint:
-    """Sweep sample: one trained baseline at a given layer count."""
-
-    depth: int
-    sts: EvalReport
-    retrieval: EvalReport
-
-
-def depth_sweep(pipeline_cfg, depths: list[int], seed: int = 0) -> list[DepthPoint]:
-    """Train the direct-distillation baseline at each depth and score both tasks.
-
-    Each depth trains an otherwise identical student with that many distinct
-    layers (no recurrence) under the same seed, then reports monolingual STS
-    and cross-lingual retrieval.
-    """
-    from .pipeline import run_single_stage  # deferred: pipeline imports this module
-
-    if not depths:
-        raise ContractError("depth_sweep needs at least one depth")
-    points = []
-    for depth in depths:
-        result = run_single_stage(
-            pipeline_cfg, mode="random_init", seed=seed,
-            student_depth_override=depth,
-        )
-        points.append(
-            DepthPoint(depth=depth, sts=result.sts_report, retrieval=result.retrieval_report)
-        )
-    return points

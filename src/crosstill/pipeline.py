@@ -14,6 +14,7 @@ config plus seed pins the final checkpoint bytes on one platform.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -37,15 +38,6 @@ from .evaluate import EvalReport, retrieval_accuracy, sts_evaluate
 from .losses import CeLossConfig, loss_anchor_align, loss_pairwise_align, loss_stage4
 from .optim import AdamW
 from .rng import stream
-
-STAGE_TRAINABLE_ROLE = {1: "assistant", 2: "student", 3: "student", 4: "student"}
-STAGE_FROZEN_ROLES = {1: (), 2: ("assistant",), 3: ("assistant",), 4: ("assistant",)}
-STAGE_LOSS_NAME = {
-    1: "anchor_align",
-    2: "embedding_align",
-    3: "pairwise_align",
-    4: "contrastive_plus_kd",
-}
 
 # parameters the embedding-alignment stage is allowed to move
 EMBEDDING_PATH_KEYS = (
@@ -84,7 +76,7 @@ class OptimizerPlan:
 
 @dataclass(frozen=True)
 class StagePlan:
-    """One stage's schedule. Roles and loss are fixed by the stage number."""
+    """One stage's schedule. Roles and loss come from the stage table."""
 
     stage: int
     epochs: int
@@ -98,18 +90,6 @@ class StagePlan:
             raise ConfigError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-
-    @property
-    def trainable_role(self) -> str:
-        return STAGE_TRAINABLE_ROLE[self.stage]
-
-    @property
-    def frozen_roles(self) -> tuple[str, ...]:
-        return STAGE_FROZEN_ROLES[self.stage]
-
-    @property
-    def loss_name(self) -> str:
-        return STAGE_LOSS_NAME[self.stage]
 
     def to_dict(self) -> dict:
         return {
@@ -346,7 +326,7 @@ def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
     )
 
 
-# -- training core ----------------------------------------------------------
+# -- stage table ------------------------------------------------------------
 
 
 def _teacher_anchor(batch: ParallelBatch, oracle: OracleSemantics, dtype) -> Tensor:
@@ -354,46 +334,112 @@ def _teacher_anchor(batch: ParallelBatch, oracle: OracleSemantics, dtype) -> Ten
     return Tensor(vectors.astype(dtype))
 
 
-def _batch_loss(
-    stage: int, batch: ParallelBatch, models: dict, oracle: OracleSemantics,
-    variant: str, ce_cfg: CeLossConfig,
-):
-    if stage == 1:
-        assistant = models["assistant"]
-        anchor = _teacher_anchor(batch, oracle, assistant.dtype)
-        out_src = assistant.encode(batch.source_ids, batch.source_mask)
-        out_tgt = assistant.encode(batch.target_ids, batch.target_mask)
-        return loss_anchor_align(anchor, out_src, out_tgt)
-    if stage == 2:
-        assistant, student = models["assistant"], models["student"]
-        ref_src = assistant.embedding_output(batch.source_ids, batch.source_mask)
-        ref_tgt = assistant.embedding_output(batch.target_ids, batch.target_mask)
-        out_src = student.embedding_output(batch.source_ids, batch.source_mask)
-        out_tgt = student.embedding_output(batch.target_ids, batch.target_mask)
-        return loss_pairwise_align(ref_src, out_src, ref_tgt, out_tgt)
-    if stage == 3:
-        assistant, student = models["assistant"], models["student"]
-        ref_src = assistant.encode(batch.source_ids, batch.source_mask)
-        ref_tgt = assistant.encode(batch.target_ids, batch.target_mask)
-        out_src = student.encode(batch.source_ids, batch.source_mask)
-        out_tgt = student.encode(batch.target_ids, batch.target_mask)
-        return loss_pairwise_align(ref_src, out_src, ref_tgt, out_tgt)
-    if stage == 4:
-        student = models["student"]
-        anchor = _teacher_anchor(batch, oracle, student.dtype)
-        out_src = student.encode(batch.source_ids, batch.source_mask)
-        out_tgt = student.encode(batch.target_ids, batch.target_mask)
-        return loss_stage4(anchor, out_src, out_tgt, variant=variant, ce_cfg=ce_cfg)
-    raise ConfigError(f"no loss wiring for stage {stage}")
+def _both_sides(forward, batch: ParallelBatch):
+    return (
+        forward(batch.source_ids, batch.source_mask),
+        forward(batch.target_ids, batch.target_mask),
+    )
 
 
-def _trainable_subset(plan: StagePlan, model: SentenceEncoder) -> dict[str, Tensor]:
-    if plan.stage == 2:
-        subset = {k: v for k, v in model.params.items() if k in EMBEDDING_PATH_KEYS}
-        if not subset:
-            raise ContractError("stage 2 found no embedding-path parameters")
-        return subset
-    return dict(model.params)
+# Row losses share one signature: the trainable model, the frozen assistant
+# (None when no other model is in play), the batch, the teacher, the config.
+# They look the loss functions up when called, so a patched module name takes.
+
+
+def _anchor_loss(model, reference, batch, oracle, cfg):
+    """Direct teacher alignment: stage 1, and the student in the baselines."""
+    anchor = _teacher_anchor(batch, oracle, model.dtype)
+    return loss_anchor_align(anchor, *_both_sides(model.encode, batch))
+
+
+def _imitate(reference_forward, forward, batch):
+    ref_src, ref_tgt = _both_sides(reference_forward, batch)
+    out_src, out_tgt = _both_sides(forward, batch)
+    return loss_pairwise_align(ref_src, out_src, ref_tgt, out_tgt)
+
+
+def _embedding_loss(model, reference, batch, oracle, cfg):
+    """Stage 2: the student's embedding layer mimics the assistant's."""
+    return _imitate(reference.embedding_output, model.embedding_output, batch)
+
+
+def _imitation_loss(model, reference, batch, oracle, cfg):
+    """Stage 3: the whole student imitates the assistant."""
+    return _imitate(reference.encode, model.encode, batch)
+
+
+def _stage4_loss(model, reference, batch, oracle, cfg):
+    """Stage 4: contrastive plus distillation loss against the teacher."""
+    anchor = _teacher_anchor(batch, oracle, model.dtype)
+    out_src, out_tgt = _both_sides(model.encode, batch)
+    ce_cfg = CeLossConfig(temperature=cfg.ce_temperature)
+    return loss_stage4(anchor, out_src, out_tgt, variant=cfg.variant, ce_cfg=ce_cfg)
+
+
+@dataclass(frozen=True)
+class StageSpec:
+    """One row of a training table: what a `run_stage` call trains, and how.
+
+    `stage` picks the config plan that supplies batch size and optimizer; its
+    epoch count is used unless `epochs_from` names the plans to sum instead.
+    `init` says where the trained model comes from: "fresh" draws it from
+    `seed`, "assistant" builds the student from the assistant in play, and
+    "continue" keeps the model the previous row trained (or, when a table is
+    entered at this row, loads the last checkpoint an earlier row wrote).
+    `params` limits training to those parameter names; None trains all.
+    """
+
+    stage: int
+    role: str
+    loss: Callable
+    label: int | str
+    checkpoint: str
+    init: str = "continue"
+    seed: str | None = None
+    epochs_from: tuple[int, ...] = ()
+    params: tuple[str, ...] | None = None
+
+    def plan(self, cfg: PipelineConfig) -> StagePlan:
+        plan = cfg.plan(self.stage)
+        if self.epochs_from:
+            plan = replace(plan, epochs=sum(cfg.plan(k).epochs for k in self.epochs_from))
+        return plan
+
+
+# The staged curriculum; `resume_stage(k)` enters it at row k.
+STAGES = (
+    StageSpec(1, "assistant", _anchor_loss, 1, "stage1.xdst", init="fresh", seed="assistant-init"),
+    StageSpec(
+        2, "student", _embedding_loss, 2, "stage2.xdst",
+        init="assistant", seed="student-init", params=EMBEDDING_PATH_KEYS,
+    ),
+    StageSpec(3, "student", _imitation_loss, 3, "stage3.xdst"),
+    StageSpec(4, "student", _stage4_loss, 4, "stage4.xdst"),
+)
+
+# Baseline: the student starts from the trained assistant (entered at row 2
+# when stage1.xdst already exists), imitates it for the stage-2 plus stage-3
+# budget, then aligns directly to the teacher.
+PRE_DISTILL = (
+    replace(STAGES[0], label="pre_distill:assistant"),
+    StageSpec(
+        3, "student", _imitation_loss, "pre_distill:imitate", "single_predistill.xdst",
+        init="assistant", seed="student-init", epochs_from=(2, 3),
+    ),
+    StageSpec(4, "student", _anchor_loss, "pre_distill:align", "single_predistill.xdst"),
+)
+
+
+# Baseline: a fresh student aligns to the teacher for the whole epoch budget.
+RANDOM_INIT = (
+    StageSpec(
+        4, "student", _anchor_loss, "random_init", "single_random.xdst",
+        init="fresh", seed="single-random-init", epochs_from=(1, 2, 3, 4),
+    ),
+)
+
+
+# -- training core ----------------------------------------------------------
 
 
 def _tensor_digests(encoder: SentenceEncoder, names) -> dict[str, bytes]:
@@ -411,37 +457,35 @@ def _eval_snapshot(model: SentenceEncoder, bundle: CorpusBundle) -> dict | None:
 
 def run_stage(
     cfg: PipelineConfig,
-    plan: StagePlan,
+    spec: StageSpec,
     models: dict,
     bundle: CorpusBundle,
     log: MetricsLog,
-    stage_label=None,
-    checkpoint_name: str | None = None,
-    loss_override=None,
 ) -> SentenceEncoder:
-    """Train one stage in place and append per-epoch records.
+    """Train one table row in place and append per-epoch records.
 
-    The designated trainable model changes; every other parameter in play is
-    verified bitwise unchanged afterward. The stage checkpoint is rewritten
-    after each epoch, so on a numeric abort the file still holds the last
-    finite state.
+    The row's model changes; every other model in play is frozen, and every
+    parameter outside the row's trainable set is verified bitwise unchanged
+    afterward. The row's checkpoint is rewritten after each epoch, so on a
+    numeric abort the file still holds the last finite state.
     """
-    trainable = models[plan.trainable_role]
-    label = plan.stage if stage_label is None else stage_label
-    name = checkpoint_name or f"stage{plan.stage}.xdst"
-    out_path = Path(cfg.out_dir) / name
+    plan = spec.plan(cfg)
+    trainable = models[spec.role]
+    out_path = Path(cfg.out_dir) / spec.checkpoint
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
-    subset = _trainable_subset(plan, trainable)
+    subset = {
+        k: v for k, v in trainable.params.items() if spec.params is None or k in spec.params
+    }
+    if not subset:
+        raise ContractError(f"stage {spec.label} found no parameters to train")
     held_names = [k for k in trainable.params if k not in subset]
     held_before = _tensor_digests(trainable, held_names)
-    frozen_before = {
-        role: models[role].checksum() for role in plan.frozen_roles if role in models
-    }
-    for role in plan.frozen_roles:
-        if role in models:
-            models[role].freeze()
-    ce_cfg = CeLossConfig(temperature=cfg.ce_temperature)
+    frozen = {role: model for role, model in models.items() if role != spec.role}
+    frozen_before = {role: model.checksum() for role, model in frozen.items()}
+    for model in frozen.values():
+        model.freeze()
+    reference = frozen.get("assistant")
 
     save_checkpoint(trainable, out_path)
     if plan.epochs > 0:
@@ -455,19 +499,17 @@ def run_stage(
         )
         all_params = list(trainable.params.values())
         for epoch in range(1, plan.epochs + 1):
-            shuffle_seed = derive_seed(cfg.seed, f"shuffle-{label}-epoch{epoch}")
+            shuffle_seed = derive_seed(cfg.seed, f"shuffle-{spec.label}-epoch{epoch}")
             batches = batch_pairs(
                 bundle.train_pairs, cfg.max_seq_len, plan.batch_size, shuffle_seed
             )
             total, total_components = 0.0, {}
             for batch in batches:
-                loss = (loss_override or _batch_loss)(
-                    plan.stage, batch, models, bundle.oracle, cfg.variant, ce_cfg
-                )
+                loss = spec.loss(trainable, reference, batch, bundle.oracle, cfg)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericError(
-                        f"stage {label} epoch {epoch}: non-finite loss {value}; "
+                        f"stage {spec.label} epoch {epoch}: non-finite loss {value}; "
                         f"last good checkpoint retained at {out_path}"
                     )
                 backward(loss.value, params=list(subset.values()))
@@ -479,7 +521,7 @@ def run_stage(
             n = len(bundle.train_pairs)
             snapshot = _eval_snapshot(trainable, bundle) if cfg.eval_every_epoch else None
             log.append(
-                stage=label, epoch=epoch, loss=total / n,
+                stage=spec.label, epoch=epoch, loss=total / n,
                 loss_components={k: v / n for k, v in total_components.items()},
                 eval_snapshot=snapshot,
             )
@@ -489,11 +531,11 @@ def run_stage(
     changed = [k for k in held_names if held_before[k] != held_after[k]]
     if changed:
         raise ContractError(
-            f"stage {label} moved parameters outside its trainable set: {changed}"
+            f"stage {spec.label} moved parameters outside its trainable set: {changed}"
         )
     for role, checksum in frozen_before.items():
         if models[role].checksum() != checksum:
-            raise ContractError(f"stage {label} modified frozen role {role!r}")
+            raise ContractError(f"stage {spec.label} modified frozen role {role!r}")
     return trainable
 
 
@@ -505,100 +547,71 @@ class PipelineResult:
     student: SentenceEncoder
     checkpoint_path: Path
     log: MetricsLog
-    sts_report: EvalReport | None
-    retrieval_report: EvalReport | None
+    sts_report: EvalReport | None = None
+    retrieval_report: EvalReport | None = None
 
 
-def _final_reports(student: SentenceEncoder, bundle: CorpusBundle):
-    sts_report = None
-    if bundle.sts_examples:
-        sts_report = sts_evaluate(student, bundle.sts_examples)
-    retrieval_report = None
-    if len(bundle.test_pairs) >= 64:
-        acc = retrieval_accuracy(student, bundle.test_pairs)
-        retrieval_report = EvalReport(
-            task="retrieval", n_examples=len(bundle.test_pairs),
-            retrieval_accuracy=acc, config=student.config.to_dict(),
-        )
-    return sts_report, retrieval_report
+def _run_table(
+    cfg: PipelineConfig, table: tuple[StageSpec, ...], log_name: str, start: int = 0
+) -> PipelineResult:
+    """Train `table[start:]` in order; rows before `start` supply checkpoints.
 
-
-def run_pipeline(cfg: PipelineConfig, log_name: str = "metrics.jsonl") -> PipelineResult:
-    """Stages 1 to 4 in order, fresh models, one checkpoint per stage."""
+    The result holds the model the last row trained, scored on the test
+    split and the similarity set when that model is the student.
+    """
     bundle = load_corpus(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = MetricsLog(out_dir / log_name)
 
-    assistant = SentenceEncoder.init(cfg.assistant, seed=derive_seed(cfg.seed, "assistant-init"))
-    models = {"assistant": assistant}
-    run_stage(cfg, cfg.plan(1), models, bundle, log)
+    models = {}
+    # each role resumes from the last checkpoint a skipped row wrote for it
+    for role, name in dict((s.role, s.checkpoint) for s in table[:start]).items():
+        path = out_dir / name
+        if not path.exists():
+            raise ConfigError(
+                f"stage {table[start].stage} needs the checkpoint {path} from the previous stage"
+            )
+        models[role] = load_checkpoint(path)
+    for spec in table[start:]:
+        if spec.init == "fresh":
+            models[spec.role] = SentenceEncoder.init(
+                getattr(cfg, spec.role), seed=derive_seed(cfg.seed, spec.seed)
+            )
+        elif spec.init == "assistant":
+            models[spec.role] = init_student_from_assistant(
+                models["assistant"], getattr(cfg, spec.role), seed=derive_seed(cfg.seed, spec.seed)
+            )
+        run_stage(cfg, spec, models, bundle, log)
 
-    assistant.freeze()
-    student = init_student_from_assistant(
-        assistant, cfg.student, seed=derive_seed(cfg.seed, "student-init")
-    )
-    models["student"] = student
-    for stage in (2, 3, 4):
-        run_stage(cfg, cfg.plan(stage), models, bundle, log)
+    last = table[-1]
+    trained = models[last.role]
+    result = PipelineResult(student=trained, checkpoint_path=out_dir / last.checkpoint, log=log)
+    if last.role != "student":
+        return result
+    if bundle.sts_examples:
+        result.sts_report = sts_evaluate(trained, bundle.sts_examples)
+    if len(bundle.test_pairs) >= 64:
+        result.retrieval_report = EvalReport(
+            task="retrieval", n_examples=len(bundle.test_pairs),
+            retrieval_accuracy=retrieval_accuracy(trained, bundle.test_pairs),
+            config=trained.config.to_dict(),
+        )
+    return result
 
-    sts_report, retrieval_report = _final_reports(student, bundle)
-    return PipelineResult(
-        student=student, checkpoint_path=out_dir / "stage4.xdst", log=log,
-        sts_report=sts_report, retrieval_report=retrieval_report,
-    )
+
+def run_pipeline(cfg: PipelineConfig, log_name: str = "metrics.jsonl") -> PipelineResult:
+    """Stages 1 to 4 in order, fresh models, one checkpoint per stage."""
+    return _run_table(cfg, STAGES, log_name)
 
 
 def resume_stage(cfg: PipelineConfig, stage: int, log_name: str | None = None) -> PipelineResult:
     """Run one numbered stage, loading its prerequisites from earlier checkpoints."""
     if stage not in (1, 2, 3, 4):
         raise ConfigError(f"stage must be 1..4, got {stage}")
-    bundle = load_corpus(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log = MetricsLog(out_dir / (log_name or f"metrics_stage{stage}.jsonl"))
-
-    def _require(name: str) -> SentenceEncoder:
-        path = out_dir / name
-        if not path.exists():
-            raise ConfigError(
-                f"stage {stage} needs the checkpoint {path} from the previous stage"
-            )
-        return load_checkpoint(path)
-
-    if stage == 1:
-        models = {
-            "assistant": SentenceEncoder.init(
-                cfg.assistant, seed=derive_seed(cfg.seed, "assistant-init")
-            )
-        }
-    else:
-        assistant = _require("stage1.xdst").freeze()
-        if stage == 2:
-            student = init_student_from_assistant(
-                assistant, cfg.student, seed=derive_seed(cfg.seed, "student-init")
-            )
-        else:
-            student = _require(f"stage{stage - 1}.xdst").unfreeze()
-        models = {"assistant": assistant, "student": student}
-
-    trained = run_stage(cfg, cfg.plan(stage), models, bundle, log)
-    sts_report, retrieval_report = (None, None)
-    if stage != 1:
-        sts_report, retrieval_report = _final_reports(trained, bundle)
-    return PipelineResult(
-        student=trained, checkpoint_path=out_dir / f"stage{stage}.xdst", log=log,
-        sts_report=sts_report, retrieval_report=retrieval_report,
+    return _run_table(
+        cfg, STAGES[:stage], log_name or f"metrics_stage{stage}.jsonl", start=stage - 1
     )
-
-
-def _single_stage_loss_direct(stage, batch, models, oracle, variant, ce_cfg):
-    # direct teacher alignment regardless of the nominal stage number
-    student = models["student"]
-    anchor = _teacher_anchor(batch, oracle, student.dtype)
-    out_src = student.encode(batch.source_ids, batch.source_mask)
-    out_tgt = student.encode(batch.target_ids, batch.target_mask)
-    return loss_anchor_align(anchor, out_src, out_tgt)
 
 
 def run_single_stage(
@@ -620,64 +633,47 @@ def run_single_stage(
         raise ConfigError(f"unknown single-stage mode {mode!r}")
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    student_cfg = cfg.student
+    suffix = ""
     if student_depth_override is not None:
-        student_cfg = replace(
+        cfg = replace(cfg, student=replace(
             cfg.student,
             distinct_layers=student_depth_override, recurrence_count=1,
             bottleneck_enabled=False, bottleneck_size=None,
-        )
-    bundle = load_corpus(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = "" if student_depth_override is None else f"_d{student_depth_override}"
-    log = MetricsLog(out_dir / f"metrics_{mode}{suffix}.jsonl")
-    total_epochs = sum(p.epochs for p in cfg.stages)
-    base = cfg.plan(4)
-
+        ))
+        suffix = f"_d{student_depth_override}"
+    log_name = f"metrics_{mode}{suffix}.jsonl"
     if mode == "random_init":
-        student = SentenceEncoder.init(
-            student_cfg, seed=derive_seed(cfg.seed, "single-random-init")
-        )
-        models = {"student": student}
-        plan = replace(base, epochs=total_epochs)
-        run_stage(
-            cfg, plan, models, bundle, log,
-            stage_label="random_init", checkpoint_name=f"single_random{suffix}.xdst",
-            loss_override=_single_stage_loss_direct,
-        )
-        final_name = f"single_random{suffix}.xdst"
-    else:
-        stage1_path = out_dir / "stage1.xdst"
-        if stage1_path.exists():
-            assistant = load_checkpoint(stage1_path)
-        else:
-            assistant = SentenceEncoder.init(
-                cfg.assistant, seed=derive_seed(cfg.seed, "assistant-init")
-            )
-            run_stage(
-                cfg, cfg.plan(1), {"assistant": assistant}, bundle, log,
-                stage_label="pre_distill:assistant",
-            )
-        assistant.freeze()
-        student = init_student_from_assistant(
-            assistant, student_cfg, seed=derive_seed(cfg.seed, "student-init")
-        )
-        models = {"assistant": assistant, "student": student}
-        imitate = replace(cfg.plan(3), epochs=cfg.plan(2).epochs + cfg.plan(3).epochs)
-        run_stage(
-            cfg, imitate, models, bundle, log,
-            stage_label="pre_distill:imitate", checkpoint_name="single_predistill.xdst",
-        )
-        run_stage(
-            cfg, base, models, bundle, log,
-            stage_label="pre_distill:align", checkpoint_name="single_predistill.xdst",
-            loss_override=_single_stage_loss_direct,
-        )
-        final_name = "single_predistill.xdst"
+        row = replace(RANDOM_INIT[0], checkpoint=f"single_random{suffix}.xdst")
+        return _run_table(cfg, (row,), log_name)
+    start = 1 if (Path(cfg.out_dir) / PRE_DISTILL[0].checkpoint).exists() else 0
+    return _run_table(cfg, PRE_DISTILL, log_name, start)
 
-    sts_report, retrieval_report = _final_reports(student, bundle)
-    return PipelineResult(
-        student=student, checkpoint_path=out_dir / final_name, log=log,
-        sts_report=sts_report, retrieval_report=retrieval_report,
-    )
+
+@dataclass
+class DepthPoint:
+    """Sweep sample: one trained baseline at a given layer count."""
+
+    depth: int
+    sts: EvalReport
+    retrieval: EvalReport
+
+
+def depth_sweep(pipeline_cfg, depths: list[int], seed: int = 0) -> list[DepthPoint]:
+    """Train the direct-distillation baseline at each depth and score both tasks.
+
+    Each depth trains an otherwise identical student with that many distinct
+    layers (no recurrence) under the same seed, then reports monolingual STS
+    and cross-lingual retrieval.
+    """
+    if not depths:
+        raise ContractError("depth_sweep needs at least one depth")
+    points = []
+    for depth in depths:
+        result = run_single_stage(
+            pipeline_cfg, mode="random_init", seed=seed,
+            student_depth_override=depth,
+        )
+        points.append(
+            DepthPoint(depth=depth, sts=result.sts_report, retrieval=result.retrieval_report)
+        )
+    return points

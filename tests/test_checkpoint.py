@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import crosstill.checkpoint
 from crosstill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from crosstill.encoder import EncoderConfig, SentenceEncoder
 from crosstill.errors import FormatError
@@ -59,6 +60,37 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             loaded.encode(ids, mask).data, enc.encode(ids, mask).data
         )
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "enc.xdst"
+        save_checkpoint(make_encoder(), path)
+        previous = path.read_bytes()
+        real_open = open
+
+        class TornFile:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, blob):
+                self.fh.write(blob[: len(blob) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            crosstill.checkpoint, "open",
+            lambda file, mode: TornFile(real_open(file, mode)), raising=False,
+        )
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(make_encoder(distinct_layers=1), path)
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["enc.xdst"]
 
 
 class TestValidation:

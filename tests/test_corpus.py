@@ -289,12 +289,3 @@ class TestLoading:
             np.testing.assert_array_equal(orig.sentence_a, back.sentence_a)
             np.testing.assert_array_equal(orig.sentence_b, back.sentence_b)
             assert back.gold_score == pytest.approx(orig.gold_score, abs=1e-6)
-
-    def test_load_parallel_tsv_end_to_end(self, vocab, tmp_path):
-        paths = C.gen_parallel_corpus(3, 10, vocab, out_dir=tmp_path,
-                                      splits=(1.0, 0.0, 0.0))
-        batches = C.load_parallel_tsv(paths["train"], vocab, max_seq_len=16,
-                                      batch_size=4, shuffle_seed=0)
-        assert [b.size for b in batches] == [4, 4, 2]
-        for b in batches:
-            assert (b.source_ids[b.source_mask == 0] == PAD).all()

@@ -18,17 +18,20 @@ from crosstill.checkpoint import load_checkpoint
 from crosstill.corpus import OracleSemantics, VocabSpec, batch_pairs, gen_parallel_corpus, gen_sts_set
 from crosstill.encoder import EncoderConfig, SentenceEncoder, init_student_from_assistant
 from crosstill.errors import ConfigError, ContractError, NumericError
-from crosstill.evaluate import depth_sweep
 from crosstill.losses import LossValue
+import crosstill.pipeline
 from crosstill.pipeline import (
     EMBEDDING_PATH_KEYS,
+    PRE_DISTILL,
+    RANDOM_INIT,
+    STAGES,
     CorpusBundle,
     MetricsLog,
     OptimizerPlan,
     PipelineConfig,
     StagePlan,
-    _batch_loss,
     default_stage_plans,
+    depth_sweep,
     derive_seed,
     load_corpus,
     resume_stage,
@@ -86,11 +89,15 @@ def micro_cfg(corpus_dir, out_dir, **overrides) -> PipelineConfig:
 
 class TestPlans:
     def test_roles_and_losses_fixed_by_stage(self):
-        plans = default_stage_plans()
-        assert [p.trainable_role for p in plans] == ["assistant", "student", "student", "student"]
-        assert plans[0].frozen_roles == ()
-        assert all(p.frozen_roles == ("assistant",) for p in plans[1:])
-        assert plans[3].loss_name == "contrastive_plus_kd"
+        assert [s.stage for s in STAGES] == [1, 2, 3, 4]
+        assert [s.role for s in STAGES] == ["assistant", "student", "student", "student"]
+        assert [s.init for s in STAGES] == ["fresh", "assistant", "continue", "continue"]
+        assert [s.params for s in STAGES] == [None, EMBEDDING_PATH_KEYS, None, None]
+        assert [s.checkpoint for s in STAGES] == [f"stage{k}.xdst" for k in (1, 2, 3, 4)]
+        assert len({s.loss for s in STAGES}) == 4
+        # the baselines reuse stage 1's direct alignment and stage 3's imitation
+        assert [s.loss for s in PRE_DISTILL] == [STAGES[0].loss, STAGES[2].loss, STAGES[0].loss]
+        assert RANDOM_INIT[0].loss is STAGES[0].loss
 
     def test_default_epoch_ratio(self):
         plans = default_stage_plans()
@@ -228,8 +235,8 @@ class TestRunStage:
         assistant = SentenceEncoder.init(cfg.assistant, seed=1)
         before = assistant.checksum()
         log = MetricsLog(tmp_path / "m.jsonl")
-        plan = replace(cfg.plan(1), epochs=0)
-        run_stage(cfg, plan, {"assistant": assistant}, bundle, log)
+        cfg = replace(cfg, stages=default_stage_plans(epochs=(0, 1, 1, 1), batch_size=50))
+        run_stage(cfg, STAGES[0], {"assistant": assistant}, bundle, log)
         assert assistant.checksum() == before
         assert log.records == []
         saved = load_checkpoint(tmp_path / "stage1.xdst")
@@ -242,8 +249,7 @@ class TestRunStage:
         twin_cfg = replace(cfg.assistant)
         student = init_student_from_assistant(assistant, twin_cfg, seed=6)
         batch = batch_pairs(bundle.train_pairs[:32], cfg.max_seq_len, 32)[0]
-        loss = _batch_loss(3, batch, {"assistant": assistant.freeze(), "student": student},
-                          bundle.oracle, cfg.variant, None)
+        loss = STAGES[2].loss(student, assistant.freeze(), batch, bundle.oracle, cfg)
         assert loss.item() == 0.0
 
     def test_stage2_moves_only_embedding_path(self, corpus_dir, tmp_path):
@@ -254,25 +260,25 @@ class TestRunStage:
         before = {k: p.data.copy() for k, p in student.params.items()}
         assistant_sum = assistant.checksum()
         log = MetricsLog(tmp_path / "m.jsonl")
-        run_stage(cfg, cfg.plan(2), {"assistant": assistant, "student": student}, bundle, log)
+        run_stage(cfg, STAGES[1], {"assistant": assistant, "student": student}, bundle, log)
         for name, old in before.items():
             changed = not np.array_equal(old, student.params[name].data)
             assert changed == (name in EMBEDDING_PATH_KEYS), name
         assert assistant.checksum() == assistant_sum
 
-    def test_nan_loss_aborts_and_keeps_checkpoint(self, corpus_dir, tmp_path):
+    def test_nan_loss_aborts_and_keeps_checkpoint(self, corpus_dir, tmp_path, monkeypatch):
         cfg = micro_cfg(corpus_dir, tmp_path)
         bundle = load_corpus(cfg)
         assistant = SentenceEncoder.init(cfg.assistant, seed=9)
         before = assistant.checksum()
         log = MetricsLog(tmp_path / "m.jsonl")
 
-        def poisoned(stage, batch, models, oracle, variant, ce_cfg):
+        def poisoned(anchor, out_src, out_tgt):
             return LossValue(value=Tensor(np.float32(np.nan)), components={})
 
+        monkeypatch.setattr(crosstill.pipeline, "loss_anchor_align", poisoned)
         with pytest.raises(NumericError, match="non-finite"):
-            run_stage(cfg, cfg.plan(1), {"assistant": assistant}, bundle, log,
-                      loss_override=poisoned)
+            run_stage(cfg, STAGES[0], {"assistant": assistant}, bundle, log)
         retained = load_checkpoint(tmp_path / "stage1.xdst")
         assert retained.checksum() == before
 
@@ -281,7 +287,7 @@ class TestRunStage:
         bundle = load_corpus(cfg)
         assistant = SentenceEncoder.init(cfg.assistant, seed=10)
         log = MetricsLog(tmp_path / "m.jsonl")
-        run_stage(cfg, cfg.plan(1), {"assistant": assistant}, bundle, log)
+        run_stage(cfg, STAGES[0], {"assistant": assistant}, bundle, log)
         snapshot = log.records[0]["eval"]
         assert 0.0 <= snapshot["retrieval_acc"] <= 1.0
         assert -1.0 <= snapshot["spearman"] <= 1.0
@@ -340,6 +346,17 @@ class TestResumeStage:
         result3 = resume_stage(cfg, 3)
         assert result3.student.config.bottleneck_enabled
 
+    def test_resume_chain_equals_one_run(self, corpus_dir, tmp_path):
+        epochs = default_stage_plans(epochs=(1, 2, 1, 2), batch_size=50)
+        full = run_pipeline(micro_cfg(corpus_dir, tmp_path / "full", stages=epochs))
+        chain = micro_cfg(corpus_dir, tmp_path / "chain", stages=epochs)
+        records = []
+        for k in (1, 2, 3, 4):
+            records += resume_stage(chain, k).log.records
+            name = f"stage{k}.xdst"
+            assert (tmp_path / "chain" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        assert records == full.log.records
+
     def test_bad_stage_number(self, corpus_dir, tmp_path):
         with pytest.raises(ConfigError, match="1..4"):
             resume_stage(micro_cfg(corpus_dir, tmp_path), 5)
@@ -361,6 +378,19 @@ class TestRunSingleStage:
             assistant, cfg.student, seed=derive_seed(cfg.seed, "student-init")
         )
         assert result.student.checksum() == expected.checksum()
+
+    def test_pre_distill_from_scratch_schedule(self, corpus_dir, tmp_path):
+        cfg = micro_cfg(corpus_dir, tmp_path,
+                        stages=default_stage_plans(epochs=(1, 2, 1, 2), batch_size=50))
+        result = run_single_stage(cfg, "pre_distill")
+        labels = [(r["stage"], r["epoch"]) for r in result.log.records]
+        assert labels == (
+            [("pre_distill:assistant", 1)]
+            + [("pre_distill:imitate", e) for e in (1, 2, 3)]
+            + [("pre_distill:align", e) for e in (1, 2)]
+        )
+        assert result.checkpoint_path == tmp_path / "single_predistill.xdst"
+        assert load_checkpoint(result.checkpoint_path).checksum() == result.student.checksum()
 
     def test_random_init_uses_full_epoch_budget(self, corpus_dir, tmp_path):
         cfg = micro_cfg(corpus_dir, tmp_path,
