@@ -8,6 +8,13 @@ builds a fresh one.
 Element width is float32 for training and float64 for verification runs.
 Operands of one expression must share a width; there is no implicit
 promotion.
+
+VJP contract: a node's VJP takes the gradient of its output and returns one
+gradient per parent (or None), each in that parent's shape and width.
+`backward` keeps the first gradient a tensor receives as its `.grad` and
+adds later ones out of place, so a returned array is never mutated after
+the VJP returns it; a gradient of the wrong shape or width is a
+`ContractError` naming the primitive.
 """
 
 from __future__ import annotations
@@ -148,7 +155,9 @@ def add(a, b) -> Tensor:
     _check_same_dtype(a, b)
 
     def vjp(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        # two parents never share one gradient array
+        return ga, (gb.copy() if gb is ga else gb)
 
     return _node(a.data + b.data, (a, b), vjp, "add")
 
@@ -225,22 +234,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ContractError("matmul requires operands of rank >= 2")
     _check_same_dtype(a, b)
-
-    def _reduce_batch(grad: Array, shape: tuple[int, ...]) -> Array:
-        extra = grad.ndim - len(shape)
-        if extra > 0:
-            grad = grad.sum(axis=tuple(range(extra)))
-        axes = tuple(i for i, n in enumerate(shape[:-2]) if n == 1 and grad.shape[i] != 1)
-        if axes:
-            grad = grad.sum(axis=axes, keepdims=True)
-        return grad
+    if b.ndim == 2:
+        return _dense(a, b, None, "matmul")
 
     def vjp(g: Array):
-        ga = _reduce_batch(np.matmul(g, _swap_last2(b.data)), a.shape)
-        gb = _reduce_batch(np.matmul(_swap_last2(a.data), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, _swap_last2(b.data)), a.shape)
+        gb = _unbroadcast(np.matmul(_swap_last2(a.data), g), b.shape)
         return ga, gb
 
     return _node(np.matmul(a.data, b.data), (a, b), vjp, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` for a 2-D weight and a bias over its columns, as one node."""
+    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ContractError(
+            f"linear expects x of rank >= 2, a 2-D weight and a bias over its columns, "
+            f"got {x.shape}, {w.shape}, {b.shape}"
+        )
+    _check_same_dtype(x, w, b)
+    return _dense(x, w, b, "linear")
+
+
+def _dense(x: Tensor, w: Tensor, b: Tensor | None, op: str) -> Tensor:
+    """`x @ w (+ b)` with a 2-D `w`: one GEMM over the rows of x's leading dims."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
+
+    def vjp(g: Array):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = (g2 @ w.data.T).reshape(x.shape)
+        gw = x2.T @ g2
+        if b is None:
+            return gx, gw
+        return gx, gw, g2.sum(axis=0)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(out.reshape(x.shape[:-1] + w.shape[1:]), parents, vjp, op)
 
 
 def gather_rows(table: Tensor, ids: Array) -> Tensor:
@@ -325,12 +357,13 @@ def ttanh(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out_data = (x * phi).astype(x.dtype)
+    width = x.dtype.type
+    phi = 0.5 * (1.0 + erf(x * width(_INV_SQRT2)))
+    out_data = x * phi
 
     def vjp(g: Array):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return ((g * (phi + x * pdf)).astype(x.dtype),)
+        pdf = width(_INV_SQRT_2PI) * np.exp(-0.5 * x * x)
+        return (g * (phi + x * pdf),)
 
     return _node(out_data, (a,), vjp, "gelu")
 
@@ -361,7 +394,6 @@ def softmax_last(a: Tensor) -> Tensor:
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     """Layer normalization over the last axis with learned scale and shift."""
     _check_same_dtype(x, scale, shift)
-    h = x.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -382,7 +414,6 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
         )
         return gx, gscale, gshift
 
-    del h
     return _node(out_data, (x, scale, shift), vjp, "layer_norm")
 
 
@@ -412,8 +443,8 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
     """Populate .grad on every reachable tensor with requires_grad.
 
     `loss` must be a scalar. Parameters listed in `params` that the graph
-    never reaches get an explicit zero gradient. Accumulates into existing
-    .grad buffers; call `zero_grads` between steps.
+    never reaches get an explicit zero gradient. Adds to gradients left by
+    earlier calls; call `zero_grads` between steps.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -435,13 +466,15 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
             continue
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient flowing into primitive {node.op!r}")
-        grads = node._vjp(g)
-        for parent, pg in zip(node._parents, grads):
+        for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += pg
+            if pg.dtype != parent.data.dtype or pg.shape != parent.data.shape:
+                raise ContractError(
+                    f"primitive {node.op!r} returned a {pg.dtype} gradient of shape "
+                    f"{pg.shape} for a {parent.data.dtype} operand of shape {parent.shape}"
+                )
+            parent.grad = pg if parent.grad is None else parent.grad + pg
 
     for p in params:
         if p.requires_grad and p.grad is None:

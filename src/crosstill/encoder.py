@@ -229,15 +229,18 @@ class SentenceEncoder:
         n, length, _ = x.shape
         heads, dh = cfg.heads, cfg.head_dim
 
+        def proj(name: str, inp: Tensor) -> Tensor:
+            prefix = f"layer{j}.attn.{name}"
+            return ad.linear(inp, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
+
         def split(name: str) -> Tensor:
-            p = x @ self.params[f"layer{j}.attn.{name}.w"] + self.params[f"layer{j}.attn.{name}.b"]
-            return ad.transpose(ad.reshape(p, (n, length, heads, dh)), (0, 2, 1, 3))
+            return ad.transpose(ad.reshape(proj(name, x), (n, length, heads, dh)), (0, 2, 1, 3))
 
         q, k, v = split("q"), split("k"), split("v")
         scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(dh))
         weights = ad.softmax_last(scores + key_bias)
         ctx = ad.reshape(ad.transpose(weights @ v, (0, 2, 1, 3)), (n, length, cfg.hidden))
-        return ctx @ self.params[f"layer{j}.attn.o.w"] + self.params[f"layer{j}.attn.o.b"]
+        return proj("o", ctx)
 
     def _layer(self, j: int, x: Tensor, key_bias: Tensor) -> Tensor:
         eps = self.config.layernorm_eps
@@ -247,8 +250,8 @@ class SentenceEncoder:
             self.params[f"layer{j}.ln1.shift"],
             eps,
         )
-        ffn = ad.gelu(x @ self.params[f"layer{j}.ffn.w1"] + self.params[f"layer{j}.ffn.b1"])
-        ffn = ffn @ self.params[f"layer{j}.ffn.w2"] + self.params[f"layer{j}.ffn.b2"]
+        w1, b1, w2, b2 = (self.params[f"layer{j}.ffn.{n}"] for n in ("w1", "b1", "w2", "b2"))
+        ffn = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
         return ad.layer_norm(
             x + ffn,
             self.params[f"layer{j}.ln2.scale"],

@@ -230,16 +230,16 @@ class MetricsLog:
     identical files.
     """
 
-    def __init__(self, path, fresh: bool = True):
+    def __init__(self, path):
+        """Start a new log at `path`, truncating any file already there."""
+        self._start(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.write_text("", encoding="utf-8")
+
+    def _start(self, path) -> None:
         self.path = Path(path)
         self.records: list[dict] = []
         self._last_epoch: dict = {}
-        if fresh:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("", encoding="utf-8")
-        elif self.path.exists():
-            for record in self.read(self.path).records:
-                self._admit(record)
 
     def _admit(self, record: dict) -> None:
         stage, epoch = record["stage"], record["epoch"]
@@ -272,10 +272,9 @@ class MetricsLog:
 
     @classmethod
     def read(cls, path) -> "MetricsLog":
+        """Load an existing log without modifying its file."""
         log = cls.__new__(cls)
-        log.path = Path(path)
-        log.records = []
-        log._last_epoch = {}
+        log._start(path)
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
@@ -642,11 +641,18 @@ def run_single_stage(
         ))
         suffix = f"_d{student_depth_override}"
     log_name = f"metrics_{mode}{suffix}.jsonl"
-    if mode == "random_init":
-        row = replace(RANDOM_INIT[0], checkpoint=f"single_random{suffix}.xdst")
-        return _run_table(cfg, (row,), log_name)
-    start = 1 if (Path(cfg.out_dir) / PRE_DISTILL[0].checkpoint).exists() else 0
-    return _run_table(cfg, PRE_DISTILL, log_name, start)
+    table = RANDOM_INIT if mode == "random_init" else PRE_DISTILL
+    if suffix:
+        # only the student's depth changes, so only its checkpoints get the suffix
+        table = tuple(
+            replace(s, checkpoint=f"{Path(s.checkpoint).stem}{suffix}.xdst")
+            if s.role == "student" else s
+            for s in table
+        )
+    start = 0
+    if mode == "pre_distill" and (Path(cfg.out_dir) / PRE_DISTILL[0].checkpoint).exists():
+        start = 1
+    return _run_table(cfg, table, log_name, start)
 
 
 @dataclass

@@ -86,6 +86,51 @@ class TestShapes:
         b = leaf(rng, 4, 2)  # broadcast over the batch axis
         check(lambda: ad.tsum((a @ b) * (a @ b)), {"a": a, "b": b})
 
+    def test_matmul_rank3_left_2d_right(self):
+        rng = stream(0, "matmul_r3")
+        a = leaf(rng, 3, 4, 5)
+        w = leaf(rng, 5, 2)
+        c = leaf(rng, 3, 4, 2)
+        check(lambda: ad.tsum((a @ w) * c), {"a": a, "w": w})
+
+    def test_matmul_rank4_left_2d_right(self):
+        rng = stream(0, "matmul_r4")
+        a = leaf(rng, 2, 3, 4, 5)
+        w = leaf(rng, 5, 3)
+        c = leaf(rng, 2, 3, 4, 3)
+        check(lambda: ad.tsum((a @ w) * c), {"a": a, "w": w})
+
+    def test_linear_rank3(self):
+        rng = stream(0, "linear_r3")
+        x = leaf(rng, 3, 4, 5)
+        w = leaf(rng, 5, 2)
+        b = leaf(rng, 2)
+        c = leaf(rng, 3, 4, 2)
+        check(lambda: ad.tsum(ad.linear(x, w, b) * c), {"x": x, "w": w, "b": b})
+
+    def test_linear_rank4(self):
+        rng = stream(0, "linear_r4")
+        x = leaf(rng, 2, 3, 4, 5)
+        w = leaf(rng, 5, 3)
+        b = leaf(rng, 3)
+        c = leaf(rng, 2, 3, 4, 3)
+        check(lambda: ad.tsum(ad.linear(x, w, b) * c), {"x": x, "w": w, "b": b})
+
+    def test_linear_matches_matmul_plus_bias(self):
+        rng = stream(0, "linear_fwd")
+        x = leaf(rng, 4, 6, 5)
+        w = leaf(rng, 5, 3)
+        b = leaf(rng, 3)
+        out = ad.linear(x, w, b)
+        assert out.op == "linear" and out._parents == (x, w, b)
+        np.testing.assert_allclose(out.data, x.data @ w.data + b.data, rtol=0, atol=1e-12)
+
+    def test_linear_rejects_bias_of_wrong_shape(self):
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        w = Tensor(np.ones((4, 5)), requires_grad=True)
+        with pytest.raises(ContractError, match="linear"):
+            ad.linear(x, w, Tensor(np.ones(4), requires_grad=True))
+
     def test_matmul_rank1_rejected(self):
         a = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
         b = Tensor(np.ones((3, 2), dtype=np.float64), requires_grad=True)
@@ -155,6 +200,19 @@ class TestNonlinear:
         out = ad.gelu(Tensor(x)).data
         expected = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+    def test_gelu_float32_stays_float32(self):
+        rng = stream(0, "gelu32")
+        x64 = rng.standard_normal((4, 6)) * 2.0
+        results = {}
+        for dtype in (np.float32, np.float64):
+            a = Tensor(x64.astype(dtype), requires_grad=True)
+            out = ad.gelu(a)
+            backward(ad.tsum(out))
+            assert out.data.dtype == dtype and a.grad.dtype == dtype
+            results[dtype] = out.data, a.grad
+        for lo, hi in zip(results[np.float32], results[np.float64]):
+            np.testing.assert_allclose(lo, hi, rtol=0, atol=2e-6)
 
     def test_gelu_gradient(self):
         rng = stream(0, "gelu")
@@ -227,6 +285,32 @@ class TestBackwardContract:
         shared = a * a  # used twice below
         backward(ad.tsum(shared + shared))
         np.testing.assert_allclose(a.grad, [8.0])
+
+    def test_repeated_operand_sums_gradient(self):
+        a = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+        backward(ad.tsum(a * a))
+        np.testing.assert_array_equal(a.grad, [6.0, -2.0])
+        zero_grads([a])
+        backward(ad.tsum(ad.add(a, a)))
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+
+    def test_add_gives_each_operand_its_own_gradient(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        backward(ad.tsum(ad.add(a, b)))
+        assert a.grad is not b.grad
+        np.testing.assert_array_equal(a.grad, np.ones(3))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [
+        lambda g: g.astype(np.float32),
+        lambda g: g.reshape(1, -1),
+    ], ids=["width", "shape"])
+    def test_vjp_gradient_must_match_operand(self, bad):
+        a = Tensor(np.ones(3), requires_grad=True)
+        out = ad._node(a.data * 2.0, (a,), lambda g: (bad(2.0 * g),), "faulty")
+        with pytest.raises(ContractError, match="'faulty'"):
+            backward(ad.tsum(out))
 
     def test_nonfinite_loss_raises(self):
         a = Tensor(np.array([0.0]), requires_grad=True)

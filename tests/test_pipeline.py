@@ -192,7 +192,7 @@ class TestMetricsLog:
     def test_fresh_truncates(self, tmp_path):
         path = tmp_path / "m.jsonl"
         MetricsLog(path).append(stage=1, epoch=1, loss=0.5)
-        log = MetricsLog(path, fresh=True)
+        log = MetricsLog(path)
         assert log.records == []
         assert path.read_text() == ""
 
@@ -407,6 +407,19 @@ class TestRunSingleStage:
         assert scfg.distinct_layers == 2
         assert scfg.recurrence_count == 1
         assert not scfg.bottleneck_enabled
+
+    def test_pre_distill_depths_keep_separate_checkpoints(self, corpus_dir, tmp_path):
+        cfg = micro_cfg(corpus_dir, tmp_path,
+                        stages=default_stage_plans(epochs=(1, 1, 0, 1), batch_size=50))
+        results = {d: run_single_stage(cfg, "pre_distill", student_depth_override=d)
+                   for d in (1, 2)}
+        for d, result in results.items():
+            assert result.checkpoint_path == tmp_path / f"single_predistill_d{d}.xdst"
+            assert (tmp_path / f"metrics_pre_distill_d{d}.jsonl").exists()
+            loaded = load_checkpoint(result.checkpoint_path)
+            assert loaded.config.distinct_layers == d
+            assert loaded.checksum() == result.student.checksum()
+        assert not (tmp_path / "single_predistill.xdst").exists()
 
     def test_pre_distill_reuses_existing_stage1(self, corpus_dir, tmp_path):
         cfg = micro_cfg(corpus_dir, tmp_path)
