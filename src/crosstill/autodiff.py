@@ -345,15 +345,6 @@ def tsqrt(a: Tensor) -> Tensor:
     return _node(out_data, (a,), vjp, "sqrt")
 
 
-def ttanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def vjp(g: Array):
-        return (g * (1.0 - out_data * out_data),)
-
-    return _node(out_data, (a,), vjp, "tanh")
-
-
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.data

@@ -28,7 +28,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .encoder import EncoderConfig, SentenceEncoder, expected_param_shapes
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 MAGIC = b"XDST1"
 VERSION = 1
@@ -104,7 +104,7 @@ def load_checkpoint(path) -> SentenceEncoder:
     cfg_offset = reader.pos
     try:
         config = EncoderConfig.from_dict(json.loads(reader.take(cfg_len, "config")))
-    except (ValueError, TypeError) as exc:
+    except (ConfigError, ValueError, TypeError, RecursionError) as exc:
         raise FormatError(f"invalid config blob: {exc}", offset=cfg_offset) from None
 
     expected = expected_param_shapes(config)

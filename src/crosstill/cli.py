@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint
 from .corpus import OracleSemantics, VocabSpec, gen_parallel_corpus, gen_sts_set, load_sts_tsv, read_parallel_tsv
-from .errors import AuditError, ConfigError, ContractError, CrosstillError, FormatError, NumericError, ParseError
+from .errors import ConfigError, CrosstillError, FormatError, ParseError
 from .evaluate import EvalReport, retrieval_accuracy, sts_evaluate
 from .gradcheck import finite_diff_check
 from .losses import (
@@ -91,37 +91,39 @@ def apply_overrides(raw: dict, tokens: list[str]) -> dict:
                 raise FormatError(f"override {token!r} needs a value")
             dotted, value = token[2:], tokens[i + 1]
             i += 2
-        parts = dotted.split(".")
+        *sections, leaf = dotted.split(".")
         node = raw
-        for depth, part in enumerate(parts[:-1]):
-            if isinstance(node, list):
-                try:
-                    node = node[int(part)]
-                except (ValueError, IndexError):
-                    raise ConfigError(f"bad list index {part!r} in override {dotted!r}")
-            elif part in node:
-                node = node[part]
-            else:
-                raise ConfigError(f"no config section {'.'.join(parts[:depth + 1])!r}")
+        for depth, part in enumerate(sections):
+            key = _override_key(node, part, dotted)
+            if isinstance(node, dict) and key not in node:
+                raise ConfigError(f"no config section {'.'.join(sections[:depth + 1])!r}")
+            node = node[key]
         try:
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value
-        leaf = parts[-1]
-        if isinstance(node, list):
-            try:
-                node[int(leaf)] = parsed
-            except (ValueError, IndexError):
-                raise ConfigError(f"bad list index {leaf!r} in override {dotted!r}")
-        else:
-            node[leaf] = parsed
+        node[_override_key(node, leaf, dotted)] = parsed
     return raw
+
+
+def _override_key(node, part: str, dotted: str):
+    """What `part` of override `dotted` indexes `node` with: a list index or a field name."""
+    if isinstance(node, dict):
+        return part
+    if not isinstance(node, list):
+        raise ConfigError(f"override {dotted!r} reaches into {node!r}, which is not a section")
+    try:
+        index = int(part)
+        node[index]
+    except (ValueError, IndexError):
+        raise ConfigError(f"bad list index {part!r} in override {dotted!r}")
+    return index
 
 
 def _load_config(path: str, extras: list[str], seed_flag: int | None) -> PipelineConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"config {path} is not valid JSON: {exc}")
     raw = apply_overrides(raw, extras)
     cfg = PipelineConfig.from_dict(raw)
@@ -134,7 +136,6 @@ def _load_config(path: str, extras: list[str], seed_flag: int | None) -> Pipelin
 
 
 def _cmd_gen_corpus(args, extras) -> int:
-    _forbid_extras(extras)
     seed = resolve_seed(args.seed)
     vocab = VocabSpec.create(tokens_per_language=args.tokens_per_language, seed=seed)
     splits = tuple(float(s) for s in args.splits.split(","))
@@ -153,7 +154,6 @@ def _cmd_gen_corpus(args, extras) -> int:
 
 
 def _cmd_gen_sts(args, extras) -> int:
-    _forbid_extras(extras)
     seed = resolve_seed(args.seed)
     vocab = VocabSpec.from_manifest(args.vocab)
     oracle = OracleSemantics.create(vocab, dim=args.dim, seed=args.oracle_seed)
@@ -199,7 +199,6 @@ def _cmd_train(args, extras) -> int:
 
 
 def _cmd_eval(args, extras) -> int:
-    _forbid_extras(extras)
     encoder = load_checkpoint(args.checkpoint)
     corpus_dir = Path(args.corpus)
     vocab = VocabSpec.from_manifest(corpus_dir / "vocab.json")
@@ -226,7 +225,6 @@ def _cmd_eval(args, extras) -> int:
 
 
 def _cmd_count_params(args, extras) -> int:
-    _forbid_extras(extras)
     if args.preset is not None:
         if args.preset not in PRESETS:
             raise ConfigError(
@@ -304,7 +302,6 @@ GRAD_CHECK_LOSSES = ("anchor", "pairwise", "mcl", "bool", "ce", "stage4")
 
 
 def _cmd_grad_check(args, extras) -> int:
-    _forbid_extras(extras)
     seed = resolve_seed(args.seed)
     dtype = np.float64 if args.width == "64bit" else np.float32
     names = GRAD_CHECK_LOSSES if args.loss == "all" else (args.loss,)
@@ -342,11 +339,6 @@ def _cmd_sweep_depth(args, extras) -> int:
             ),
         })
     return 0
-
-
-def _forbid_extras(extras: list[str]) -> None:
-    if extras:
-        raise FormatError(f"unknown flag {extras[0]!r}")
 
 
 # -- parser -----------------------------------------------------------------
@@ -429,9 +421,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if not args.allow_overrides:
-            _forbid_extras(extras)
-            extras = []
+        if extras and not args.allow_overrides:
+            raise FormatError(f"unknown flag {extras[0]!r}")
         return args.handler(args, extras)
     except (ParseError, FormatError) as exc:
         _say(f"error: {exc}")
@@ -439,7 +430,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except OSError as exc:
         _say(f"error: {exc}")
         return 2
-    except (ConfigError, ContractError, AuditError, NumericError, CrosstillError) as exc:
+    except CrosstillError as exc:
         _say(f"error: {exc}")
         return 1
 

@@ -8,6 +8,8 @@ attributes. `transform` embeds token-id sentences with the trained student.
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,23 +18,6 @@ from .encoder import EncoderConfig
 from .errors import ConfigError, ContractError
 from .evaluate import embed_sentences
 from .pipeline import PipelineConfig, default_stage_plans, run_pipeline, toy_config
-
-_PARAM_NAMES = (
-    "corpus_dir",
-    "out_dir",
-    "sts_path",
-    "seed",
-    "variant",
-    "epochs",
-    "batch_size",
-    "lr",
-    "teacher_dim",
-    "teacher_seed",
-    "max_seq_len",
-    "assistant_config",
-    "student_config",
-    "eval_every_epoch",
-)
 
 
 class MultiStageDistiller:
@@ -78,14 +63,19 @@ class MultiStageDistiller:
 
     # -- scikit-learn parameter protocol -----------------------------------
 
+    @classmethod
+    def _param_names(cls) -> list[str]:
+        return list(inspect.signature(cls.__init__).parameters)[1:]
+
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in _PARAM_NAMES}
+        return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params) -> "MultiStageDistiller":
+        names = self._param_names()
         for name, value in params.items():
-            if name not in _PARAM_NAMES:
+            if name not in names:
                 raise ConfigError(
-                    f"unknown parameter {name!r}; valid: {', '.join(_PARAM_NAMES)}"
+                    f"unknown parameter {name!r}; valid: {', '.join(names)}"
                 )
             setattr(self, name, value)
         return self
@@ -103,21 +93,14 @@ class MultiStageDistiller:
     def build_config(self) -> PipelineConfig:
         if self.corpus_dir is None:
             raise ConfigError("corpus_dir is required; generate a corpus first")
-        out_dir = self.out_dir
-        if out_dir is None:
-            out_dir = Path(self.corpus_dir) / "run"
-        base = toy_config(self.corpus_dir, out_dir, sts_path=self.sts_path, seed=self.seed)
-        assistant = self._coerce_encoder(self.assistant_config) or base.assistant
-        student = self._coerce_encoder(self.student_config) or base.student
         if len(self.epochs) != 4:
             raise ConfigError("epochs must list one count per stage, e.g. (5, 5, 5, 15)")
-        return PipelineConfig(
-            corpus_dir=str(self.corpus_dir),
-            out_dir=str(out_dir),
-            assistant=assistant,
-            student=student,
-            sts_path=None if self.sts_path is None else str(self.sts_path),
-            seed=self.seed,
+        out_dir = Path(self.corpus_dir) / "run" if self.out_dir is None else self.out_dir
+        base = toy_config(self.corpus_dir, out_dir, sts_path=self.sts_path, seed=self.seed)
+        return replace(
+            base,
+            assistant=self._coerce_encoder(self.assistant_config) or base.assistant,
+            student=self._coerce_encoder(self.student_config) or base.student,
             teacher_dim=self.teacher_dim,
             teacher_seed=self.teacher_seed,
             max_seq_len=self.max_seq_len,

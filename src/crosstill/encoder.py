@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -69,12 +69,58 @@ class EncoderConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "EncoderConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown encoder config fields: {sorted(unknown)}")
-        return cls(**raw)
+    def from_dict(cls, raw) -> "EncoderConfig":
+        return config_from_dict(cls, raw, kind="encoder config")
+
+
+_JSON_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "None": lambda v: v is None,
+}
+
+
+def config_from_dict(cls, raw, where: str = "", nested=None, kind: str = "config"):
+    """Build the config dataclass `cls` from a parsed JSON object.
+
+    The dataclass fields are the schema. Fields named in `nested` are
+    sections, each parsed by `nested[name](value, path)`; every other field
+    must hold a JSON scalar of its annotated type (an int passes as a float,
+    a bool never passes as an int). A non-object, an unknown or missing
+    field, a mistyped scalar, or a TypeError/ValueError from `__post_init__`
+    raises ConfigError naming the section path `where` ("" for the root).
+    """
+    nested = nested or {}
+    label = where or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {type(raw).__name__}")
+    schema = {f.name: f for f in fields(cls)}
+    unknown = set(raw) - set(schema)
+    if unknown:
+        at = f" in {where}" if where else ""
+        raise ConfigError(f"unknown {kind} fields{at}: {sorted(unknown)}")
+    missing = [
+        name for name, f in schema.items()
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{label} missing required fields: {missing}")
+    values = {}
+    for name, value in raw.items():
+        path = f"{where}.{name}" if where else name
+        if name in nested:
+            values[name] = nested[name](value, path)
+            continue
+        annotation = schema[name].type  # a string, e.g. "int | None": annotations are postponed
+        if not any(_JSON_TYPES[t.strip()](value) for t in annotation.split("|")):
+            raise ConfigError(f"{path} must be {annotation}, got {type(value).__name__}")
+        values[name] = value
+    try:
+        return cls(**values)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: {exc}") from None
 
 
 def expected_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -170,14 +216,6 @@ class SentenceEncoder:
         for p in self.params.values():
             p.requires_grad = False
         return self
-
-    def unfreeze(self) -> "SentenceEncoder":
-        for p in self.params.values():
-            p.requires_grad = True
-        return self
-
-    def trainable_params(self) -> dict[str, Tensor]:
-        return {k: p for k, p in self.params.items() if p.requires_grad}
 
     def checksum(self) -> str:
         digest = hashlib.sha256()

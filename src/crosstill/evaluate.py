@@ -125,25 +125,19 @@ def sts_evaluate(encoder, examples: list[StsExample], batch_size: int = 64) -> E
     )
 
 
-def retrieval_accuracy(
-    encoder, pairs: list[ParallelPair], block_size: int = 64,
-    target_encoder=None,
-) -> float:
+def retrieval_accuracy(encoder, pairs: list[ParallelPair], block_size: int = 64) -> float:
     """Within-block nearest-neighbor translation retrieval.
 
     For each block of `block_size` pairs, each source row retrieves its
     nearest target row by cosine; the score is the fraction retrieving their
     own translation. Trailing pairs short of a full block are dropped.
-    `target_encoder` lets the two sides use different embedding providers.
     """
     if len(pairs) < block_size:
         raise ContractError(
             f"retrieval needs at least one full block of {block_size}, got {len(pairs)}"
         )
     src = embed_sentences(encoder, [p.source_ids for p in pairs]).astype(np.float64)
-    tgt = embed_sentences(
-        target_encoder or encoder, [p.target_ids for p in pairs]
-    ).astype(np.float64)
+    tgt = embed_sentences(encoder, [p.target_ids for p in pairs]).astype(np.float64)
     n_blocks = len(pairs) // block_size
     hits = 0
     for b in range(n_blocks):

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .corpus import (
     oracle_embed_batch,
     read_parallel_tsv,
 )
-from .encoder import EncoderConfig, SentenceEncoder, init_student_from_assistant
+from .encoder import EncoderConfig, SentenceEncoder, config_from_dict, init_student_from_assistant
 from .errors import ConfigError, ContractError, NumericError
 from .evaluate import EvalReport, retrieval_accuracy, sts_evaluate
 from .losses import CeLossConfig, loss_anchor_align, loss_pairwise_align, loss_stage4
@@ -67,11 +68,7 @@ class OptimizerPlan:
             raise ConfigError("weight_decay must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "warmup_fraction": self.warmup_fraction,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -92,20 +89,24 @@ class StagePlan:
             raise ConfigError("batch_size must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "optimizer": self.optimizer.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "StagePlan":
-        opt = OptimizerPlan(**raw.get("optimizer", {}))
-        return cls(
-            stage=raw["stage"], epochs=raw["epochs"],
-            batch_size=raw.get("batch_size", 64), optimizer=opt,
-        )
+    def from_dict(cls, raw) -> "StagePlan":
+        return _stage_section(raw)
+
+
+# section parsers, called with (value, section path)
+_encoder_section = partial(config_from_dict, EncoderConfig, kind="encoder config")
+_stage_section = partial(
+    config_from_dict, StagePlan, nested={"optimizer": partial(config_from_dict, OptimizerPlan)}
+)
+
+
+def _stage_list(raw, where: str) -> tuple[StagePlan, ...]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where} must be a JSON list, got {type(raw).__name__}")
+    return tuple(_stage_section(p, f"{where}[{i}]") for i, p in enumerate(raw))
 
 
 @dataclass
@@ -150,40 +151,13 @@ class PipelineConfig:
         return self.stages[stage - 1]
 
     def to_dict(self) -> dict:
-        return {
-            "corpus_dir": self.corpus_dir,
-            "out_dir": self.out_dir,
-            "assistant": self.assistant.to_dict(),
-            "student": self.student.to_dict(),
-            "sts_path": self.sts_path,
-            "seed": self.seed,
-            "teacher_dim": self.teacher_dim,
-            "teacher_seed": self.teacher_seed,
-            "max_seq_len": self.max_seq_len,
-            "variant": self.variant,
-            "ce_temperature": self.ce_temperature,
-            "stages": [p.to_dict() for p in self.stages],
-            "eval_every_epoch": self.eval_every_epoch,
-        }
+        return {**asdict(self), "stages": [asdict(p) for p in self.stages]}
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        raw = dict(raw)
-        try:
-            assistant = EncoderConfig.from_dict(raw.pop("assistant"))
-            student = EncoderConfig.from_dict(raw.pop("student"))
-            stages = tuple(StagePlan.from_dict(p) for p in raw.pop("stages", []))
-        except KeyError as exc:
-            raise ConfigError(f"config missing required field {exc}") from exc
-        known = {
-            "corpus_dir", "out_dir", "sts_path", "seed", "teacher_dim",
-            "teacher_seed", "max_seq_len", "variant", "ce_temperature",
-            "eval_every_epoch",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(assistant=assistant, student=student, stages=stages, **raw)
+    def from_dict(cls, raw) -> "PipelineConfig":
+        return config_from_dict(cls, raw, nested={
+            "assistant": _encoder_section, "student": _encoder_section, "stages": _stage_list,
+        })
 
 
 def default_stage_plans(

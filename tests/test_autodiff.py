@@ -190,11 +190,6 @@ class TestNonlinear:
         a = leaf(rng, 4, lo=0.5, hi=3.0)
         check(lambda: ad.tsum(ad.tsqrt(a)), {"a": a})
 
-    def test_tanh(self):
-        rng = stream(0, "tanh")
-        a = leaf(rng, 6)
-        check(lambda: ad.tsum(ad.ttanh(a)), {"a": a})
-
     def test_gelu_forward_matches_erf_formula(self):
         x = np.linspace(-3, 3, 13)
         out = ad.gelu(Tensor(x)).data

@@ -1,5 +1,6 @@
 """Checkpoint format: round trips, validation, and offset-bearing errors."""
 
+import json
 import struct
 
 import numpy as np
@@ -155,3 +156,21 @@ class TestValidation:
         path.write_bytes(blob[:17] + garbage + blob[17 + cfg_len:])
         with pytest.raises(FormatError, match="config"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: b'"x"',
+        lambda cfg: b"[1, 2]",
+        lambda cfg: json.dumps({**cfg, "warp": 1}).encode(),
+        lambda cfg: json.dumps({**cfg, "hidden": -1}).encode(),
+        lambda cfg: b"[" * 100_000,
+    ], ids=["string", "list", "unknown-key", "negative-hidden", "deeply-nested"])
+    def test_bad_config_blob_reports_offset(self, tmp_path, edit):
+        path, blob = self.write_good(tmp_path)
+        cfg_len = struct.unpack("<Q", blob[9:17])[0]
+        new_cfg = edit(json.loads(blob[17:17 + cfg_len]))
+        path.write_bytes(
+            blob[:9] + struct.pack("<Q", len(new_cfg)) + new_cfg + blob[17 + cfg_len:]
+        )
+        with pytest.raises(FormatError, match="invalid config blob") as info:
+            load_checkpoint(path)
+        assert info.value.offset == 17

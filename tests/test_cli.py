@@ -110,6 +110,12 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="list index"):
             apply_overrides({"stages": [{}]}, ["--stages.9.epochs", "1"])
 
+    def test_path_through_a_scalar_rejected(self):
+        with pytest.raises(ConfigError, match="not a section"):
+            apply_overrides({"seed": 1}, ["--seed.x", "1"])
+        with pytest.raises(ConfigError, match="not a section"):
+            apply_overrides({"seed": 1}, ["--seed.x.y", "1"])
+
 
 class TestGenerators:
     def test_gen_corpus_writes_and_reports(self, tmp_path, capsys):
@@ -187,12 +193,35 @@ class TestTrain:
         assert run_cli("train", "--config", str(config_path), "--warp", "9") == 1
         assert "unknown config fields" in capsys.readouterr().err
 
+    def test_misspelled_stage_field_rejected(self, config_path, capsys):
+        assert run_cli("train", "--config", str(config_path), "--stages.3.epoch", "30") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'epoch'" in err[0]
+
+    def test_unknown_optimizer_field_exits_without_traceback(self, config_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "crosstill", "train", "--config", str(config_path),
+             "--stages.0.optimizer.momentum", "0.9"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error:") and "momentum" in result.stderr
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("train", "--config", str(tmp_path / "nope.json")) == 2
 
     def test_malformed_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
+        assert run_cli("train", "--config", str(bad)) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe{}"],
+                             ids=["deeply-nested", "not-utf8"])
+    def test_undecodable_config_file(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
         assert run_cli("train", "--config", str(bad)) == 2
         assert "not valid JSON" in capsys.readouterr().err
 

@@ -7,11 +7,13 @@ suite.
 """
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosstill.autodiff import Tensor
 from crosstill.checkpoint import load_checkpoint
@@ -120,6 +122,42 @@ class TestPlans:
         assert StagePlan.from_dict(plan.to_dict()) == plan
 
 
+def _set(path, value):
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return raw
+    return edit
+
+
+def _drop(key):
+    def edit(raw):
+        del raw[key]
+        return raw
+    return edit
+
+
+# (edit of a valid config dict, section path the ConfigError must name)
+MALFORMED_CONFIGS = [
+    pytest.param(_set(("stages", 0, "optimizer", "momentum"), 0.9), "stages[0].optimizer",
+                 id="unknown-optimizer-key"),
+    pytest.param(_set(("stages", 0, "epochs"), "five"), "stages[0].epochs", id="epochs-string"),
+    pytest.param(_set(("stages", 3, "epoch"), 30), "stages[3]", id="unknown-stage-key"),
+    pytest.param(_set(("student", "hidden"), "64"), "student.hidden", id="hidden-string"),
+    pytest.param(_set(("stages",), [1, 2, 3, 4]), "stages[0]", id="stages-of-ints"),
+    pytest.param(lambda raw: [raw], "config", id="top-level-list"),
+    pytest.param(_set(("student",), None), "student", id="student-null"),
+    pytest.param(_set(("seed",), "x"), "seed", id="seed-string"),
+    pytest.param(_set(("seed",), True), "seed", id="seed-bool"),
+    pytest.param(_set(("stages",), {}), "stages", id="stages-object"),
+    pytest.param(_drop("assistant"), "missing required fields: ['assistant']", id="missing-assistant"),
+    pytest.param(_set(("stages", 2, "optimizer", "lr"), -1.0), "stages[2].optimizer: lr",
+                 id="post-init-check"),
+]
+
+
 class TestPipelineConfig:
     def test_stage_order_enforced(self, corpus_dir, tmp_path):
         plans = default_stage_plans()
@@ -159,6 +197,159 @@ class TestPipelineConfig:
         assert cfg.student.effective_depth == 4
         assert cfg.assistant.distinct_layers == 4
         assert cfg.seed == 42
+
+    def test_toy_config_json_is_pinned(self):
+        text = json.dumps(toy_config("c", "o", sts_path="s.tsv").to_dict(), indent=2)
+        assert text == TOY_CONFIG_JSON
+
+    @pytest.mark.parametrize("edit, where", MALFORMED_CONFIGS)
+    def test_malformed_config_raises_config_error(self, edit, where):
+        raw = edit(toy_config("c", "o").to_dict())
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            PipelineConfig.from_dict(raw)
+
+    def test_int_passes_as_float(self):
+        raw = toy_config("c", "o").to_dict()
+        raw["ce_temperature"] = 1
+        raw["stages"][0]["optimizer"]["lr"] = 1
+        cfg = PipelineConfig.from_dict(raw)
+        assert cfg.ce_temperature == 1 and cfg.plan(1).optimizer.lr == 1
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_NAMES = sorted({
+    f.name for cls in (PipelineConfig, EncoderConfig, StagePlan, OptimizerPlan) for f in fields(cls)
+})
+# (operation, which section, which key, key to insert, new value)
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "insert", "swap"]),
+        st.integers(min_value=0, max_value=50),
+        st.integers(min_value=0, max_value=50),
+        st.sampled_from(_FIELD_NAMES) | st.text(max_size=4),
+        _JSON_VALUES,
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def _sections(node) -> list:
+    """Every object and list in a config tree, root first."""
+    found = [node]
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            found.extend(_sections(child))
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_EDITS)
+def test_fuzzed_config_builds_or_raises_config_error(edits):
+    raw = toy_config("c", "o", sts_path="s.tsv").to_dict()
+    for op, which, index, key, value in edits:
+        sections = _sections(raw)
+        node = sections[which % len(sections)]
+        if op == "insert":
+            if isinstance(node, dict):
+                node[key] = value
+            else:
+                node.insert(index % (len(node) + 1), value)
+        elif node:
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            chosen = keys[index % len(keys)]
+            if op == "delete":
+                del node[chosen]
+            else:
+                node[chosen] = value
+    try:
+        PipelineConfig.from_dict(raw)
+    except ConfigError:
+        pass
+
+
+TOY_CONFIG_JSON = """\
+{
+  "corpus_dir": "c",
+  "out_dir": "o",
+  "assistant": {
+    "vocab_size": 1028,
+    "hidden": 64,
+    "ffn_size": 128,
+    "heads": 4,
+    "distinct_layers": 4,
+    "recurrence_count": 1,
+    "bottleneck_enabled": false,
+    "bottleneck_size": null,
+    "max_positions": 16,
+    "layernorm_eps": 1e-12
+  },
+  "student": {
+    "vocab_size": 1028,
+    "hidden": 64,
+    "ffn_size": 128,
+    "heads": 4,
+    "distinct_layers": 2,
+    "recurrence_count": 2,
+    "bottleneck_enabled": true,
+    "bottleneck_size": 16,
+    "max_positions": 16,
+    "layernorm_eps": 1e-12
+  },
+  "sts_path": "s.tsv",
+  "seed": 42,
+  "teacher_dim": 64,
+  "teacher_seed": 0,
+  "max_seq_len": 16,
+  "variant": "mcl",
+  "ce_temperature": 0.05,
+  "stages": [
+    {
+      "stage": 1,
+      "epochs": 5,
+      "batch_size": 64,
+      "optimizer": {
+        "lr": 0.002,
+        "weight_decay": 0.01,
+        "warmup_fraction": 0.1
+      }
+    },
+    {
+      "stage": 2,
+      "epochs": 5,
+      "batch_size": 64,
+      "optimizer": {
+        "lr": 0.002,
+        "weight_decay": 0.01,
+        "warmup_fraction": 0.1
+      }
+    },
+    {
+      "stage": 3,
+      "epochs": 5,
+      "batch_size": 64,
+      "optimizer": {
+        "lr": 0.002,
+        "weight_decay": 0.01,
+        "warmup_fraction": 0.1
+      }
+    },
+    {
+      "stage": 4,
+      "epochs": 15,
+      "batch_size": 64,
+      "optimizer": {
+        "lr": 0.002,
+        "weight_decay": 0.01,
+        "warmup_fraction": 0.1
+      }
+    }
+  ],
+  "eval_every_epoch": true
+}"""
 
 
 class TestMetricsLog:
