@@ -77,9 +77,6 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag}, op={self.op!r})"

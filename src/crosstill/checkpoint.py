@@ -120,7 +120,10 @@ def load_checkpoint(path) -> SentenceEncoder:
     for name, shape in expected.items():
         header_offset = reader.pos
         name_len = reader.u64("tensor name length")
-        raw_name = reader.take(name_len, "tensor name").decode("utf-8")
+        try:
+            raw_name = reader.take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("tensor name is not UTF-8", offset=header_offset) from None
         if raw_name != name:
             raise FormatError(
                 f"tensor {raw_name!r} out of order, expected {name!r}",

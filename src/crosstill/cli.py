@@ -14,6 +14,7 @@ field can be overridden on the command line with a dotted flag, e.g.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ import numpy as np
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint
 from .corpus import OracleSemantics, VocabSpec, gen_parallel_corpus, gen_sts_set, load_sts_tsv, read_parallel_tsv
+from .encoder import EncoderConfig, SentenceEncoder
 from .errors import ConfigError, CrosstillError, FormatError, ParseError
 from .evaluate import EvalReport, retrieval_accuracy, sts_evaluate
 from .gradcheck import finite_diff_check
@@ -39,8 +41,7 @@ from .losses import (
 )
 from .pipeline import PipelineConfig, depth_sweep, resume_stage, run_pipeline, run_single_stage
 from .rng import stream
-from .sizes import PRESETS, audit_registry, model_report, preset_from_config
-from .encoder import SentenceEncoder
+from .sizes import PRESETS, model_report
 
 GRAD_TOLERANCE = 1e-6
 SEED_ENV_VAR = "CROSSTILL_SEED"
@@ -166,12 +167,6 @@ def _cmd_gen_sts(args, extras) -> int:
     return 0
 
 
-def _checkpoint_digest(path: Path) -> str:
-    import hashlib
-
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _cmd_train(args, extras) -> int:
     cfg = _load_config(args.config, extras, args.seed)
     stage = args.stage
@@ -186,7 +181,7 @@ def _cmd_train(args, extras) -> int:
     _say(f"training finished; checkpoint at {result.checkpoint_path}")
     _emit({
         "checkpoint": str(result.checkpoint_path),
-        "checkpoint_sha256": _checkpoint_digest(result.checkpoint_path),
+        "checkpoint_sha256": hashlib.sha256(result.checkpoint_path.read_bytes()).hexdigest(),
         "metrics": str(result.log.path),
         "records": len(result.log.records),
         "sts_rho": None if result.sts_report is None else result.sts_report.spearman_rho,
@@ -251,8 +246,6 @@ def _cmd_count_params(args, extras) -> int:
 
 
 def _preset_encoder_config(preset):
-    from .encoder import EncoderConfig
-
     return EncoderConfig(
         vocab_size=preset.vocab_size, hidden=preset.hidden,
         ffn_size=preset.ffn_size, heads=max(1, preset.hidden // 64),
@@ -424,10 +417,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
         if extras and not args.allow_overrides:
             raise FormatError(f"unknown flag {extras[0]!r}")
         return args.handler(args, extras)
-    except (ParseError, FormatError) as exc:
-        _say(f"error: {exc}")
-        return 2
-    except OSError as exc:
+    except (ParseError, FormatError, OSError) as exc:
         _say(f"error: {exc}")
         return 2
     except CrosstillError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,20 +32,16 @@ _SPECIAL_SURFACE = {PAD: "<pad>", BOS: "<bos>", EOS: "<eos>", UNK: "<unk>"}
 _SURFACE_SPECIAL = {v: k for k, v in _SPECIAL_SURFACE.items()}
 
 
-class _UnknownCounter:
-    def __init__(self):
-        self.count = 0
-
-
-_unknown = _UnknownCounter()
+_unknown_count = 0  # unknown tokens read since the last reset, across all files
 
 
 def unknown_token_count() -> int:
-    return _unknown.count
+    return _unknown_count
 
 
 def reset_unknown_token_count() -> None:
-    _unknown.count = 0
+    global _unknown_count
+    _unknown_count = 0
 
 
 # -- vocabulary and cipher -------------------------------------------------
@@ -141,19 +137,24 @@ class VocabSpec:
         raise ContractError(f"id {token_id} outside vocabulary")
 
     def parse_token(self, text: str) -> tuple[int, bool]:
-        """Map one surface token to an id; second value flags an unknown."""
+        """Map one surface token to an id; second value flags an unknown.
+
+        Indices and decimal ids are ASCII digits; anything else is unknown.
+        """
         if text in _SURFACE_SPECIAL:
             return _SURFACE_SPECIAL[text], False
-        for prefix, start in (("l1_", self.lang1_start), ("l2_", self.lang2_start)):
-            if text.startswith(prefix):
-                tail = text[len(prefix):]
-                if tail.isdigit() and int(tail) < self.tokens_per_language:
-                    return start + int(tail), False
+        start, limit, digits = 0, self.vocab_size, text
+        if text.startswith("l1_"):
+            start, limit, digits = self.lang1_start, self.tokens_per_language, text[3:]
+        elif text.startswith("l2_"):
+            start, limit, digits = self.lang2_start, self.tokens_per_language, text[3:]
+        if digits.isascii() and digits.isdigit():
+            try:
+                index = int(digits)
+            except ValueError:  # more digits than int() converts
                 return UNK, True
-        if text.isdigit():
-            token_id = int(text)
-            if token_id < self.vocab_size:
-                return token_id, False
+            if index < limit:
+                return start + index, False
         return UNK, True
 
     def save_manifest(self, path) -> None:
@@ -166,12 +167,21 @@ class VocabSpec:
 
     @classmethod
     def from_manifest(cls, path) -> "VocabSpec":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            tokens_per_language=int(raw["tokens_per_language"]),
-            seed=int(raw["seed"]),
-            cipher=np.asarray(raw["cipher"], dtype=np.int64),
-        )
+        """Load a manifest written by `save_manifest`; any malformation raises ParseError."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}: not a JSON manifest: {exc}") from None
+        # `type(v) is int` keeps booleans out
+        if not (isinstance(raw, dict) and type(raw.get("tokens_per_language")) is int
+                and type(raw.get("seed")) is int and type(raw.get("cipher")) is list
+                and all(type(index) is int for index in raw["cipher"])):
+            raise ParseError(f"{path}: a manifest is a JSON object with integer "
+                             "tokens_per_language and seed and an integer list cipher")
+        try:
+            return cls(raw["tokens_per_language"], raw["seed"], raw["cipher"])
+        except (ContractError, OverflowError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 # -- data shapes -----------------------------------------------------------
@@ -314,6 +324,14 @@ def _format_sentence(ids, vocab: VocabSpec) -> str:
     return " ".join(vocab.surface(t) for t in ids)
 
 
+def _write_tsv(path, rows) -> Path:
+    """Write each row of string fields as one tab-separated line."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
 def gen_parallel_corpus(
     seed: int,
     n_pairs: int,
@@ -342,16 +360,13 @@ def gen_parallel_corpus(
         "test": sentences[n_train + n_dev:],
     }
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    for name, split_sentences in bounds.items():
-        path = out_dir / f"{name}.tsv"
-        lines = []
-        for src in split_sentences:
-            tgt = vocab.cipher_ids(src)
-            lines.append(f"{_format_sentence(src, vocab)}\t{_format_sentence(tgt, vocab)}")
-        path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-        paths[name] = path
+    paths = {
+        name: _write_tsv(out_dir / f"{name}.tsv", [
+            (_format_sentence(src, vocab), _format_sentence(vocab.cipher_ids(src), vocab))
+            for src in split_sentences
+        ])
+        for name, split_sentences in bounds.items()
+    }
     vocab.save_manifest(out_dir / "vocab.json")
     paths["vocab"] = out_dir / "vocab.json"
     return paths
@@ -380,7 +395,7 @@ def gen_sts_set(
         raise ContractError(f"bad length range ({lo}, {hi})")
     overlap_levels = (1.0, 0.75, 0.5, 0.25, 0.0, -1.0)  # -1 marks anti-selection
 
-    lines = []
+    examples = []
     for i in range(n_examples):
         level = overlap_levels[i % len(overlap_levels)]
         length = int(rng.integers(lo, hi + 1))
@@ -408,33 +423,46 @@ def gen_sts_set(
         vb = oracle_embed(b_ids, oracle)
         cos = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
         score = float(np.clip(2.5 * (1.0 + cos), 0.0, 5.0))
-        lines.append(
-            f"{_format_sentence(a_ids, vocab)}\t{_format_sentence(b_ids, vocab)}\t{score:.6f}"
-        )
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return out_path
+        examples.append(StsExample(sentence_a=a_ids, sentence_b=b_ids, gold_score=score))
+    return write_sts_tsv(out_path, examples, vocab)
 
 
 # -- loading ---------------------------------------------------------------
 
 
-def _parse_sentence(text: str, vocab: VocabSpec, line_no: int) -> tuple[np.ndarray, int]:
-    tokens = text.split()
-    if not tokens:
-        raise ParseError("empty sentence", line=line_no)
-    ids = np.empty(len(tokens), dtype=np.int64)
+def _read_tsv(path, vocab: VocabSpec, n_fields: int):
+    """Yield `(line number, sentence a, sentence b, other fields)` per non-blank line.
+
+    A line holds `n_fields` tab-separated fields, the first two sentences. One
+    that is not UTF-8, has another field count or an empty sentence raises
+    ParseError. Unknown tokens become UNK and are counted, one warning per file.
+    """
+    global _unknown_count
     unknowns = 0
-    for i, tok in enumerate(tokens):
-        ids[i], was_unknown = vocab.parse_token(tok)
-        unknowns += int(was_unknown)
-    return ids, unknowns
-
-
-def _finish_unknowns(unknowns: int, path) -> None:
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if not raw:
+            continue
+        try:
+            fields = raw.decode("utf-8").split("\t")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 at byte {exc.start + 1}", line=line_no) from None
+        if len(fields) != n_fields:
+            raise ParseError(
+                f"expected {n_fields} tab-separated fields, found {len(fields)}", line=line_no
+            )
+        sentences = []
+        for text in fields[:2]:
+            tokens = text.split()
+            if not tokens:
+                raise ParseError("empty sentence", line=line_no)
+            ids = np.empty(len(tokens), dtype=np.int64)
+            for i, tok in enumerate(tokens):
+                ids[i], was_unknown = vocab.parse_token(tok)
+                unknowns += was_unknown
+            sentences.append(ids)
+        yield line_no, *sentences, fields[2:]
     if unknowns > 0:
-        _unknown.count += unknowns
+        _unknown_count += unknowns
         warnings.warn(
             f"{path}: {unknowns} unknown token(s) mapped to <unk>", RuntimeWarning,
             stacklevel=3,
@@ -444,26 +472,12 @@ def _finish_unknowns(unknowns: int, path) -> None:
 def read_parallel_tsv(path, vocab: VocabSpec) -> list[ParallelPair]:
     """Parse a parallel TSV into content-id pairs."""
     pairs: list[ParallelPair] = []
-    unknowns = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"expected 2 tab-separated fields, found {len(fields)}", line=line_no
-                )
-            src, n_src = _parse_sentence(fields[0], vocab, line_no)
-            tgt, n_tgt = _parse_sentence(fields[1], vocab, line_no)
-            unknowns += n_src + n_tgt
-            if src.shape != tgt.shape:
-                raise ParseError(
-                    f"source has {len(src)} tokens but target has {len(tgt)}", line=line_no
-                )
-            pairs.append(ParallelPair(source_ids=src, target_ids=tgt))
-    _finish_unknowns(unknowns, path)
+    for line_no, src, tgt, _ in _read_tsv(path, vocab, n_fields=2):
+        if src.shape != tgt.shape:
+            raise ParseError(
+                f"source has {len(src)} tokens but target has {len(tgt)}", line=line_no
+            )
+        pairs.append(ParallelPair(source_ids=src, target_ids=tgt))
     return pairs
 
 
@@ -522,35 +536,20 @@ def batch_pairs(
 def load_sts_tsv(path, vocab: VocabSpec) -> list[StsExample]:
     """Parse an STS TSV; scores outside [0, 5] are rejected with the line number."""
     examples: list[StsExample] = []
-    unknowns = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, found {len(fields)}", line=line_no
-                )
-            a, n_a = _parse_sentence(fields[0], vocab, line_no)
-            b, n_b = _parse_sentence(fields[1], vocab, line_no)
-            unknowns += n_a + n_b
-            try:
-                score = float(fields[2])
-            except ValueError:
-                raise ParseError(f"unparseable score {fields[2]!r}", line=line_no) from None
-            if not np.isfinite(score) or not 0.0 <= score <= 5.0:
-                raise ParseError(f"score {fields[2]} outside [0, 5]", line=line_no)
-            examples.append(StsExample(sentence_a=a, sentence_b=b, gold_score=score))
-    _finish_unknowns(unknowns, path)
+    for line_no, a, b, (score_text,) in _read_tsv(path, vocab, n_fields=3):
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"unparseable score {score_text!r}", line=line_no) from None
+        if not np.isfinite(score) or not 0.0 <= score <= 5.0:
+            raise ParseError(f"score {score_text} outside [0, 5]", line=line_no)
+        examples.append(StsExample(sentence_a=a, sentence_b=b, gold_score=score))
     return examples
 
 
-def write_sts_tsv(path, examples: list[StsExample], vocab: VocabSpec) -> None:
-    lines = [
-        f"{_format_sentence(ex.sentence_a, vocab)}\t"
-        f"{_format_sentence(ex.sentence_b, vocab)}\t{ex.gold_score:.6f}"
+def write_sts_tsv(path, examples: list[StsExample], vocab: VocabSpec) -> Path:
+    return _write_tsv(path, [
+        (_format_sentence(ex.sentence_a, vocab), _format_sentence(ex.sentence_b, vocab),
+         f"{ex.gold_score:.6f}")
         for ex in examples
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    ])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -87,10 +88,11 @@ def config_from_dict(cls, raw, where: str = "", nested=None, kind: str = "config
 
     The dataclass fields are the schema. Fields named in `nested` are
     sections, each parsed by `nested[name](value, path)`; every other field
-    must hold a JSON scalar of its annotated type (an int passes as a float,
-    a bool never passes as an int). A non-object, an unknown or missing
-    field, a mistyped scalar, or a TypeError/ValueError from `__post_init__`
-    raises ConfigError naming the section path `where` ("" for the root).
+    must hold a finite JSON scalar of its annotated type (an int passes as a
+    float, a bool never passes as an int). A non-object, an unknown or
+    missing field, a mistyped or non-finite scalar, or a TypeError/ValueError
+    from `__post_init__` raises ConfigError naming the section path `where`
+    ("" for the root).
     """
     nested = nested or {}
     label = where or "config"
@@ -113,6 +115,8 @@ def config_from_dict(cls, raw, where: str = "", nested=None, kind: str = "config
         if name in nested:
             values[name] = nested[name](value, path)
             continue
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value}")
         annotation = schema[name].type  # a string, e.g. "int | None": annotations are postponed
         if not any(_JSON_TYPES[t.strip()](value) for t in annotation.split("|")):
             raise ConfigError(f"{path} must be {annotation}, got {type(value).__name__}")
@@ -188,13 +192,6 @@ class SentenceEncoder:
             for name, shape in expected_param_shapes(config).items()
         }
         return cls(config, params)
-
-    def astype(self, dtype) -> "SentenceEncoder":
-        params = {
-            name: Tensor(p.data.astype(dtype), requires_grad=p.requires_grad)
-            for name, p in self.params.items()
-        }
-        return SentenceEncoder(self.config, params)
 
     def copy(self) -> "SentenceEncoder":
         params = {

@@ -34,7 +34,7 @@ from .corpus import (
     read_parallel_tsv,
 )
 from .encoder import EncoderConfig, SentenceEncoder, config_from_dict, init_student_from_assistant
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, NumericError, ParseError
 from .evaluate import EvalReport, retrieval_accuracy, sts_evaluate
 from .losses import CeLossConfig, loss_anchor_align, loss_pairwise_align, loss_stage4
 from .optim import AdamW
@@ -66,6 +66,8 @@ class OptimizerPlan:
             raise ConfigError("lr must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be non-negative")
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise ConfigError("warmup_fraction must lie in [0, 1]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -246,13 +248,22 @@ class MetricsLog:
 
     @classmethod
     def read(cls, path) -> "MetricsLog":
-        """Load an existing log without modifying its file."""
+        """Load an existing log without modifying its file; a malformed line raises ParseError."""
         log = cls.__new__(cls)
         log._start(path)
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    log._admit(json.loads(line))
+        for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):
+                record = None
+            if not (isinstance(record, dict) and type(record.get("stage")) in (int, str)
+                    and type(record.get("epoch")) is int
+                    and type(record.get("loss")) in (int, float)):
+                raise ParseError("not a UTF-8 JSON object with a string or integer stage, "
+                                 "an integer epoch and a numeric loss", line=line_no)
+            log._admit(record)
         return log
 
 

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crosstill.checkpoint
 from crosstill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -174,3 +175,47 @@ class TestValidation:
         with pytest.raises(FormatError, match="invalid config blob") as info:
             load_checkpoint(path)
         assert info.value.offset == 17
+
+    def test_undecodable_tensor_name_reports_header_offset(self, tmp_path):
+        path, blob = self.write_good(tmp_path)
+        cfg_len = struct.unpack("<Q", blob[9:17])[0]
+        header = 17 + cfg_len + 8  # past the config blob and the tensor count
+        name_at = header + 8
+        path.write_bytes(blob[:name_at] + b"\xff" + blob[name_at + 1:])
+        with pytest.raises(FormatError, match="not UTF-8") as info:
+            load_checkpoint(path)
+        assert info.value.offset == header
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A valid checkpoint's bytes and a scratch path to write corruptions to."""
+    path = tmp_path_factory.mktemp("xdst") / "small.xdst"
+    save_checkpoint(make_encoder(distinct_layers=1, recurrence_count=1), path)
+    return path.read_bytes(), path
+
+
+# truncate at the first position, or flip the bit at each; positions wrap around the blob
+_CORRUPTIONS = st.tuples(
+    st.sampled_from(["truncate", "flip"]),
+    st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corruption=_CORRUPTIONS)
+def test_corrupt_checkpoint_raises_only_format_error(small_checkpoint, corruption):
+    blob, path = small_checkpoint
+    op, positions = corruption
+    if op == "truncate":
+        corrupt = blob[: positions[0] % len(blob)]
+    else:
+        corrupt = bytearray(blob)
+        for bit in positions:
+            corrupt[(bit // 8) % len(blob)] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(corrupt))
+    try:
+        load_checkpoint(path)
+    except FormatError as exc:
+        assert exc.offset is not None, exc
+

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from crosstill.checkpoint import save_checkpoint
 from crosstill.cli import apply_overrides, build_parser, parse_and_dispatch
 from crosstill.corpus import OracleSemantics, VocabSpec, gen_parallel_corpus, gen_sts_set
+from crosstill.encoder import SentenceEncoder
 from crosstill.errors import ConfigError, FormatError
 from crosstill.pipeline import PipelineConfig, default_stage_plans
 
@@ -255,6 +257,47 @@ class TestEval:
         gen_parallel_corpus(seed=1, n_pairs=80, vocab=vocab, out_dir=other,
                             length_range=(5, 5))
         assert run_cli("eval", "--checkpoint", checkpoint, "--corpus", str(other)) == 1
+
+
+class TestMalformedCorpusFiles:
+    """`eval` on a broken split or manifest: exit 2, one `error:` line, no traceback."""
+
+    @pytest.fixture()
+    def broken_corpus(self, cli_corpus, tmp_path):
+        checkpoint = tmp_path / "untrained.xdst"
+        save_checkpoint(SentenceEncoder.init(micro_assistant(), seed=0), checkpoint)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("vocab.json", "test.tsv"):
+            (corpus / name).write_bytes((cli_corpus / name).read_bytes())
+        return checkpoint, corpus
+
+    def run_eval(self, checkpoint, corpus):
+        return subprocess.run(
+            [sys.executable, "-m", "crosstill", "eval", "--checkpoint", str(checkpoint),
+             "--corpus", str(corpus)],
+            capture_output=True, text=True,
+        )
+
+    @pytest.mark.parametrize("name, content", [
+        ("test.tsv", b"l1_1 l1_2\tl2_1 l2_2\nl1_\xff\tl2_1\n"),
+        ("vocab.json", b"{}"),
+    ], ids=["split-not-utf8", "empty-manifest"])
+    def test_exits_2_without_traceback(self, broken_corpus, name, content):
+        checkpoint, corpus = broken_corpus
+        (corpus / name).write_bytes(content)
+        result = self.run_eval(checkpoint, corpus)
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), result.stderr
+
+    def test_non_ascii_digit_token_is_unknown(self, broken_corpus):
+        checkpoint, corpus = broken_corpus
+        (corpus / "test.tsv").write_text("l1_1 l1_\u00b2\tl2_1 l2_2\n", encoding="utf-8")
+        result = self.run_eval(checkpoint, corpus)
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        assert "1 unknown token(s)" in result.stderr
 
 
 class TestCountParams:

@@ -1,7 +1,12 @@
 """Corpus generation, cipher algebra, oracle embeddings, and TSV round trips."""
 
+import hashlib
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosstill import corpus as C
 from crosstill.corpus import (
@@ -9,6 +14,8 @@ from crosstill.corpus import (
 )
 from crosstill.errors import ContractError, ParseError
 from crosstill.rng import stream
+
+from test_pipeline import _JSON_VALUES
 
 
 @pytest.fixture
@@ -67,11 +74,35 @@ class TestVocab:
 
     def test_parse_decimal_id(self, vocab):
         assert vocab.parse_token("17") == (17, False)
+        assert vocab.parse_token("l1_007") == (vocab.lang1_start + 7, False)
 
     def test_parse_unknown(self, vocab):
         assert vocab.parse_token("zebra") == (UNK, True)
         assert vocab.parse_token("l1_999") == (UNK, True)
         assert vocab.parse_token("999") == (UNK, True)
+        # only ASCII digits are indices; int() would take these or refuse them
+        for text in ("l1_\u00b2", "\u00b2", "l2_\u0663", "1" * 5000, "l1_"):
+            assert vocab.parse_token(text) == (UNK, True)
+
+    @pytest.mark.parametrize("content", [
+        b"{}", b"[1]", b"not json", b"\xff{}", b"[" * 100_000,
+        b'{"tokens_per_language": "x", "seed": 0, "cipher": [0]}',
+        b'{"tokens_per_language": 1, "seed": true, "cipher": [0]}',
+        b'{"tokens_per_language": 2, "seed": 0, "cipher": [0, 0]}',
+        b'{"tokens_per_language": 2, "seed": 0, "cipher": [0, 1.0]}',
+        b'{"tokens_per_language": 1, "seed": 0, "cipher": [100000000000000000000000]}',
+        b'{"tokens_per_language": 0, "seed": 0, "cipher": []}',
+        b'{"tokens_per_language": 1, "seed": 0, "cipher": 0}',
+    ], ids=[
+        "empty-object", "list", "not-json", "not-utf8", "deeply-nested", "count-string",
+        "seed-bool", "not-permutation", "float-index", "huge-index", "zero-count",
+        "cipher-scalar",
+    ])
+    def test_malformed_manifest_raises_parse_error(self, tmp_path, content):
+        path = tmp_path / "vocab.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="vocab.json"):
+            VocabSpec.from_manifest(path)
 
 
 class TestOracle:
@@ -121,7 +152,25 @@ class TestOracle:
         np.testing.assert_allclose(batch[1], C.oracle_embed(ids[1][:3], oracle), rtol=1e-15)
 
 
+# sha256 of each file generated from the `vocab` and `oracle` fixtures by
+# `gen_parallel_corpus(seed=3, n_pairs=40)` and `gen_sts_set(seed=4, n_examples=12)`
+GOLDEN_SHA256 = {
+    "train.tsv": "28ec6101e00f7a8f201795205d1b4621704adc90e0cdcc7de847ef2fe8366690",
+    "dev.tsv": "8826a11260708b6e4d316fae30178eaf6562a2c16ae71342681293628aed30ae",
+    "test.tsv": "1b2233ad1574ba8f038fb663d9bfd8e483d3ba2d30c61a0d3b8cf2d071b2a39d",
+    "sts.tsv": "2367b799e87f7b350a1cbfc492b294086adb15a9e9b565b35d0da670c9ae6295",
+    "vocab.json": "9924d9cba20b8bf8963c331d869d965d1edea72e56060e9c09a916fe75253bf5",
+}
+
+
 class TestGeneration:
+    def test_generated_bytes_are_pinned(self, vocab, oracle, tmp_path):
+        paths = C.gen_parallel_corpus(seed=3, n_pairs=40, vocab=vocab, out_dir=tmp_path)
+        paths["sts"] = C.gen_sts_set(seed=4, n_examples=12, oracle=oracle,
+                                     out_path=tmp_path / "sts.tsv")
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths.values()}
+        assert digests == GOLDEN_SHA256
+
     def test_target_is_cipher_of_source(self, vocab, tmp_path):
         paths = C.gen_parallel_corpus(7, 1, vocab, out_dir=tmp_path, splits=(1.0, 0.0, 0.0))
         pairs = C.read_parallel_tsv(paths["train"], vocab)
@@ -257,6 +306,22 @@ class TestLoading:
         assert C.unknown_token_count() == 1
         C.reset_unknown_token_count()
 
+    @pytest.mark.parametrize("reader, good", [
+        (C.read_parallel_tsv, b"l1_1\tl2_1\n"), (C.load_sts_tsv, b"l1_1\tl1_2\t1.0\n"),
+    ], ids=["parallel", "sts"])
+    def test_non_utf8_line_reports_number(self, vocab, tmp_path, reader, good):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(good + b"\n" + good.replace(b"1", b"\xff", 1))
+        with pytest.raises(ParseError, match="UTF-8") as info:
+            reader(path, vocab)
+        assert info.value.line == 3
+
+    def test_crlf_and_blank_lines(self, vocab, tmp_path):
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(b"l1_1 l1_2\tl2_1 l2_2\r\n\r\nl1_3\tl2_3\r\n")
+        pairs = C.read_parallel_tsv(path, vocab)
+        assert [len(p.source_ids) for p in pairs] == [2, 1]
+
     def test_sts_basic_line(self, vocab, tmp_path):
         path = tmp_path / "sts.tsv"
         path.write_text("l1_1 l1_2\tl1_1 l1_2\t5.0\n", encoding="utf-8")
@@ -289,3 +354,100 @@ class TestLoading:
             np.testing.assert_array_equal(orig.sentence_a, back.sentence_a)
             np.testing.assert_array_equal(orig.sentence_b, back.sentence_b)
             assert back.gold_score == pytest.approx(orig.gold_score, abs=1e-6)
+
+
+# -- fuzzing: malformed corpus files raise only ParseError ---------------------
+
+_FUZZ_VOCAB = VocabSpec.create(tokens_per_language=8, seed=1)
+_PARALLEL_LINES = b"l1_1 l1_2 l1_3\tl2_4 l2_0 l2_7\n4 5\t12 13\n<bos> l1_7\t<bos> l2_2\n"
+_STS_LINES = b"l1_1 l1_2\tl1_3\t2.500000\n5 6 7\tl1_0\t0\n<unk>\tl2_1\t5.0\n"
+_PIECES = st.binary(max_size=6) | st.sampled_from([
+    b"\t", b"\n", b"\r", b" ", b"\xff", b"\xc3", "\u00b2".encode(), "\u0663".encode(),
+    b"l1_", b"l2_", b"9" * 40, b"nan", b"inf", b"-1", b"1e999", b"5.0000001",
+])
+# (operation, position, piece): insert or overwrite `piece` at `position`, or
+# delete `len(piece)` bytes there; positions wrap around the current length
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["insert", "overwrite", "delete"]),
+              st.integers(min_value=0, max_value=200), _PIECES),
+    min_size=1, max_size=5,
+)
+
+
+def _mutate(blob: bytes, mutations) -> bytes:
+    for op, position, piece in mutations:
+        at = position % (len(blob) + 1)
+        if op == "insert":
+            blob = blob[:at] + piece + blob[at:]
+        elif op == "overwrite":
+            blob = blob[:at] + piece + blob[at + len(piece):]
+        else:
+            blob = blob[:at] + blob[at + len(piece):]
+    return blob
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def _read_or_parse_error(reader, path):
+    """Run `reader`; it may succeed or raise ParseError carrying a line number."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            reader(path, _FUZZ_VOCAB)
+        except ParseError as exc:
+            assert exc.line is not None, exc
+        finally:
+            C.reset_unknown_token_count()
+
+
+@pytest.mark.parametrize("reader, valid", [
+    (C.read_parallel_tsv, _PARALLEL_LINES), (C.load_sts_tsv, _STS_LINES),
+], ids=["parallel", "sts"])
+@settings(max_examples=300, deadline=None)
+@given(mutations=_MUTATIONS)
+def test_mutated_tsv_raises_only_parse_error(fuzz_file, reader, valid, mutations):
+    fuzz_file.write_bytes(_mutate(valid, mutations))
+    _read_or_parse_error(reader, fuzz_file)
+
+
+@pytest.mark.parametrize("reader", [C.read_parallel_tsv, C.load_sts_tsv], ids=["parallel", "sts"])
+@settings(max_examples=200, deadline=None)
+@given(blob=st.binary(max_size=200))
+def test_random_bytes_raise_only_parse_error(fuzz_file, reader, blob):
+    fuzz_file.write_bytes(blob)
+    _read_or_parse_error(reader, fuzz_file)
+
+
+# (operation, key, index, value): drop field `key`, set it to `value`, or set
+# cipher entry `index` (modulo the cipher length) to `value`
+_MANIFEST_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "set", "cipher"]),
+        st.sampled_from(["tokens_per_language", "seed", "cipher"]) | st.text(max_size=4),
+        st.integers(min_value=0, max_value=50),
+        _JSON_VALUES,
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_MANIFEST_EDITS, mutations=st.none() | _MUTATIONS)
+def test_mutated_manifest_raises_only_parse_error(fuzz_file, edits, mutations):
+    raw = {"tokens_per_language": 8, "seed": 1, "cipher": _FUZZ_VOCAB.cipher.tolist()}
+    for op, key, index, value in edits:
+        if op == "delete":
+            raw.pop(key, None)
+        elif op == "set":
+            raw[key] = value
+        elif isinstance(raw.get("cipher"), list) and raw["cipher"]:
+            raw["cipher"][index % len(raw["cipher"])] = value
+    blob = json.dumps(raw).encode("utf-8")
+    fuzz_file.write_bytes(blob if mutations is None else _mutate(blob, mutations))
+    try:
+        VocabSpec.from_manifest(fuzz_file)
+    except ParseError as exc:
+        assert str(fuzz_file) in str(exc)

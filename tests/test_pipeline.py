@@ -19,7 +19,7 @@ from crosstill.autodiff import Tensor
 from crosstill.checkpoint import load_checkpoint
 from crosstill.corpus import OracleSemantics, VocabSpec, batch_pairs, gen_parallel_corpus, gen_sts_set
 from crosstill.encoder import EncoderConfig, SentenceEncoder, init_student_from_assistant
-from crosstill.errors import ConfigError, ContractError, NumericError
+from crosstill.errors import ConfigError, ContractError, NumericError, ParseError
 from crosstill.losses import LossValue
 import crosstill.pipeline
 from crosstill.pipeline import (
@@ -155,6 +155,16 @@ MALFORMED_CONFIGS = [
     pytest.param(_drop("assistant"), "missing required fields: ['assistant']", id="missing-assistant"),
     pytest.param(_set(("stages", 2, "optimizer", "lr"), -1.0), "stages[2].optimizer: lr",
                  id="post-init-check"),
+    pytest.param(_set(("stages", 0, "optimizer", "lr"), float("nan")), "stages[0].optimizer.lr",
+                 id="lr-nan"),
+    pytest.param(_set(("stages", 1, "optimizer", "weight_decay"), float("nan")),
+                 "stages[1].optimizer.weight_decay", id="weight-decay-nan"),
+    pytest.param(_set(("student", "layernorm_eps"), float("nan")), "student.layernorm_eps",
+                 id="layernorm-eps-nan"),
+    pytest.param(_set(("ce_temperature",), float("inf")), "ce_temperature",
+                 id="ce-temperature-inf"),
+    pytest.param(_set(("stages", 0, "optimizer", "warmup_fraction"), -5),
+                 "stages[0].optimizer: warmup_fraction", id="warmup-fraction-negative"),
 ]
 
 
@@ -379,6 +389,18 @@ class TestMetricsLog:
         log.append(stage=1, epoch=3, loss=0.5)
         with pytest.raises(ContractError, match="advance"):
             log.append(stage=1, epoch=2, loss=0.4)
+
+    @pytest.mark.parametrize("line", ["not json", '{"epoch": 1}', "[1]", "\udcff"],
+                             ids=["not-json", "missing-keys", "list", "not-utf8"])
+    def test_malformed_line_raises_parse_error(self, tmp_path, line):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(
+            b'{"stage": 1, "epoch": 1, "loss": 0.5}\n'
+            + line.encode("utf-8", "surrogateescape") + b"\n"
+        )
+        with pytest.raises(ParseError) as info:
+            MetricsLog.read(path)
+        assert info.value.line == 2
 
     def test_fresh_truncates(self, tmp_path):
         path = tmp_path / "m.jsonl"
