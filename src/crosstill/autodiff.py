@@ -9,6 +9,12 @@ Element width is float32 for training and float64 for verification runs.
 Operands of one expression must share a width; there is no implicit
 promotion.
 
+Besides the elementwise, shape, reduction and nonlinearity primitives, two
+fused nodes carry a transformer block: `attention` (multi-head
+self-attention, projections included) and `add_layer_norm` (a residual sum
+followed by layer norm). Each replaces the chain of small nodes it computes
+with one node and one VJP.
+
 VJP contract: a node's VJP takes the gradient of its output and returns one
 gradient per parent (or None), each in that parent's shape and width.
 `backward` keeps the first gradient a tensor receives as its `.grad` and
@@ -74,9 +80,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag}, op={self.op!r})"
@@ -116,10 +119,10 @@ def as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _check_same_dtype(*tensors: Tensor) -> None:
+def _check_same_dtype(*tensors: Tensor, where: str = "one expression") -> None:
     dtypes = {t.data.dtype for t in tensors}
     if len(dtypes) > 1:
-        raise ContractError(f"mixed element widths in one expression: {sorted(map(str, dtypes))}")
+        raise ContractError(f"mixed element widths in {where}: {sorted(map(str, dtypes))}")
 
 
 def _node(data: Array, parents: Sequence[Tensor], vjp, op: str) -> Tensor:
@@ -130,6 +133,13 @@ def _node(data: Array, parents: Sequence[Tensor], vjp, op: str) -> Tensor:
         out._parents = tuple(parents)
         out._vjp = vjp
     return out
+
+
+def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -152,9 +162,10 @@ def add(a, b) -> Tensor:
     _check_same_dtype(a, b)
 
     def vjp(g: Array):
-        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
         # two parents never share one gradient array
-        return ga, (gb.copy() if gb is ga else gb)
+        return ga, (gb.copy() if gb is not None and gb is ga else gb)
 
     return _node(a.data + b.data, (a, b), vjp, "add")
 
@@ -165,7 +176,9 @@ def sub(a, b) -> Tensor:
     _check_same_dtype(a, b)
 
     def vjp(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _node(a.data - b.data, (a, b), vjp, "sub")
 
@@ -176,7 +189,9 @@ def mul(a, b) -> Tensor:
     _check_same_dtype(a, b)
 
     def vjp(g: Array):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _node(a.data * b.data, (a, b), vjp, "mul")
 
@@ -187,8 +202,10 @@ def div(a, b) -> Tensor:
     _check_same_dtype(a, b)
 
     def vjp(g: Array):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = (
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
+        )
         return ga, gb
 
     return _node(a.data / b.data, (a, b), vjp, "div")
@@ -379,30 +396,148 @@ def softmax_last(a: Tensor) -> Tensor:
     return _node(out_data, (a,), vjp, "softmax")
 
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
-    """Layer normalization over the last axis with learned scale and shift."""
-    _check_same_dtype(x, scale, shift)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
+def _normalize(s: Array, scale: Array, shift: Array, eps: float):
+    """Layer norm of `s` over the last axis: the output and its VJP.
+
+    The VJP maps the output's gradient to the gradients of `s`, `scale` and
+    `shift`.
+    """
+    mu = s.mean(axis=-1, keepdims=True)
+    centered = s - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out_data = xhat * scale.data + shift.data
+    xhat = centered
+    xhat *= inv_std
+    out = xhat * scale
+    out += shift
 
     def vjp(g: Array):
         reduce_axes = tuple(range(g.ndim - 1))
         gscale = (g * xhat).sum(axis=reduce_axes)
         gshift = g.sum(axis=reduce_axes)
-        gxhat = g * scale.data
-        # d/dx of (x - mu) / sqrt(var + eps) with mu, var over the last axis
-        gx = inv_std * (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return gx, gscale, gshift
+        gxhat = g * scale
+        # d/ds of (s - mu) / sqrt(var + eps) with mu, var over the last axis
+        inner = xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+        gs = gxhat
+        gs -= gxhat.mean(axis=-1, keepdims=True)
+        gs -= inner
+        gs *= inv_std
+        return gs, gscale, gshift
 
-    return _node(out_data, (x, scale, shift), vjp, "layer_norm")
+    return out, vjp
+
+
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
+    """Layer normalization over the last axis with learned scale and shift."""
+    _check_same_dtype(x, scale, shift)
+    out, vjp = _normalize(x.data, scale.data, shift.data, eps)
+    return _node(out, (x, scale, shift), vjp, "layer_norm")
+
+
+def add_layer_norm(x: Tensor, y: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
+    """`layer_norm(x + y, scale, shift, eps)` as one node; `y` may broadcast to x's shape."""
+    _check_same_dtype(x, y, scale, shift, where="add_layer_norm")
+    width = x.shape[-1:]
+    if x.ndim < 1 or not (_broadcasts_to(y.shape, x.shape) and scale.shape == shift.shape == width):
+        raise ContractError(
+            f"add_layer_norm expects y broadcasting to x and scale, shift over x's last "
+            f"axis, got {x.shape}, {y.shape}, {scale.shape}, {shift.shape}"
+        )
+    out, norm_vjp = _normalize(x.data + y.data, scale.data, shift.data, eps)
+
+    def vjp(g: Array):
+        gs, gscale, gshift = norm_vjp(g)
+        gy = _unbroadcast(gs, y.shape) if y.requires_grad else None
+        if gy is gs and x.requires_grad:
+            gy = gs.copy()  # two parents never share one gradient array
+        return (gs if x.requires_grad else None), gy, gscale, gshift
+
+    return _node(out, (x, y, scale, shift), vjp, "add_layer_norm")
+
+
+def attention(
+    x: Tensor,
+    wq: Tensor, bq: Tensor,
+    wk: Tensor, bk: Tensor,
+    wv: Tensor, bv: Tensor,
+    wo: Tensor, bo: Tensor,
+    key_bias: Array,
+    heads: int,
+) -> Tensor:
+    """Multi-head scaled dot-product self-attention over x's rows, as one node.
+
+    `x` is N×L×H. The q, k and v projections run as one GEMM against the
+    weights concatenated column-wise; per head, the scores are scaled by
+    1/sqrt(H/heads), `key_bias` is added and a max-shifted softmax over the
+    keys weights the values; the heads' context goes through the output
+    projection. `key_bias` is a plain array broadcasting to N×heads×L×L in
+    x's width (e.g. N×1×1×L, large and negative at masked keys); it gets no
+    gradient.
+    """
+    weights, biases = (wq, wk, wv, wo), (bq, bk, bv, bo)
+    _check_same_dtype(x, *weights, *biases, where="attention")
+    key_bias = np.asarray(key_bias)
+    if x.ndim != 3:
+        raise ContractError(f"attention expects x of shape N×L×H, got {x.shape}")
+    n, length, h = x.shape
+    if (
+        any(w.shape != (h, h) for w in weights)
+        or any(b.shape != (h,) for b in biases)
+        or heads < 1
+        or h % heads
+    ):
+        raise ContractError(
+            f"attention expects {h}×{h} weights, length-{h} biases and heads dividing {h}, "
+            f"got {[w.shape for w in weights]}, {[b.shape for b in biases]}, heads={heads}"
+        )
+    scores_shape = (n, heads, length, length)
+    if not _broadcasts_to(key_bias.shape, scores_shape) or key_bias.dtype != x.dtype:
+        raise ContractError(
+            f"attention expects a {x.dtype} key_bias broadcasting to {scores_shape}, "
+            f"got {key_bias.dtype} {key_bias.shape}"
+        )
+    dh = h // heads
+    scale = x.dtype.type(1.0 / np.sqrt(dh))
+    x2 = x.data.reshape(-1, h)
+    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    qkv = x2 @ w_qkv
+    qkv += np.concatenate((bq.data, bk.data, bv.data))
+    # (3, N, heads, L, dh) views of the N×L×3H projections
+    q, k, v = qkv.reshape(n, length, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    probs = q @ k.swapaxes(-1, -2)
+    probs *= scale
+    probs += key_bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(-1, h)
+    out = ctx @ wo.data
+    out += bo.data
+
+    def vjp(g: Array):
+        g2 = g.reshape(-1, h)
+        gwo, gbo = ctx.T @ g2, g2.sum(axis=0)
+        gctx = (g2 @ wo.data.T).reshape(n, length, heads, dh).transpose(0, 2, 1, 3)
+        gqkv = np.empty((n, length, 3, heads, dh), dtype=g.dtype)
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(probs.swapaxes(-1, -2), gctx, out=gv)
+        # softmax VJP, then the score scale
+        gscores = gctx @ v.swapaxes(-1, -2)
+        gscores -= (gscores * probs).sum(axis=-1, keepdims=True)
+        gscores *= probs
+        gscores *= scale
+        np.matmul(gscores, k, out=gq)
+        np.matmul(gscores.swapaxes(-1, -2), q, out=gk)
+        gqkv2 = gqkv.reshape(-1, 3 * h)
+        gx = (gqkv2 @ w_qkv.T).reshape(x.shape)
+        gw_qkv = x2.T @ gqkv2
+        gb_qkv = gqkv2.sum(axis=0)
+        gwq, gwk, gwv = np.split(gw_qkv, 3, axis=1)
+        gbq, gbk, gbv = np.split(gb_qkv, 3)
+        return gx, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo
+
+    parents = (x, wq, bq, wk, bk, wv, bv, wo, bo)
+    return _node(out.reshape(x.shape), parents, vjp, "attention")
 
 
 # -- backward pass ---------------------------------------------------------

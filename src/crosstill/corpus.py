@@ -171,17 +171,17 @@ class VocabSpec:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (ValueError, RecursionError) as exc:
-            raise ParseError(f"{path}: not a JSON manifest: {exc}") from None
+            raise ParseError(f"not a JSON manifest: {exc}", path=path) from None
         # `type(v) is int` keeps booleans out
         if not (isinstance(raw, dict) and type(raw.get("tokens_per_language")) is int
                 and type(raw.get("seed")) is int and type(raw.get("cipher")) is list
                 and all(type(index) is int for index in raw["cipher"])):
-            raise ParseError(f"{path}: a manifest is a JSON object with integer "
-                             "tokens_per_language and seed and an integer list cipher")
+            raise ParseError("a manifest is a JSON object with integer tokens_per_language "
+                             "and seed and an integer list cipher", path=path)
         try:
             return cls(raw["tokens_per_language"], raw["seed"], raw["cipher"])
         except (ContractError, OverflowError) as exc:
-            raise ParseError(f"{path}: {exc}") from None
+            raise ParseError(str(exc), path=path) from None
 
 
 # -- data shapes -----------------------------------------------------------
@@ -435,7 +435,8 @@ def _read_tsv(path, vocab: VocabSpec, n_fields: int):
 
     A line holds `n_fields` tab-separated fields, the first two sentences. One
     that is not UTF-8, has another field count or an empty sentence raises
-    ParseError. Unknown tokens become UNK and are counted, one warning per file.
+    ParseError; every ParseError about a line names the file and the line.
+    Unknown tokens become UNK and are counted, one warning per file.
     """
     global _unknown_count
     unknowns = 0
@@ -445,16 +446,16 @@ def _read_tsv(path, vocab: VocabSpec, n_fields: int):
         try:
             fields = raw.decode("utf-8").split("\t")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 at byte {exc.start + 1}", line=line_no) from None
+            raise ParseError(f"not UTF-8 at byte {exc.start + 1}", line_no, path) from None
         if len(fields) != n_fields:
             raise ParseError(
-                f"expected {n_fields} tab-separated fields, found {len(fields)}", line=line_no
+                f"expected {n_fields} tab-separated fields, found {len(fields)}", line_no, path
             )
         sentences = []
         for text in fields[:2]:
             tokens = text.split()
             if not tokens:
-                raise ParseError("empty sentence", line=line_no)
+                raise ParseError("empty sentence", line_no, path)
             ids = np.empty(len(tokens), dtype=np.int64)
             for i, tok in enumerate(tokens):
                 ids[i], was_unknown = vocab.parse_token(tok)
@@ -475,7 +476,7 @@ def read_parallel_tsv(path, vocab: VocabSpec) -> list[ParallelPair]:
     for line_no, src, tgt, _ in _read_tsv(path, vocab, n_fields=2):
         if src.shape != tgt.shape:
             raise ParseError(
-                f"source has {len(src)} tokens but target has {len(tgt)}", line=line_no
+                f"source has {len(src)} tokens but target has {len(tgt)}", line_no, path
             )
         pairs.append(ParallelPair(source_ids=src, target_ids=tgt))
     return pairs
@@ -540,9 +541,9 @@ def load_sts_tsv(path, vocab: VocabSpec) -> list[StsExample]:
         try:
             score = float(score_text)
         except ValueError:
-            raise ParseError(f"unparseable score {score_text!r}", line=line_no) from None
+            raise ParseError(f"unparseable score {score_text!r}", line_no, path) from None
         if not np.isfinite(score) or not 0.0 <= score <= 5.0:
-            raise ParseError(f"score {score_text} outside [0, 5]", line=line_no)
+            raise ParseError(f"score {score_text} outside [0, 5]", line_no, path)
         examples.append(StsExample(sentence_a=a, sentence_b=b, gold_score=score))
     return examples
 

@@ -62,10 +62,6 @@ class EncoderConfig:
     def effective_depth(self) -> int:
         return self.distinct_layers * self.recurrence_count
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -249,46 +245,35 @@ class SentenceEncoder:
         return ad.gather_rows(self.params["embedding.word"], ids)
 
     def _embed(self, ids: np.ndarray) -> Tensor:
-        tok = self._embed_tokens(ids)
         pos = ad.gather_rows(self.params["embedding.position"], np.arange(ids.shape[1]))
-        x = tok + pos
-        return ad.layer_norm(
-            x,
+        return ad.add_layer_norm(
+            self._embed_tokens(ids),
+            pos,
             self.params["embedding.ln.scale"],
             self.params["embedding.ln.shift"],
             self.config.layernorm_eps,
         )
 
-    def _attention(self, j: int, x: Tensor, key_bias: Tensor) -> Tensor:
-        cfg = self.config
-        n, length, _ = x.shape
-        heads, dh = cfg.heads, cfg.head_dim
+    def _attention(self, j: int, x: Tensor, key_bias: np.ndarray) -> Tensor:
+        projections = (
+            self.params[f"layer{j}.attn.{name}.{part}"] for name in "qkvo" for part in "wb"
+        )
+        return ad.attention(x, *projections, key_bias, self.config.heads)
 
-        def proj(name: str, inp: Tensor) -> Tensor:
-            prefix = f"layer{j}.attn.{name}"
-            return ad.linear(inp, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
-
-        def split(name: str) -> Tensor:
-            return ad.transpose(ad.reshape(proj(name, x), (n, length, heads, dh)), (0, 2, 1, 3))
-
-        q, k, v = split("q"), split("k"), split("v")
-        scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(dh))
-        weights = ad.softmax_last(scores + key_bias)
-        ctx = ad.reshape(ad.transpose(weights @ v, (0, 2, 1, 3)), (n, length, cfg.hidden))
-        return proj("o", ctx)
-
-    def _layer(self, j: int, x: Tensor, key_bias: Tensor) -> Tensor:
+    def _layer(self, j: int, x: Tensor, key_bias: np.ndarray) -> Tensor:
         eps = self.config.layernorm_eps
-        x = ad.layer_norm(
-            x + self._attention(j, x, key_bias),
+        x = ad.add_layer_norm(
+            x,
+            self._attention(j, x, key_bias),
             self.params[f"layer{j}.ln1.scale"],
             self.params[f"layer{j}.ln1.shift"],
             eps,
         )
         w1, b1, w2, b2 = (self.params[f"layer{j}.ffn.{n}"] for n in ("w1", "b1", "w2", "b2"))
         ffn = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
-        return ad.layer_norm(
-            x + ffn,
+        return ad.add_layer_norm(
+            x,
+            ffn,
             self.params[f"layer{j}.ln2.scale"],
             self.params[f"layer{j}.ln2.shift"],
             eps,
@@ -303,7 +288,7 @@ class SentenceEncoder:
         """Mean-pooled sentence embeddings, differentiable end to end."""
         ids, mask = self._check_inputs(ids, mask)
         x = self._embed(ids)
-        key_bias = Tensor((1.0 - mask)[:, None, None, :] * ATTN_MASK_BIAS)
+        key_bias = (1.0 - mask)[:, None, None, :] * ATTN_MASK_BIAS
         for _ in range(self.config.recurrence_count):
             for j in range(1, self.config.distinct_layers + 1):
                 x = self._layer(j, x, key_bias)

@@ -23,11 +23,13 @@ class NumericError(CrosstillError):
 
 
 class ParseError(CrosstillError):
-    """Malformed text input; carries the offending line number when known."""
+    """Malformed text input; carries the file and the offending line number when known."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

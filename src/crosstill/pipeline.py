@@ -262,7 +262,7 @@ class MetricsLog:
                     and type(record.get("epoch")) is int
                     and type(record.get("loss")) in (int, float)):
                 raise ParseError("not a UTF-8 JSON object with a string or integer stage, "
-                                 "an integer epoch and a numeric loss", line=line_no)
+                                 "an integer epoch and a numeric loss", line_no, path)
             log._admit(record)
         return log
 

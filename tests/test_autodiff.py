@@ -5,6 +5,9 @@ the analytic backward pass, and compares against finite differences at
 float64. A handful of cases also verify forward values against plain numpy.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -60,6 +63,17 @@ class TestElementwise:
         rng = stream(0, "neg")
         a = leaf(rng, 3)
         check(lambda: ad.tsum(-a * -a + -a), {"a": a})
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    @pytest.mark.parametrize("constant_side", [0, 1])
+    def test_constant_operand_gets_no_gradient(self, op, constant_side):
+        rng = stream(0, "constant-operand")
+        live = leaf(rng, 2, 3, lo=0.5, hi=2.0)
+        constant = Tensor(rng.random((1, 3)) + 0.5)
+        operands = (constant, live) if constant_side == 0 else (live, constant)
+        grads = op(*operands)._vjp(np.ones((2, 3)))
+        assert grads[constant_side] is None
+        assert grads[1 - constant_side].shape == (2, 3)
 
 
 class TestShapes:
@@ -254,6 +268,175 @@ class TestNonlinear:
         )
 
 
+def attention_params(rng, h, dtype=np.float64):
+    """q, k, v, o weights and biases, in the order `ad.attention` takes them."""
+    params = {}
+    for name in "qkvo":
+        params[f"w{name}"] = Tensor((rng.standard_normal((h, h)) * 0.4).astype(dtype),
+                                    requires_grad=True)
+        params[f"b{name}"] = Tensor((rng.standard_normal(h) * 0.1).astype(dtype),
+                                    requires_grad=True)
+    return params
+
+
+def key_bias_for(mask, dtype=np.float64):
+    return ((1.0 - mask)[:, None, None, :] * -1e9).astype(dtype)
+
+
+def unfused_attention(x, p, key_bias, heads):
+    """The chain of primitives `ad.attention` replaces."""
+    n, length, h = x.shape
+    dh = h // heads
+
+    def split(name):
+        proj = ad.linear(x, p[f"w{name}"], p[f"b{name}"])
+        return ad.transpose(ad.reshape(proj, (n, length, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split("q"), split("k"), split("v")
+    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(dh))
+    weights = ad.softmax_last(scores + Tensor(key_bias))
+    ctx = ad.reshape(ad.transpose(weights @ v, (0, 2, 1, 3)), (n, length, h))
+    return ad.linear(ctx, p["wo"], p["bo"])
+
+
+def fused_attention(x, p, key_bias, heads):
+    return ad.attention(x, *p.values(), key_bias, heads)
+
+
+class TestFusedNodes:
+    MASK = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0], [1, 1, 1, 1, 1]], dtype=np.float64)
+
+    def attention_case(self, heads=2, h=8, dtype=np.float64):
+        rng = stream(0, "attention")
+        x = Tensor(rng.standard_normal((3, 5, h)).astype(dtype), requires_grad=True)
+        weight = Tensor(rng.standard_normal((3, 5, h)).astype(dtype))
+        return x, attention_params(rng, h, dtype), key_bias_for(self.MASK, dtype), weight
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_gradient(self, heads):
+        x, p, key_bias, weight = self.attention_case(heads=heads)
+        # The key bias adds the same q·bk to every score of a query row, and the
+        # softmax cancels it: its gradient is zero, so a relative error means
+        # nothing there. It is checked against zero instead.
+        probed = {name: t for name, t in p.items() if name != "bk"}
+        check(lambda: ad.tsum(fused_attention(x, p, key_bias, heads) * weight),
+              {"x": x, **probed})
+        np.testing.assert_allclose(p["bk"].grad, 0.0, rtol=0, atol=1e-12)
+
+    def test_attention_is_one_node_without_a_key_bias_parent(self):
+        x, p, key_bias, _ = self.attention_case()
+        out = fused_attention(x, p, key_bias, 2)
+        assert out.op == "attention" and out._parents == (x, *p.values())
+
+    def test_attention_matches_unfused_composition(self):
+        x, p, key_bias, weight = self.attention_case()
+        results = []
+        for fn in (fused_attention, unfused_attention):
+            zero_grads([x, *p.values()])
+            out = fn(x, p, key_bias, 2)
+            backward(ad.tsum(out * weight))
+            results.append((out.data, x.grad, *(t.grad for t in p.values())))
+        for fused, unfused in zip(*results):
+            np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-12)
+
+    def test_masked_keys_get_no_weight(self):
+        x, p, key_bias, _ = self.attention_case()
+        base = fused_attention(x, p, key_bias, 2).data
+        x.data[0, 4] += 10.0  # a masked key of row 0
+        moved = fused_attention(x, p, key_bias, 2).data
+        np.testing.assert_array_equal(base[0, :4], moved[0, :4])
+
+    def test_attention_float32_stays_float32(self):
+        x, p, key_bias, weight = self.attention_case(dtype=np.float32)
+        out = fused_attention(x, p, key_bias, 2)
+        backward(ad.tsum(out * weight))
+        assert out.data.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in (x, *p.values()))
+
+    @pytest.mark.parametrize("breakage", [
+        "weight-width", "key-bias-width", "weight-shape", "bias-shape", "heads", "x-rank",
+        "key-bias-shape",
+    ])
+    def test_attention_contract_names_primitive(self, breakage):
+        x, p, key_bias, _ = self.attention_case()
+        heads = 2
+        if breakage == "weight-width":
+            p["wk"] = Tensor(p["wk"].data.astype(np.float32), requires_grad=True)
+        elif breakage == "key-bias-width":
+            key_bias = key_bias.astype(np.float32)
+        elif breakage == "weight-shape":
+            p["wv"] = Tensor(np.ones((8, 6)), requires_grad=True)
+        elif breakage == "bias-shape":
+            p["bo"] = Tensor(np.ones(6), requires_grad=True)
+        elif breakage == "heads":
+            heads = 3
+        elif breakage == "x-rank":
+            x = Tensor(x.data[0], requires_grad=True)
+        else:
+            key_bias = key_bias[:, :, :, :4]
+        with pytest.raises(ContractError, match="attention"):
+            fused_attention(x, p, key_bias, heads)
+
+    def add_layer_norm_case(self, y_shape, dtype=np.float64):
+        rng = stream(0, "add_ln")
+        x = leaf(rng, 3, 4, 6)
+        y = leaf(rng, *y_shape)
+        scale = leaf(rng, 6, lo=0.5, hi=1.5)
+        shift = leaf(rng, 6)
+        weight = Tensor(rng.standard_normal((3, 4, 6)))
+        tensors = [Tensor(t.data.astype(dtype), requires_grad=True)
+                   for t in (x, y, scale, shift)]
+        return (*tensors, Tensor(weight.data.astype(dtype)))
+
+    @pytest.mark.parametrize("y_shape", [(3, 4, 6), (4, 6)], ids=["same", "broadcast"])
+    def test_add_layer_norm_gradient(self, y_shape):
+        x, y, scale, shift, weight = self.add_layer_norm_case(y_shape)
+        check(
+            lambda: ad.tsum(ad.add_layer_norm(x, y, scale, shift, eps=1e-5) * weight),
+            {"x": x, "y": y, "scale": scale, "shift": shift},
+        )
+
+    @pytest.mark.parametrize("y_shape", [(3, 4, 6), (4, 6)], ids=["same", "broadcast"])
+    def test_add_layer_norm_matches_unfused_composition(self, y_shape):
+        x, y, scale, shift, weight = self.add_layer_norm_case(y_shape)
+        fused = ad.add_layer_norm(x, y, scale, shift, eps=1e-5)
+        unfused = ad.layer_norm(ad.add(x, y), scale, shift, eps=1e-5)
+        results = []
+        for out in (fused, unfused):
+            zero_grads([x, y, scale, shift])
+            backward(ad.tsum(out * weight))
+            results.append((out.data, x.grad, y.grad, scale.grad, shift.grad))
+        for a, b in zip(*results):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_add_layer_norm_gives_each_operand_its_own_gradient(self):
+        x, y, scale, shift, weight = self.add_layer_norm_case((3, 4, 6))
+        backward(ad.tsum(ad.add_layer_norm(x, y, scale, shift, eps=1e-5) * weight))
+        assert x.grad is not y.grad
+        np.testing.assert_array_equal(x.grad, y.grad)
+
+    def test_add_layer_norm_float32_stays_float32(self):
+        x, y, scale, shift, weight = self.add_layer_norm_case((4, 6), dtype=np.float32)
+        out = ad.add_layer_norm(x, y, scale, shift, eps=1e-5)
+        backward(ad.tsum(out * weight))
+        assert out.data.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in (x, y, scale, shift))
+
+    @pytest.mark.parametrize("breakage", ["width", "y-shape", "y-wider", "scale-shape"])
+    def test_add_layer_norm_contract_names_primitive(self, breakage):
+        x, y, scale, shift, _ = self.add_layer_norm_case((4, 6))
+        if breakage == "width":
+            y = Tensor(y.data.astype(np.float32), requires_grad=True)
+        elif breakage == "y-shape":
+            y = Tensor(np.ones((4, 5)), requires_grad=True)
+        elif breakage == "y-wider":
+            y = Tensor(np.ones((2, 3, 4, 6)), requires_grad=True)
+        else:
+            scale = Tensor(np.ones(5), requires_grad=True)
+        with pytest.raises(ContractError, match="add_layer_norm"):
+            ad.add_layer_norm(x, y, scale, shift, eps=1e-5)
+
+
 class TestBackwardContract:
     def test_scalar_required(self):
         a = Tensor(np.ones((2, 2), dtype=np.float64), requires_grad=True)
@@ -387,3 +570,15 @@ class TestChainedGraph:
             return ad.tmean(out * out)
 
         check(loss_fn, {"w1": w1, "b1": b1, "w2": w2, "b2": b2})
+
+
+def test_traced_op_names_stay_bound():
+    """Every op `bench/instrument.py` wraps must still be an attribute of the module."""
+    source = Path(__file__).resolve().parents[1] / "bench" / "instrument.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    ops = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "AUTODIFF_OPS" for t in node.targets)
+    )
+    assert ops and [op for op in ops if not hasattr(ad, op)] == []

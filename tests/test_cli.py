@@ -272,10 +272,10 @@ class TestMalformedCorpusFiles:
             (corpus / name).write_bytes((cli_corpus / name).read_bytes())
         return checkpoint, corpus
 
-    def run_eval(self, checkpoint, corpus):
+    def run_eval(self, checkpoint, corpus, *extra):
         return subprocess.run(
             [sys.executable, "-m", "crosstill", "eval", "--checkpoint", str(checkpoint),
-             "--corpus", str(corpus)],
+             "--corpus", str(corpus), *extra],
             capture_output=True, text=True,
         )
 
@@ -290,6 +290,16 @@ class TestMalformedCorpusFiles:
         assert result.returncode == 2
         err = result.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), result.stderr
+
+    def test_bad_sts_score_names_the_file(self, broken_corpus, tmp_path):
+        checkpoint, corpus = broken_corpus
+        sts = tmp_path / "scores.tsv"
+        sts.write_text("l1_1 l1_2\tl1_3 l1_4\t9\n", encoding="utf-8")
+        result = self.run_eval(checkpoint, corpus, "--sts", str(sts))
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), result.stderr
+        assert f"{sts}: line 1: score 9 outside [0, 5]" in err[0]
 
     def test_non_ascii_digit_token_is_unknown(self, broken_corpus):
         checkpoint, corpus = broken_corpus

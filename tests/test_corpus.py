@@ -392,13 +392,14 @@ def fuzz_file(tmp_path_factory):
 
 
 def _read_or_parse_error(reader, path):
-    """Run `reader`; it may succeed or raise ParseError carrying a line number."""
+    """Run `reader`; it may succeed or raise ParseError naming the file and a line number."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             reader(path, _FUZZ_VOCAB)
         except ParseError as exc:
             assert exc.line is not None, exc
+            assert str(exc).startswith(f"{path}: line {exc.line}: "), exc
         finally:
             C.reset_unknown_token_count()
 

@@ -401,6 +401,7 @@ class TestMetricsLog:
         with pytest.raises(ParseError) as info:
             MetricsLog.read(path)
         assert info.value.line == 2
+        assert str(info.value).startswith(f"{path}: line 2: ")
 
     def test_fresh_truncates(self, tmp_path):
         path = tmp_path / "m.jsonl"
