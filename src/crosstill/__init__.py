@@ -22,7 +22,6 @@ from .corpus import (
     oracle_embed_batch,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .distiller import MultiStageDistiller
 from .encoder import (
     EncoderConfig,
     SentenceEncoder,
@@ -90,7 +89,6 @@ __all__ = [
     "FormatError",
     "LossValue",
     "MetricsLog",
-    "MultiStageDistiller",
     "NumericError",
     "OptimizerPlan",
     "OracleSemantics",

@@ -55,8 +55,8 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def resolve_seed(flag_value: int | None, fallback: int = 0) -> int:
-    """Explicit flag wins, then the environment, then the fallback."""
+def resolve_seed(flag_value: int | None) -> int:
+    """Explicit flag wins, then the environment, then 0."""
     if flag_value is not None:
         return flag_value
     env = os.environ.get(SEED_ENV_VAR)
@@ -65,7 +65,7 @@ def resolve_seed(flag_value: int | None, fallback: int = 0) -> int:
             return int(env)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return fallback
+    return 0
 
 
 # -- dotted config overrides ------------------------------------------------
@@ -322,7 +322,7 @@ def _cmd_sweep_depth(args, extras) -> int:
         depths = [int(d) for d in args.depths.split(",") if d.strip()]
     except ValueError:
         raise ConfigError(f"depths must be comma-separated integers, got {args.depths!r}")
-    points = depth_sweep(cfg, depths, seed=resolve_seed(args.seed, cfg.seed))
+    points = depth_sweep(cfg, depths)
     for point in points:
         _emit({
             "depth": point.depth,

@@ -28,6 +28,9 @@ from .rng import stream
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 N_SPECIALS = 4
 
+# a corpus directory's splits, one `{name}.tsv` each, in generation order
+SPLIT_NAMES = ("train", "dev", "test")
+
 _SPECIAL_SURFACE = {PAD: "<pad>", BOS: "<bos>", EOS: "<eos>", UNK: "<unk>"}
 _SURFACE_SPECIAL = {v: k for k, v in _SPECIAL_SURFACE.items()}
 
@@ -354,11 +357,9 @@ def gen_parallel_corpus(
 
     n_train = int(n_pairs * splits[0])
     n_dev = int(n_pairs * splits[1])
-    bounds = {
-        "train": sentences[:n_train],
-        "dev": sentences[n_train:n_train + n_dev],
-        "test": sentences[n_train + n_dev:],
-    }
+    bounds = dict(zip(SPLIT_NAMES, (
+        sentences[:n_train], sentences[n_train:n_train + n_dev], sentences[n_train + n_dev:],
+    )))
     out_dir = Path(out_dir)
     paths = {
         name: _write_tsv(out_dir / f"{name}.tsv", [

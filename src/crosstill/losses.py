@@ -50,44 +50,26 @@ class CeLossConfig:
             )
 
 
-class _ClampCounter:
-    """Counts how often a zero-norm vector forced the cosine denominator clamp."""
-
-    def __init__(self):
-        self.count = 0
-
-
-_clamp = _ClampCounter()
+_clamp_count = 0  # near-zero vectors whose cosine denominator was clamped since the last reset
 
 
 def clamp_warning_count() -> int:
-    return _clamp.count
+    return _clamp_count
 
 
 def reset_clamp_warnings() -> None:
-    _clamp.count = 0
+    global _clamp_count
+    _clamp_count = 0
 
 
 def _register_clamps(n: int) -> None:
+    global _clamp_count
     if n > 0:
-        _clamp.count += n
+        _clamp_count += n
         warnings.warn(
             f"cosine: clamped denominator for {n} near-zero vector(s)", RuntimeWarning,
             stacklevel=3,
         )
-
-
-def cosine(x, y) -> float:
-    """Cosine similarity of two vectors, with a clamped denominator."""
-    xv = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64).reshape(-1)
-    yv = np.asarray(y.data if isinstance(y, Tensor) else y, dtype=np.float64).reshape(-1)
-    if xv.shape != yv.shape:
-        raise ContractError(f"cosine needs equal-length vectors, got {xv.shape} and {yv.shape}")
-    sx = float(xv @ xv)
-    sy = float(yv @ yv)
-    _register_clamps(int(sx < NORM_FLOOR_SQ) + int(sy < NORM_FLOOR_SQ))
-    denom = np.sqrt(max(sx, NORM_FLOOR_SQ)) * np.sqrt(max(sy, NORM_FLOOR_SQ))
-    return float(np.clip((xv @ yv) / denom, -1.0, 1.0))
 
 
 def _row_normalize(x: Tensor) -> Tensor:

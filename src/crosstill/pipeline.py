@@ -24,6 +24,7 @@ import numpy as np
 from .autodiff import Tensor, backward, zero_grads
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
+    SPLIT_NAMES,
     OracleSemantics,
     ParallelBatch,
     ParallelPair,
@@ -69,9 +70,6 @@ class OptimizerPlan:
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ConfigError("warmup_fraction must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class StagePlan:
@@ -89,13 +87,6 @@ class StagePlan:
             raise ConfigError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw) -> "StagePlan":
-        return _stage_section(raw)
 
 
 # section parsers, called with (value, section path)
@@ -282,24 +273,30 @@ class CorpusBundle:
     sts_examples: list | None
 
 
-def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
-    corpus_dir = Path(cfg.corpus_dir)
+def read_corpus_dir(corpus_dir) -> tuple[VocabSpec, dict[str, list[ParallelPair]]]:
+    """The vocabulary manifest and every split of a generated corpus directory."""
+    corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "vocab.json"
     if not manifest.exists():
         raise ConfigError(f"no vocabulary manifest at {manifest}")
     vocab = VocabSpec.from_manifest(manifest)
+    splits = {}
+    for name in SPLIT_NAMES:
+        path = corpus_dir / f"{name}.tsv"
+        if not path.exists():
+            raise ConfigError(f"missing corpus split {path}")
+        splits[name] = read_parallel_tsv(path, vocab)
+    return vocab, splits
+
+
+def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
+    vocab, splits = read_corpus_dir(cfg.corpus_dir)
     if vocab.vocab_size != cfg.assistant.vocab_size:
         raise ConfigError(
             f"corpus vocabulary has {vocab.vocab_size} ids but the assistant "
             f"expects {cfg.assistant.vocab_size}"
         )
     oracle = OracleSemantics.create(vocab, dim=cfg.teacher_dim, seed=cfg.teacher_seed)
-    splits = {}
-    for name in ("train", "dev", "test"):
-        path = corpus_dir / f"{name}.tsv"
-        if not path.exists():
-            raise ConfigError(f"missing corpus split {path}")
-        splits[name] = read_parallel_tsv(path, vocab)
     sts = None
     if cfg.sts_path is not None:
         sts = load_sts_tsv(cfg.sts_path, vocab)
@@ -421,6 +418,11 @@ RANDOM_INIT = (
         init="fresh", seed="single-random-init", epochs_from=(1, 2, 3, 4),
     ),
 )
+
+
+# log names of the staged curriculum: a full run, and one resumed stage
+METRICS_LOG = "metrics.jsonl"
+STAGE_LOG = "metrics_stage{}.jsonl"
 
 
 # -- training core ----------------------------------------------------------
@@ -584,60 +586,33 @@ def _run_table(
     return result
 
 
-def run_pipeline(cfg: PipelineConfig, log_name: str = "metrics.jsonl") -> PipelineResult:
+def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Stages 1 to 4 in order, fresh models, one checkpoint per stage."""
-    return _run_table(cfg, STAGES, log_name)
+    return _run_table(cfg, STAGES, METRICS_LOG)
 
 
-def resume_stage(cfg: PipelineConfig, stage: int, log_name: str | None = None) -> PipelineResult:
+def resume_stage(cfg: PipelineConfig, stage: int) -> PipelineResult:
     """Run one numbered stage, loading its prerequisites from earlier checkpoints."""
     if stage not in (1, 2, 3, 4):
         raise ConfigError(f"stage must be 1..4, got {stage}")
-    return _run_table(
-        cfg, STAGES[:stage], log_name or f"metrics_stage{stage}.jsonl", start=stage - 1
-    )
+    return _run_table(cfg, STAGES[:stage], STAGE_LOG.format(stage), start=stage - 1)
 
 
-def run_single_stage(
-    cfg: PipelineConfig,
-    mode: str,
-    seed: int | None = None,
-    student_depth_override: int | None = None,
-) -> PipelineResult:
+def run_single_stage(cfg: PipelineConfig, mode: str) -> PipelineResult:
     """Comparison baselines that skip the staged curriculum.
 
     "random_init": a freshly initialized student trains directly against the
-    teacher for the full epoch budget of all four stages. With the bottleneck
-    off and no recurrence this is the classic direct cross-lingual
-    distillation shape. "pre_distill": the student starts from the trained
-    assistant (running stage 1 first if its checkpoint is absent), imitates
-    the assistant, then aligns to the teacher.
+    teacher for the full epoch budget of all four stages. "pre_distill": the
+    student starts from the trained assistant (running stage 1 first if its
+    checkpoint is absent), imitates the assistant, then aligns to the teacher.
     """
     if mode not in ("random_init", "pre_distill"):
         raise ConfigError(f"unknown single-stage mode {mode!r}")
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    suffix = ""
-    if student_depth_override is not None:
-        cfg = replace(cfg, student=replace(
-            cfg.student,
-            distinct_layers=student_depth_override, recurrence_count=1,
-            bottleneck_enabled=False, bottleneck_size=None,
-        ))
-        suffix = f"_d{student_depth_override}"
-    log_name = f"metrics_{mode}{suffix}.jsonl"
     table = RANDOM_INIT if mode == "random_init" else PRE_DISTILL
-    if suffix:
-        # only the student's depth changes, so only its checkpoints get the suffix
-        table = tuple(
-            replace(s, checkpoint=f"{Path(s.checkpoint).stem}{suffix}.xdst")
-            if s.role == "student" else s
-            for s in table
-        )
     start = 0
     if mode == "pre_distill" and (Path(cfg.out_dir) / PRE_DISTILL[0].checkpoint).exists():
         start = 1
-    return _run_table(cfg, table, log_name, start)
+    return _run_table(cfg, table, f"metrics_{mode}.jsonl", start)
 
 
 @dataclass
@@ -649,21 +624,25 @@ class DepthPoint:
     retrieval: EvalReport
 
 
-def depth_sweep(pipeline_cfg, depths: list[int], seed: int = 0) -> list[DepthPoint]:
+def depth_sweep(cfg: PipelineConfig, depths: list[int]) -> list[DepthPoint]:
     """Train the direct-distillation baseline at each depth and score both tasks.
 
-    Each depth trains an otherwise identical student with that many distinct
-    layers (no recurrence) under the same seed, then reports monolingual STS
-    and cross-lingual retrieval.
+    Each depth trains the `random_init` row on an otherwise identical student
+    with that many distinct layers, no recurrence and no bottleneck (the
+    classic direct cross-lingual distillation shape) under `cfg.seed`, then
+    reports monolingual STS and cross-lingual retrieval. Depth d writes
+    `single_random_d{d}.xdst` and `metrics_random_init_d{d}.jsonl`.
     """
     if not depths:
         raise ContractError("depth_sweep needs at least one depth")
     points = []
     for depth in depths:
-        result = run_single_stage(
-            pipeline_cfg, mode="random_init", seed=seed,
-            student_depth_override=depth,
-        )
+        flat = replace(cfg, student=replace(
+            cfg.student, distinct_layers=depth, recurrence_count=1,
+            bottleneck_enabled=False, bottleneck_size=None,
+        ))
+        row = replace(RANDOM_INIT[0], checkpoint=f"single_random_d{depth}.xdst")
+        result = _run_table(flat, (row,), f"metrics_random_init_d{depth}.jsonl")
         points.append(
             DepthPoint(depth=depth, sts=result.sts_report, retrieval=result.retrieval_report)
         )

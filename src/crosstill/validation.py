@@ -12,11 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .corpus import VocabSpec, read_parallel_tsv
 from .errors import ConfigError, ContractError
-from .pipeline import MetricsLog
-
-SPLIT_NAMES = ("train", "dev", "test")
+from .pipeline import METRICS_LOG, STAGES, MetricsLog, read_corpus_dir
 
 
 def validate_corpus_dir(corpus_dir) -> dict:
@@ -26,20 +23,11 @@ def validate_corpus_dir(corpus_dir) -> dict:
     and each target sentence is the exact cipher image of its source.
     Returns per-split pair counts and the observed length range.
     """
-    corpus_dir = Path(corpus_dir)
-    manifest = corpus_dir / "vocab.json"
-    if not manifest.exists():
-        raise ConfigError(f"no vocabulary manifest at {manifest}")
-    vocab = VocabSpec.from_manifest(manifest)
-
+    vocab, splits = read_corpus_dir(corpus_dir)
     counts: dict[str, int] = {}
     seen: dict[tuple, str] = {}
     lengths: list[int] = []
-    for name in SPLIT_NAMES:
-        path = corpus_dir / f"{name}.tsv"
-        if not path.exists():
-            raise ConfigError(f"missing corpus split {path}")
-        pairs = read_parallel_tsv(path, vocab)
+    for name, pairs in splits.items():
         counts[name] = len(pairs)
         for row, pair in enumerate(pairs, start=1):
             key = tuple(pair.source_ids.tolist())
@@ -62,22 +50,22 @@ def validate_corpus_dir(corpus_dir) -> dict:
     }
 
 
-def validate_run_artifacts(out_dir, stages=(1, 2, 3, 4)) -> dict:
-    """Check a finished training run's directory.
+def validate_run_artifacts(out_dir) -> dict:
+    """Check the directory of a finished `run_pipeline` run.
 
-    Every expected stage checkpoint must load cleanly; the metrics log must
-    parse with strictly advancing epochs and finite losses. Returns
-    checkpoint digests and per-stage record counts.
+    Every stage checkpoint must load cleanly; the metrics log must parse with
+    strictly advancing epochs and finite losses. Returns checkpoint digests
+    keyed `stage1` to `stage4` and per-stage record counts.
     """
     out_dir = Path(out_dir)
     digests: dict[str, str] = {}
-    for stage in stages:
-        path = out_dir / f"stage{stage}.xdst"
+    for spec in STAGES:
+        path = out_dir / spec.checkpoint
         if not path.exists():
             raise ConfigError(f"missing checkpoint {path}")
-        digests[f"stage{stage}"] = load_checkpoint(path).checksum()
+        digests[f"stage{spec.stage}"] = load_checkpoint(path).checksum()
 
-    metrics_path = out_dir / "metrics.jsonl"
+    metrics_path = out_dir / METRICS_LOG
     if not metrics_path.exists():
         raise ConfigError(f"missing metrics log {metrics_path}")
     log = MetricsLog.read(metrics_path)

@@ -5,6 +5,7 @@ with the vectorized implementations they certify.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,26 +102,38 @@ def rows(rng, n, d):
 # -- cosine ----------------------------------------------------------------
 
 
+def row_cosine(x, y) -> float:
+    """Cosine of two vectors through the one-cell cosine_matrix."""
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    y = np.asarray(y, dtype=np.float64)[None, :]
+    return float(L.cosine_matrix(Tensor(x), Tensor(y)).data[0, 0])
+
+
 class TestCosine:
     def test_self_is_one(self):
         x = np.array([0.3, -2.0, 5.0])
-        assert L.cosine(x, x) == pytest.approx(1.0, abs=1e-12)
+        assert row_cosine(x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_negation_is_minus_one(self):
         x = np.array([1.0, 2.0, -1.0])
-        assert L.cosine(x, -x) == pytest.approx(-1.0, abs=1e-12)
+        assert row_cosine(x, -x) == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
-        assert L.cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert row_cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_hand_case(self):
-        assert L.cosine([1.0, 2.0], [2.0, 1.0]) == pytest.approx(4.0 / 5.0, abs=1e-12)
+        assert row_cosine([1.0, 2.0], [2.0, 1.0]) == pytest.approx(4.0 / 5.0, abs=1e-12)
 
     def test_zero_vector_clamps_with_counted_warning(self):
         L.reset_clamp_warnings()
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            value = L.cosine([0.0, 0.0], [1.0, 0.0])
-        assert value == 0.0
+        a = Tensor(np.array([[0.0, 0.0]]))
+        b = Tensor(np.array([[1.0, 0.0]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = L.cosine_matrix(a, b).data
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "clamped" in str(caught[0].message)
+        assert grid[0, 0] == 0.0
         assert L.clamp_warning_count() == 1
         L.reset_clamp_warnings()
 

@@ -1,6 +1,8 @@
-"""Declared dependencies match what the package imports."""
+"""Declared dependencies match what the package imports, and the benchmark's
+bindings into the package resolve."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -31,3 +33,52 @@ def test_third_party_imports_equal_declared_dependencies():
     }
     third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"crosstill"}
     assert third_party == declared
+
+
+BENCH = ROOT / "bench"
+
+
+def _bench_module_reads(path: Path) -> set[tuple[str, str]]:
+    """(module, attribute) for every attribute a bench script reads off a package module.
+
+    Modules are reached through `import crosstill.X as Y` aliases or spelled
+    out as `crosstill.X.attr`.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.asname and alias.name.startswith("crosstill.")
+    }
+    reads = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in aliases:
+            reads.add((aliases[owner.id], node.attr))
+        elif (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+              and owner.value.id == "crosstill"):
+            reads.add((f"crosstill.{owner.attr}", node.attr))
+    return reads
+
+
+def test_bench_bindings_resolve(monkeypatch):
+    """Every package name the benchmark patches, calls or reads still exists."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    instrument = importlib.import_module("instrument")
+    importlib.import_module("workloads")
+    # installing looks up every patched name, AUTODIFF_OPS included
+    with instrument.Probe(reference=False).installed():
+        pass
+    with instrument.Tracer().installed():
+        pass
+
+    reads = _bench_module_reads(BENCH / "run.py") | _bench_module_reads(BENCH / "workloads.py")
+    assert ("crosstill.pipeline", "run_single_stage") in reads
+    assert ("crosstill.losses", "clamp_warning_count") in reads
+    missing = sorted(
+        f"{module}.{attr}" for module, attr in reads
+        if not hasattr(importlib.import_module(module), attr)
+    )
+    assert missing == []

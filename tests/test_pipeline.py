@@ -116,10 +116,13 @@ class TestPlans:
         with pytest.raises(ConfigError, match="lr"):
             OptimizerPlan(lr=0.0)
 
-    def test_plan_round_trip(self):
-        plan = StagePlan(stage=2, epochs=7, batch_size=16,
-                         optimizer=OptimizerPlan(lr=1e-3, warmup_fraction=0.2))
-        assert StagePlan.from_dict(plan.to_dict()) == plan
+    def test_plan_round_trip(self, corpus_dir, tmp_path):
+        stages = list(default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50))
+        stages[1] = StagePlan(stage=2, epochs=7, batch_size=16,
+                              optimizer=OptimizerPlan(lr=1e-3, warmup_fraction=0.2))
+        cfg = micro_cfg(corpus_dir, tmp_path, stages=tuple(stages))
+        again = PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again.plan(2) == stages[1]
 
 
 def _set(path, value):
@@ -191,7 +194,7 @@ class TestPipelineConfig:
     def test_round_trip_and_unknown_fields(self, corpus_dir, tmp_path):
         cfg = micro_cfg(corpus_dir, tmp_path)
         again = PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert again.to_dict() == cfg.to_dict()
+        assert again == cfg
         bad = cfg.to_dict()
         bad["warp_factor"] = 9
         with pytest.raises(ConfigError, match="unknown config fields"):
@@ -614,27 +617,6 @@ class TestRunSingleStage:
         assert labels == [("random_init", e) for e in range(1, 6)]
         assert result.checkpoint_path.name == "single_random.xdst"
 
-    def test_depth_override_flattens_student(self, corpus_dir, tmp_path):
-        cfg = micro_cfg(corpus_dir, tmp_path)
-        result = run_single_stage(cfg, "random_init", student_depth_override=2)
-        scfg = result.student.config
-        assert scfg.distinct_layers == 2
-        assert scfg.recurrence_count == 1
-        assert not scfg.bottleneck_enabled
-
-    def test_pre_distill_depths_keep_separate_checkpoints(self, corpus_dir, tmp_path):
-        cfg = micro_cfg(corpus_dir, tmp_path,
-                        stages=default_stage_plans(epochs=(1, 1, 0, 1), batch_size=50))
-        results = {d: run_single_stage(cfg, "pre_distill", student_depth_override=d)
-                   for d in (1, 2)}
-        for d, result in results.items():
-            assert result.checkpoint_path == tmp_path / f"single_predistill_d{d}.xdst"
-            assert (tmp_path / f"metrics_pre_distill_d{d}.jsonl").exists()
-            loaded = load_checkpoint(result.checkpoint_path)
-            assert loaded.config.distinct_layers == d
-            assert loaded.checksum() == result.student.checksum()
-        assert not (tmp_path / "single_predistill.xdst").exists()
-
     def test_pre_distill_reuses_existing_stage1(self, corpus_dir, tmp_path):
         cfg = micro_cfg(corpus_dir, tmp_path)
         resume_stage(cfg, 1)
@@ -645,25 +627,48 @@ class TestRunSingleStage:
         assert "pre_distill:assistant" not in labels
 
 
+def sweep_cfg(corpus_dir, out_dir, **overrides) -> PipelineConfig:
+    return micro_cfg(corpus_dir, out_dir,
+                     stages=default_stage_plans(epochs=(0, 0, 0, 1), batch_size=50), **overrides)
+
+
 class TestDepthSweep:
     def test_sweep_returns_point_per_depth(self, corpus_dir, tmp_path):
-        cfg = micro_cfg(corpus_dir, tmp_path,
-                        stages=default_stage_plans(epochs=(0, 0, 0, 1), batch_size=50))
-        points = depth_sweep(cfg, [1, 2], seed=5)
+        points = depth_sweep(sweep_cfg(corpus_dir, tmp_path, seed=5), [1, 2])
         assert [p.depth for p in points] == [1, 2]
         for p in points:
             assert p.retrieval.retrieval_accuracy is not None
             assert p.sts.spearman_rho is not None
 
     def test_sweep_deterministic(self, corpus_dir, tmp_path):
-        cfg_a = micro_cfg(corpus_dir, tmp_path / "a",
-                          stages=default_stage_plans(epochs=(0, 0, 0, 1), batch_size=50))
-        cfg_b = micro_cfg(corpus_dir, tmp_path / "b",
-                          stages=default_stage_plans(epochs=(0, 0, 0, 1), batch_size=50))
-        pa = depth_sweep(cfg_a, [1], seed=5)
-        pb = depth_sweep(cfg_b, [1], seed=5)
+        cfg = sweep_cfg(corpus_dir, tmp_path)
+        pa = depth_sweep(replace(cfg, seed=5, out_dir=str(tmp_path / "a")), [1])
+        pb = depth_sweep(replace(cfg, seed=5, out_dir=str(tmp_path / "b")), [1])
         assert pa[0].retrieval.retrieval_accuracy == pb[0].retrieval.retrieval_accuracy
         assert pa[0].sts.spearman_rho == pb[0].sts.spearman_rho
+
+    def test_sweep_follows_config_seed(self, corpus_dir, tmp_path):
+        cfg = sweep_cfg(corpus_dir, tmp_path)
+        digests = set()
+        for seed in (5, 6):
+            out = tmp_path / f"seed{seed}"
+            depth_sweep(replace(cfg, seed=seed, out_dir=str(out)), [1])
+            digests.add((out / "single_random_d1.xdst").read_bytes())
+        assert len(digests) == 2
+
+    def test_sweep_file_names(self, corpus_dir, tmp_path):
+        depth_sweep(sweep_cfg(corpus_dir, tmp_path), [1, 2])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "metrics_random_init_d1.jsonl", "metrics_random_init_d2.jsonl",
+            "single_random_d1.xdst", "single_random_d2.xdst",
+        ]
+
+    def test_sweep_flattens_student(self, corpus_dir, tmp_path):
+        depth_sweep(sweep_cfg(corpus_dir, tmp_path), [2])
+        scfg = load_checkpoint(tmp_path / "single_random_d2.xdst").config
+        assert scfg.distinct_layers == 2
+        assert scfg.recurrence_count == 1
+        assert not scfg.bottleneck_enabled
 
     def test_empty_depths_rejected(self, corpus_dir, tmp_path):
         with pytest.raises(ContractError, match="at least one depth"):
