@@ -7,6 +7,10 @@ reverse-mode tensor engine: encoders with recurrent (weight-tied) layers and
 a factorized embedding bottleneck, alignment and contrastive losses, AdamW
 with linear warmup, a four-stage distillation driver, rank-correlation and
 retrieval scoring, exact parameter accounting, and binary checkpoints.
+
+Importing the package on glibc raises malloc's mmap and trim thresholds for
+the whole process, so memory a batch frees is reused by the next batch
+instead of being faulted in again (see `crosstill.autodiff`).
 """
 
 from .autodiff import Tensor, backward, zero_grads

@@ -537,6 +537,20 @@ class PipelineResult:
     retrieval_report: EvalReport | None = None
 
 
+def _check_checkpoint_config(
+    path: Path, role: str, found: EncoderConfig, expected: EncoderConfig
+) -> None:
+    """A checkpoint loaded for `role` must hold the model the run's config describes."""
+    differing = [
+        f"{name} {getattr(found, name)!r} in the file, {getattr(expected, name)!r} in the config"
+        for name in asdict(expected) if getattr(found, name) != getattr(expected, name)
+    ]
+    if differing:
+        raise ConfigError(
+            f"checkpoint {path} does not match the {role} config: {'; '.join(differing)}"
+        )
+
+
 def _run_table(
     cfg: PipelineConfig, table: tuple[StageSpec, ...], log_name: str, start: int = 0
 ) -> PipelineResult:
@@ -548,7 +562,6 @@ def _run_table(
     bundle = load_corpus(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log = MetricsLog(out_dir / log_name)
 
     models = {}
     # each role resumes from the last checkpoint a skipped row wrote for it
@@ -559,6 +572,8 @@ def _run_table(
                 f"stage {table[start].stage} needs the checkpoint {path} from the previous stage"
             )
         models[role] = load_checkpoint(path)
+        _check_checkpoint_config(path, role, models[role].config, getattr(cfg, role))
+    log = MetricsLog(out_dir / log_name)
     for spec in table[start:]:
         if spec.init == "fresh":
             models[spec.role] = SentenceEncoder.init(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .errors import ConfigError, ContractError
-from .pipeline import METRICS_LOG, STAGES, MetricsLog, read_corpus_dir
+from .pipeline import METRICS_LOG, STAGE_LOG, STAGES, MetricsLog, read_corpus_dir
 
 
 def validate_corpus_dir(corpus_dir) -> dict:
@@ -51,11 +51,14 @@ def validate_corpus_dir(corpus_dir) -> dict:
 
 
 def validate_run_artifacts(out_dir) -> dict:
-    """Check the directory of a finished `run_pipeline` run.
+    """Check the directory of a finished staged run.
 
-    Every stage checkpoint must load cleanly; the metrics log must parse with
-    strictly advancing epochs and finite losses. Returns checkpoint digests
-    keyed `stage1` to `stage4` and per-stage record counts.
+    Every stage checkpoint must load cleanly; the metrics must parse with
+    strictly advancing epochs and finite losses. They are read from
+    `run_pipeline`'s `metrics.jsonl`, or, when it is absent, from the four
+    `metrics_stage{k}.jsonl` of a run built one stage at a time. Returns
+    checkpoint digests keyed `stage1` to `stage4` and per-stage record
+    counts.
     """
     out_dir = Path(out_dir)
     digests: dict[str, str] = {}
@@ -65,17 +68,22 @@ def validate_run_artifacts(out_dir) -> dict:
             raise ConfigError(f"missing checkpoint {path}")
         digests[f"stage{spec.stage}"] = load_checkpoint(path).checksum()
 
-    metrics_path = out_dir / METRICS_LOG
-    if not metrics_path.exists():
-        raise ConfigError(f"missing metrics log {metrics_path}")
-    log = MetricsLog.read(metrics_path)
-    bad = [r for r in log.records if not np.isfinite(r["loss"])]
+    # a full run writes one log; a run built stage by stage writes one per stage
+    metrics_paths = [out_dir / METRICS_LOG]
+    if not metrics_paths[0].exists():
+        metrics_paths = [out_dir / STAGE_LOG.format(spec.stage) for spec in STAGES]
+    records = []
+    for path in metrics_paths:
+        if not path.exists():
+            raise ConfigError(f"missing metrics log {path}")
+        records += MetricsLog.read(path).records
+    bad = [r for r in records if not np.isfinite(r["loss"])]
     if bad:
         raise ContractError(
             f"metrics log holds a non-finite loss at stage {bad[0]['stage']} "
             f"epoch {bad[0]['epoch']}"
         )
     per_stage: dict = {}
-    for record in log.records:
+    for record in records:
         per_stage[record["stage"]] = per_stage.get(record["stage"], 0) + 1
-    return {"checkpoints": digests, "records": len(log.records), "per_stage": per_stage}
+    return {"checkpoints": digests, "records": len(records), "per_stage": per_stage}

@@ -5,10 +5,16 @@ the analytic backward pass, and compares against finite differences at
 float64. A handful of cases also verify forward values against plain numpy.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import crosstill
 from crosstill import autodiff as ad
 from crosstill.autodiff import Tensor, backward, zero_grads
 from crosstill.errors import ContractError, NumericError
@@ -225,6 +231,19 @@ class TestNonlinear:
         a = leaf(rng, 8)
         check(lambda: ad.tsum(ad.gelu(a)), {"a": a})
 
+    def test_float32_erf_within_1e6_of_exact(self):
+        grid = np.linspace(-10, 10, 2_000_001, dtype=np.float32)
+        got = ad._erf_float32(grid)
+        assert got.dtype == np.float32
+        exact = erf(grid.astype(np.float64))
+        assert np.abs(got.astype(np.float64) - exact).max() <= 1e-6
+
+    def test_float32_erf_special_values(self):
+        got = ad._erf_float32(np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32))
+        np.testing.assert_array_equal(got[:4], [0.0, -0.0, 1.0, -1.0])
+        assert np.signbit(got[:2]).tolist() == [False, True]
+        assert np.isnan(got[4])
+
     def test_clip_min_gradient_masks_floor(self):
         a = Tensor(np.array([0.5, 2.0, -1.0], dtype=np.float64), requires_grad=True)
         out = ad.clip_min(a, 1.0)
@@ -303,11 +322,12 @@ def fused_attention(x, p, key_bias, heads):
 class TestFusedNodes:
     MASK = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0], [1, 1, 1, 1, 1]], dtype=np.float64)
 
-    def attention_case(self, heads=2, h=8, dtype=np.float64):
+    def attention_case(self, heads=2, h=8, dtype=np.float64, length=5):
         rng = stream(0, "attention")
-        x = Tensor(rng.standard_normal((3, 5, h)).astype(dtype), requires_grad=True)
-        weight = Tensor(rng.standard_normal((3, 5, h)).astype(dtype))
-        return x, attention_params(rng, h, dtype), key_bias_for(self.MASK, dtype), weight
+        x = Tensor(rng.standard_normal((3, length, h)).astype(dtype), requires_grad=True)
+        weight = Tensor(rng.standard_normal((3, length, h)).astype(dtype))
+        mask = self.MASK[:, :length]
+        return x, attention_params(rng, h, dtype), key_bias_for(mask, dtype), weight
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_attention_gradient(self, heads):
@@ -326,15 +346,17 @@ class TestFusedNodes:
         assert out.op == "attention" and out._parents == (x, *p.values())
 
     def test_attention_matches_unfused_composition(self):
-        x, p, key_bias, weight = self.attention_case()
-        results = []
-        for fn in (fused_attention, unfused_attention):
-            zero_grads([x, *p.values()])
-            out = fn(x, p, key_bias, 2)
-            backward(ad.tsum(out * weight))
-            results.append((out.data, x.grad, *(t.grad for t in p.values())))
-        for fused, unfused in zip(*results):
-            np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-12)
+        # length 1 leaves one key per query row: the row max is that key's score
+        for length in (1, 5):
+            x, p, key_bias, weight = self.attention_case(length=length)
+            results = []
+            for fn in (fused_attention, unfused_attention):
+                zero_grads([x, *p.values()])
+                out = fn(x, p, key_bias, 2)
+                backward(ad.tsum(out * weight))
+                results.append((out.data, x.grad, *(t.grad for t in p.values())))
+            for fused, unfused in zip(*results):
+                np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-12)
 
     def test_masked_keys_get_no_weight(self):
         x, p, key_bias, _ = self.attention_case()
@@ -567,3 +589,45 @@ class TestChainedGraph:
             return ad.tmean(out * out)
 
         check(loss_fn, {"w1": w1, "b1": b1, "w2": w2, "b2": b2})
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Three warm-up encodes of a (64, 12) batch by the toy student, then minor
+# page faults over 20 more. Under glibc's default malloc thresholds those 20
+# encodes took 67,520-68,500 minor faults: each batch's freed arrays went
+# back to the kernel and were faulted in again by the next.
+FAULT_SCRIPT = """
+import resource
+import numpy as np
+from crosstill.encoder import SentenceEncoder
+from crosstill.pipeline import toy_config
+
+student = SentenceEncoder.init(toy_config("corpus", "out").student, seed=0)
+ids = np.random.default_rng(0).integers(4, student.config.vocab_size, size=(64, 12))
+mask = np.ones((64, 12), dtype=np.float32)
+for _ in range(3):
+    student.encode(ids, mask)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    student.encode(ids, mask)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+DEFAULT_POLICY_FAULTS = 68_500
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap policy is set only on glibc")
+def test_encodes_reuse_freed_memory_without_page_faults():
+    src = str(Path(crosstill.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 0.05 * DEFAULT_POLICY_FAULTS
+    assert ad._HEAP_POLICY_SET

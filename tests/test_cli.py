@@ -18,6 +18,7 @@ from crosstill.corpus import OracleSemantics, VocabSpec, gen_parallel_corpus, ge
 from crosstill.encoder import SentenceEncoder
 from crosstill.errors import ConfigError, FormatError
 from crosstill.pipeline import PipelineConfig, default_stage_plans
+from crosstill.validation import validate_run_artifacts
 
 from test_pipeline import micro_assistant, micro_student
 
@@ -230,6 +231,26 @@ class TestTrain:
     def test_stage_without_prerequisite(self, config_path, capsys):
         assert run_cli("train", "--config", str(config_path), "--stage", "3") == 1
         assert "previous stage" in capsys.readouterr().err
+
+    def test_stale_checkpoint_rejected(self, config_path, capsys):
+        assert run_cli("train", "--config", str(config_path), "--stage", "1") == 0
+        result = subprocess.run(
+            [sys.executable, "-m", "crosstill", "train", "--config", str(config_path),
+             "--stage", "pre_distill", "--assistant.distinct_layers", "3"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "stage1.xdst" in err[0] and "distinct_layers 2 in the file, 3 in the config" in err[0]
+
+    def test_stage_by_stage_run_validates(self, config_path, capsys):
+        for stage in ("1", "2", "3", "4"):
+            assert run_cli("train", "--config", str(config_path), "--stage", stage) == 0
+        out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+        summary = validate_run_artifacts(out_dir)
+        assert set(summary["checkpoints"]) == {"stage1", "stage2", "stage3", "stage4"}
+        assert summary["per_stage"] == {1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_single_stage_mode(self, config_path, capsys):
         code = run_cli("train", "--config", str(config_path), "--stage", "random_init")

@@ -91,3 +91,13 @@ class TestRunValidation:
         )
         with pytest.raises(ContractError, match="non-finite"):
             validate_run_artifacts(clone)
+
+    def test_stage_logs_all_required_without_full_log(self, world, tmp_path):
+        _, run_dir = world
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        for path in run_dir.iterdir():
+            if path.name != "metrics.jsonl":
+                (clone / path.name).write_bytes(path.read_bytes())
+        with pytest.raises(ConfigError, match="missing metrics log .*metrics_stage1.jsonl"):
+            validate_run_artifacts(clone)
