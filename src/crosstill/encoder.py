@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -355,18 +355,7 @@ def unroll(encoder: SentenceEncoder) -> SentenceEncoder:
     cfg = encoder.config
     if cfg.recurrence_count == 1:
         return encoder.copy()
-    flat_cfg = EncoderConfig(
-        vocab_size=cfg.vocab_size,
-        hidden=cfg.hidden,
-        ffn_size=cfg.ffn_size,
-        heads=cfg.heads,
-        distinct_layers=cfg.effective_depth,
-        recurrence_count=1,
-        bottleneck_enabled=cfg.bottleneck_enabled,
-        bottleneck_size=cfg.bottleneck_size,
-        max_positions=cfg.max_positions,
-        layernorm_eps=cfg.layernorm_eps,
-    )
+    flat_cfg = replace(cfg, distinct_layers=cfg.effective_depth, recurrence_count=1)
     params: dict[str, Tensor] = {}
     for name, shape in expected_param_shapes(flat_cfg).items():
         if name.startswith("layer"):

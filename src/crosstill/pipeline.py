@@ -75,14 +75,11 @@ class OptimizerPlan:
 class StagePlan:
     """One stage's schedule. Roles and loss come from the stage table."""
 
-    stage: int
     epochs: int
     batch_size: int = 64
     optimizer: OptimizerPlan = field(default_factory=OptimizerPlan)
 
     def __post_init__(self):
-        if self.stage not in (1, 2, 3, 4):
-            raise ConfigError(f"stage must be 1..4, got {self.stage}")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if self.batch_size < 1:
@@ -102,9 +99,21 @@ def _stage_list(raw, where: str) -> tuple[StagePlan, ...]:
     return tuple(_stage_section(p, f"{where}[{i}]") for i, p in enumerate(raw))
 
 
+def default_stage_plans(
+    epochs: tuple[int, int, int, int] = (5, 5, 5, 15), batch_size: int = 64
+) -> tuple[StagePlan, ...]:
+    """Desk-scale schedule keeping the 1:3 ratio of early-stage to final-stage epochs."""
+    return tuple(StagePlan(epochs=e, batch_size=batch_size) for e in epochs)
+
+
 @dataclass
 class PipelineConfig:
-    """Everything a run needs: data locations, model shapes, and schedules."""
+    """Everything a run needs: data locations, model shapes, and schedules.
+
+    The teacher's width is the assistant's hidden size, training truncates
+    sentences to the smaller position table (`max_seq_len`), and
+    `stages[k-1]` is stage k's plan.
+    """
 
     corpus_dir: str
     out_dir: str
@@ -112,33 +121,29 @@ class PipelineConfig:
     student: EncoderConfig
     sts_path: str | None = None
     seed: int = 0
-    teacher_dim: int = 64
     teacher_seed: int = 0
-    max_seq_len: int = 16
     variant: str = "mcl"
     ce_temperature: float = 0.05
-    stages: tuple[StagePlan, ...] = ()
+    stages: tuple[StagePlan, ...] = field(default_factory=default_stage_plans)
     eval_every_epoch: bool = True
 
     def __post_init__(self):
-        if not self.stages:
-            self.stages = default_stage_plans()
         self.stages = tuple(self.stages)
-        if [p.stage for p in self.stages] != [1, 2, 3, 4]:
-            raise ConfigError("stages must cover 1, 2, 3, 4 exactly once, in order")
+        if len(self.stages) != 4:
+            raise ConfigError(
+                f"stages must hold exactly four plans, one per stage, got {len(self.stages)}"
+            )
         if self.variant not in ("mcl", "bool", "ce", "none"):
             raise ConfigError(f"unknown contrastive variant {self.variant!r}")
         if self.ce_temperature <= 0:
             raise ConfigError("ce_temperature must be positive")
-        if self.teacher_dim != self.assistant.hidden:
-            raise ConfigError(
-                f"teacher_dim {self.teacher_dim} must equal assistant hidden "
-                f"{self.assistant.hidden} so alignment losses compare like with like"
-            )
         if self.student.hidden != self.assistant.hidden:
             raise ConfigError("student and assistant hidden sizes must match")
-        if self.max_seq_len > min(self.assistant.max_positions, self.student.max_positions):
-            raise ConfigError("max_seq_len exceeds an encoder's position table")
+
+    @property
+    def max_seq_len(self) -> int:
+        """Longest framed sentence a batch holds: the smaller position table."""
+        return min(self.assistant.max_positions, self.student.max_positions)
 
     def plan(self, stage: int) -> StagePlan:
         return self.stages[stage - 1]
@@ -151,19 +156,6 @@ class PipelineConfig:
         return config_from_dict(cls, raw, nested={
             "assistant": _encoder_section, "student": _encoder_section, "stages": _stage_list,
         })
-
-
-def default_stage_plans(
-    epochs: tuple[int, int, int, int] = (5, 5, 5, 15),
-    batch_size: int = 64,
-    lr: float = 2e-3,
-) -> tuple[StagePlan, ...]:
-    """Desk-scale schedule keeping the 1:3 ratio of early-stage to final-stage epochs."""
-    opt = OptimizerPlan(lr=lr)
-    return tuple(
-        StagePlan(stage=k, epochs=epochs[k - 1], batch_size=batch_size, optimizer=opt)
-        for k in (1, 2, 3, 4)
-    )
 
 
 def toy_config(corpus_dir, out_dir, sts_path=None, seed: int = 42) -> PipelineConfig:
@@ -182,7 +174,7 @@ def toy_config(corpus_dir, out_dir, sts_path=None, seed: int = 42) -> PipelineCo
         corpus_dir=str(corpus_dir), out_dir=str(out_dir),
         assistant=assistant, student=student,
         sts_path=None if sts_path is None else str(sts_path),
-        seed=seed, teacher_dim=64, teacher_seed=0,
+        seed=seed, teacher_seed=0,
     )
 
 
@@ -296,7 +288,7 @@ def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
             f"corpus vocabulary has {vocab.vocab_size} ids but the assistant "
             f"expects {cfg.assistant.vocab_size}"
         )
-    oracle = OracleSemantics.create(vocab, dim=cfg.teacher_dim, seed=cfg.teacher_seed)
+    oracle = OracleSemantics.create(vocab, dim=cfg.assistant.hidden, seed=cfg.teacher_seed)
     sts = None
     if cfg.sts_path is not None:
         sts = load_sts_tsv(cfg.sts_path, vocab)

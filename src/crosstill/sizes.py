@@ -27,9 +27,8 @@ class SizePreset:
     token_type_count: int
     layers: int
     bottleneck: int | None = None
-    include_positional: bool = True
-    include_token_type: bool = True
-    include_embedding_layernorm: bool = True
+    # count positional, token-type and embedding layer-norm parameters
+    include_embedding_extras: bool = True
 
     def __post_init__(self):
         for field_name in ("vocab_size", "hidden", "ffn_size", "layers"):
@@ -88,18 +87,16 @@ def _embedding_terms(preset: SizePreset) -> dict[str, int]:
         terms["embedding.proj"] = preset.bottleneck * h
     else:
         terms["embedding.word"] = preset.vocab_size * h
-    if preset.include_positional:
+    if preset.include_embedding_extras:
         terms["embedding.position"] = preset.max_positions * h
-    if preset.include_token_type:
         terms["embedding.token_type"] = preset.token_type_count * h
-    if preset.include_embedding_layernorm:
         terms["embedding.ln.scale"] = h
         terms["embedding.ln.shift"] = h
     return terms
 
 
 def embedding_size(preset: SizePreset) -> int:
-    """Embedding-side parameters under the preset's counting flags."""
+    """Embedding-side parameters under the preset's counting flag."""
     return sum(_embedding_terms(preset).values())
 
 
@@ -132,9 +129,6 @@ def preset_from_config(cfg: EncoderConfig, name: str = "live") -> SizePreset:
         token_type_count=0,
         layers=cfg.distinct_layers,
         bottleneck=cfg.bottleneck_size if cfg.bottleneck_enabled else None,
-        include_positional=True,
-        include_token_type=False,
-        include_embedding_layernorm=True,
     )
 
 
@@ -174,20 +168,15 @@ def model_report(
 
 
 def _family_grid(base: SizePreset, bottlenecks: dict[str, int | None],
-                 flags_off_for_bottleneck: bool) -> dict[str, SizePreset]:
+                 extras_with_bottleneck: bool) -> dict[str, SizePreset]:
     out: dict[str, SizePreset] = {}
     for tag, b in bottlenecks.items():
         for layers in (12, 6, 3):
             name = f"{base.name}-{tag}-ru{layers}"
-            preset = replace(base, name=name, layers=layers, bottleneck=b)
-            if b is not None and flags_off_for_bottleneck:
-                preset = replace(
-                    preset,
-                    include_positional=False,
-                    include_token_type=False,
-                    include_embedding_layernorm=False,
-                )
-            out[name] = preset
+            out[name] = replace(
+                base, name=name, layers=layers, bottleneck=b,
+                include_embedding_extras=b is None or extras_with_bottleneck,
+            )
     return out
 
 
@@ -202,7 +191,6 @@ _MINILM_BASE = SizePreset(
 _TOY_ASSISTANT = SizePreset(
     name="toy-assistant", vocab_size=1028, hidden=64, ffn_size=128,
     max_positions=16, token_type_count=0, layers=4,
-    include_token_type=False,
 )
 _TOY_STUDENT = replace(
     _TOY_ASSISTANT, name="toy-student", layers=2, bottleneck=16,
@@ -210,9 +198,9 @@ _TOY_STUDENT = replace(
 
 PRESETS: dict[str, SizePreset] = {
     **_family_grid(_XLMR_BASE, {"full": None, "b128": 128, "b256": 256},
-                   flags_off_for_bottleneck=False),
+                   extras_with_bottleneck=True),
     **_family_grid(_MINILM_BASE, {"full": None, "b128": 128, "b256": 256},
-                   flags_off_for_bottleneck=True),
+                   extras_with_bottleneck=False),
     "toy-assistant": _TOY_ASSISTANT,
     "toy-student": _TOY_STUDENT,
 }

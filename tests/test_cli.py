@@ -6,6 +6,7 @@ entry point end to end.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -50,8 +51,7 @@ def config_path(cli_corpus, tmp_path):
     cfg = PipelineConfig(
         corpus_dir=str(cli_corpus), out_dir=str(tmp_path / "run"),
         assistant=micro_assistant(), student=micro_student(),
-        sts_path=str(cli_corpus / "sts.tsv"), seed=11,
-        teacher_dim=16, teacher_seed=0, max_seq_len=12,
+        sts_path=str(cli_corpus / "sts.tsv"), seed=11, teacher_seed=0,
         stages=default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50),
         eval_every_epoch=False,
     )
@@ -181,6 +181,19 @@ class TestTrain:
         run_cli("train", "--config", str(config_path))
         second = json.loads(capsys.readouterr().out)["checkpoint_sha256"]
         assert first == second
+
+    def test_determinism_across_processes_and_blas_threads(self, config_path, tmp_path):
+        digests = []
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-m", "crosstill", "train", "--config", str(config_path),
+                 "--stage", "all", "--out_dir", str(tmp_path / f"threads{threads}")],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0, result.stderr
+            digests.append(json.loads(result.stdout.splitlines()[-1])["checkpoint_sha256"])
+        assert digests[0] == digests[1]
 
     def test_dotted_override_changes_run(self, config_path, tmp_path, capsys):
         over = tmp_path / "over"
@@ -374,8 +387,7 @@ class TestSweepDepth:
         cfg = PipelineConfig(
             corpus_dir=str(cli_corpus), out_dir=str(tmp_path / "sweep"),
             assistant=micro_assistant(), student=micro_student(),
-            sts_path=str(cli_corpus / "sts.tsv"), seed=11,
-            teacher_dim=16, teacher_seed=0, max_seq_len=12,
+            sts_path=str(cli_corpus / "sts.tsv"), seed=11, teacher_seed=0,
             stages=default_stage_plans(epochs=(0, 0, 0, 1), batch_size=50),
             eval_every_epoch=False,
         )

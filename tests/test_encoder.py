@@ -1,5 +1,7 @@
 """Encoder forward semantics, student initialization, and recurrence algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -248,9 +250,11 @@ class TestRecurrence:
         assert flat.n_params() == enc.n_params()
 
     def test_unroll_param_count(self):
-        cfg = small_cfg(distinct_layers=2, recurrence_count=3)
+        cfg = small_cfg(distinct_layers=2, recurrence_count=3, layernorm_eps=1e-6)
         enc = SentenceEncoder.init(cfg, seed=5)
         flat = unroll(enc)
+        # every other field carries over unchanged
+        assert flat.config == replace(cfg, distinct_layers=6, recurrence_count=1)
         h, f = cfg.hidden, cfg.ffn_size
         per_layer = 4 * (h * h + h) + (h * f + f) + (f * h + h) + 4 * h
         assert flat.n_params() == enc.n_params() + (3 - 1) * 2 * per_layer

@@ -80,8 +80,7 @@ def micro_cfg(corpus_dir, out_dir, **overrides) -> PipelineConfig:
     base = dict(
         corpus_dir=str(corpus_dir), out_dir=str(out_dir),
         assistant=micro_assistant(), student=micro_student(),
-        sts_path=str(corpus_dir / "sts.tsv"), seed=11,
-        teacher_dim=16, teacher_seed=0, max_seq_len=12,
+        sts_path=str(corpus_dir / "sts.tsv"), seed=11, teacher_seed=0,
         stages=default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50),
         eval_every_epoch=False,
     )
@@ -107,18 +106,16 @@ class TestPlans:
         assert plans[3].epochs == 3 * plans[0].epochs
 
     def test_plan_validation(self):
-        with pytest.raises(ConfigError, match="stage"):
-            StagePlan(stage=5, epochs=1)
         with pytest.raises(ConfigError, match="epochs"):
-            StagePlan(stage=1, epochs=-1)
+            StagePlan(epochs=-1)
         with pytest.raises(ConfigError, match="batch_size"):
-            StagePlan(stage=1, epochs=1, batch_size=0)
+            StagePlan(epochs=1, batch_size=0)
         with pytest.raises(ConfigError, match="lr"):
             OptimizerPlan(lr=0.0)
 
     def test_plan_round_trip(self, corpus_dir, tmp_path):
         stages = list(default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50))
-        stages[1] = StagePlan(stage=2, epochs=7, batch_size=16,
+        stages[1] = StagePlan(epochs=7, batch_size=16,
                               optimizer=OptimizerPlan(lr=1e-3, warmup_fraction=0.2))
         cfg = micro_cfg(corpus_dir, tmp_path, stages=tuple(stages))
         again = PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -168,28 +165,31 @@ MALFORMED_CONFIGS = [
                  id="ce-temperature-inf"),
     pytest.param(_set(("stages", 0, "optimizer", "warmup_fraction"), -5),
                  "stages[0].optimizer: warmup_fraction", id="warmup-fraction-negative"),
+    pytest.param(_set(("stages",), []), "config: stages must hold exactly four plans",
+                 id="stages-empty"),
+    # settings derived from other fields: teacher width, sequence length, stage number
+    pytest.param(_set(("teacher_dim",), 64), "unknown config fields: ['teacher_dim']",
+                 id="teacher-dim-field"),
+    pytest.param(_set(("max_seq_len",), 16), "unknown config fields: ['max_seq_len']",
+                 id="max-seq-len-field"),
+    pytest.param(_set(("stages", 0, "stage"), 1), "unknown config fields in stages[0]: ['stage']",
+                 id="stage-number-field"),
 ]
 
 
 class TestPipelineConfig:
     def test_stage_order_enforced(self, corpus_dir, tmp_path):
         plans = default_stage_plans()
-        with pytest.raises(ConfigError, match="1, 2, 3, 4"):
-            micro_cfg(corpus_dir, tmp_path, stages=plans[::-1])
-        with pytest.raises(ConfigError, match="1, 2, 3, 4"):
-            micro_cfg(corpus_dir, tmp_path, stages=plans[:3])
+        for wrong in (plans[:3], plans + plans[:1]):
+            with pytest.raises(ConfigError, match="exactly four plans"):
+                micro_cfg(corpus_dir, tmp_path, stages=wrong)
+        # position k-1 is stage k
+        cfg = micro_cfg(corpus_dir, tmp_path, stages=plans[::-1])
+        assert [cfg.plan(k).epochs for k in (1, 2, 3, 4)] == [15, 5, 5, 5]
 
     def test_variant_checked(self, corpus_dir, tmp_path):
         with pytest.raises(ConfigError, match="variant"):
             micro_cfg(corpus_dir, tmp_path, variant="smooth")
-
-    def test_teacher_dim_must_match_hidden(self, corpus_dir, tmp_path):
-        with pytest.raises(ConfigError, match="teacher_dim"):
-            micro_cfg(corpus_dir, tmp_path, teacher_dim=32)
-
-    def test_max_seq_len_bounded_by_positions(self, corpus_dir, tmp_path):
-        with pytest.raises(ConfigError, match="position"):
-            micro_cfg(corpus_dir, tmp_path, max_seq_len=13)
 
     def test_round_trip_and_unknown_fields(self, corpus_dir, tmp_path):
         cfg = micro_cfg(corpus_dir, tmp_path)
@@ -210,6 +210,7 @@ class TestPipelineConfig:
         assert cfg.student.effective_depth == 4
         assert cfg.assistant.distinct_layers == 4
         assert cfg.seed == 42
+        assert cfg.max_seq_len == 16
 
     def test_toy_config_json_is_pinned(self):
         text = json.dumps(toy_config("c", "o", sts_path="s.tsv").to_dict(), indent=2)
@@ -314,14 +315,11 @@ TOY_CONFIG_JSON = """\
   },
   "sts_path": "s.tsv",
   "seed": 42,
-  "teacher_dim": 64,
   "teacher_seed": 0,
-  "max_seq_len": 16,
   "variant": "mcl",
   "ce_temperature": 0.05,
   "stages": [
     {
-      "stage": 1,
       "epochs": 5,
       "batch_size": 64,
       "optimizer": {
@@ -331,7 +329,6 @@ TOY_CONFIG_JSON = """\
       }
     },
     {
-      "stage": 2,
       "epochs": 5,
       "batch_size": 64,
       "optimizer": {
@@ -341,7 +338,6 @@ TOY_CONFIG_JSON = """\
       }
     },
     {
-      "stage": 3,
       "epochs": 5,
       "batch_size": 64,
       "optimizer": {
@@ -351,7 +347,6 @@ TOY_CONFIG_JSON = """\
       }
     },
     {
-      "stage": 4,
       "epochs": 15,
       "batch_size": 64,
       "optimizer": {

@@ -1,5 +1,7 @@
 """Size formulas against published table values and live registries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,17 +61,7 @@ class TestEmbeddingSize:
                 continue
             v, h, b = preset.vocab_size, preset.hidden, preset.bottleneck
             if b < v * h / (v + h):
-                full = embedding_size(
-                    SizePreset(
-                        name="tmp", vocab_size=v, hidden=h,
-                        ffn_size=preset.ffn_size, max_positions=preset.max_positions,
-                        token_type_count=preset.token_type_count, layers=preset.layers,
-                        bottleneck=None,
-                        include_positional=preset.include_positional,
-                        include_token_type=preset.include_token_type,
-                        include_embedding_layernorm=preset.include_embedding_layernorm,
-                    )
-                )
+                full = embedding_size(replace(preset, bottleneck=None))
                 assert embedding_size(preset) < full, name
 
 
@@ -117,8 +109,7 @@ class TestRegistryAudit:
         base = dict(
             name="x", vocab_size=64, hidden=16, ffn_size=32, max_positions=10,
             token_type_count=0, layers=2,
-            include_positional=False, include_token_type=False,
-            include_embedding_layernorm=False,
+            include_embedding_extras=False,
         )
         full = embedding_size(SizePreset(bottleneck=None, **base))
         factored = embedding_size(SizePreset(bottleneck=16, **base))
