@@ -37,11 +37,11 @@ about zero. The setting applies to the whole process that imports
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, NumericError
 
@@ -452,16 +452,21 @@ def _erf_float32(x: Array) -> Array:
     return out
 
 
+# erf of a float64 array: the standard library's, elementwise. np.vectorize
+# keeps a 0-d input an array (np.frompyfunc would return a Python float).
+_erf_float64 = np.vectorize(math.erf, otypes=[np.float64])
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU.
 
     Float32 inputs use `_erf_float32`; float64, the verification width,
-    uses scipy's erf.
+    uses the standard library's `math.erf` elementwise (`_erf_float64`).
     """
     x = a.data
     width = x.dtype.type
     z = x * width(_INV_SQRT2)
-    phi = _erf_float32(z) if x.dtype == np.float32 else erf(z)
+    phi = _erf_float32(z) if x.dtype == np.float32 else _erf_float64(z)
     phi += 1.0
     phi *= 0.5
     out_data = x * phi

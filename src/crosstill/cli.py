@@ -8,7 +8,7 @@ contract or configuration violations, 2 for I/O and format problems.
 
 Training commands read a JSON config file mirroring PipelineConfig; any
 field can be overridden on the command line with a dotted flag, e.g.
-`--student.bottleneck_size 16` or `--stages.3.epochs 30`.
+`--seed 9`, `--student.bottleneck_size 16` or `--stages.3.epochs 30`.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +42,6 @@ from .rng import stream
 from .sizes import PRESETS, model_report
 
 GRAD_TOLERANCE = 1e-6
-SEED_ENV_VAR = "CROSSTILL_SEED"
 
 
 def _say(message: str) -> None:
@@ -53,19 +50,6 @@ def _say(message: str) -> None:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
-
-
-def resolve_seed(flag_value: int | None) -> int:
-    """Explicit flag wins, then the environment, then 0."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
 
 
 # -- dotted config overrides ------------------------------------------------
@@ -121,27 +105,25 @@ def _override_key(node, part: str, dotted: str):
     return index
 
 
-def _load_config(path: str, extras: list[str], seed_flag: int | None) -> PipelineConfig:
+def _load_config(path: str, extras: list[str]) -> PipelineConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"config {path} is not valid JSON: {exc}")
-    raw = apply_overrides(raw, extras)
-    cfg = PipelineConfig.from_dict(raw)
-    if seed_flag is not None or os.environ.get(SEED_ENV_VAR) is not None:
-        cfg = replace(cfg, seed=resolve_seed(seed_flag))
-    return cfg
+    return PipelineConfig.from_dict(apply_overrides(raw, extras))
 
 
 # -- subcommand handlers ----------------------------------------------------
 
 
 def _cmd_gen_corpus(args, extras) -> int:
-    seed = resolve_seed(args.seed)
-    vocab = VocabSpec.create(tokens_per_language=args.tokens_per_language, seed=seed)
-    splits = tuple(float(s) for s in args.splits.split(","))
+    try:
+        splits = tuple(float(s) for s in args.splits.split(","))
+    except ValueError:
+        raise ConfigError(f"--splits must be comma-separated fractions, got {args.splits!r}")
+    vocab = VocabSpec.create(tokens_per_language=args.tokens_per_language, seed=args.seed)
     paths = gen_parallel_corpus(
-        seed=seed, n_pairs=args.pairs, vocab=vocab,
+        seed=args.seed, n_pairs=args.pairs, vocab=vocab,
         length_range=(args.min_len, args.max_len),
         out_dir=args.out, splits=splits,
     )
@@ -155,11 +137,10 @@ def _cmd_gen_corpus(args, extras) -> int:
 
 
 def _cmd_gen_sts(args, extras) -> int:
-    seed = resolve_seed(args.seed)
     vocab = VocabSpec.from_manifest(args.vocab)
     oracle = OracleSemantics.create(vocab, dim=args.dim, seed=args.oracle_seed)
     path = gen_sts_set(
-        seed=seed, n_examples=args.examples, oracle=oracle,
+        seed=args.seed, n_examples=args.examples, oracle=oracle,
         out_path=args.out, length_range=(args.min_len, args.max_len),
     )
     _say(f"similarity set written to {path}")
@@ -168,7 +149,7 @@ def _cmd_gen_sts(args, extras) -> int:
 
 
 def _cmd_train(args, extras) -> int:
-    cfg = _load_config(args.config, extras, args.seed)
+    cfg = _load_config(args.config, extras)
     stage = args.stage
     if stage == "all":
         result = run_pipeline(cfg)
@@ -295,12 +276,11 @@ GRAD_CHECK_LOSSES = ("anchor", "pairwise", "mcl", "bool", "ce", "stage4")
 
 
 def _cmd_grad_check(args, extras) -> int:
-    seed = resolve_seed(args.seed)
     dtype = np.float64 if args.width == "64bit" else np.float32
     names = GRAD_CHECK_LOSSES if args.loss == "all" else (args.loss,)
     worst = 0.0
     for name in names:
-        loss_fn, params = _grad_check_cases(name, args.batch, args.dim, seed, dtype)
+        loss_fn, params = _grad_check_cases(name, args.batch, args.dim, args.seed, dtype)
         report = finite_diff_check(
             loss_fn, params, allow_float32=(args.width == "32bit")
         )
@@ -317,7 +297,7 @@ def _cmd_grad_check(args, extras) -> int:
 
 
 def _cmd_sweep_depth(args, extras) -> int:
-    cfg = _load_config(args.config, extras, args.seed)
+    cfg = _load_config(args.config, extras)
     try:
         depths = [int(d) for d in args.depths.split(",") if d.strip()]
     except ValueError:
@@ -346,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-corpus", help="generate a paired two-language corpus")
     p.add_argument("--out", required=True, help="directory for train/dev/test TSVs and vocab.json")
-    p.add_argument("--seed", type=int, default=None, help="generation seed (default: env or 0)")
+    p.add_argument("--seed", type=int, default=0, help="generation seed")
     p.add_argument("--pairs", type=int, default=3000, help="number of sentence pairs")
     p.add_argument("--tokens-per-language", type=int, default=512, help="vocabulary size per language")
     p.add_argument("--min-len", type=int, default=3, help="minimum sentence length")
@@ -357,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-sts", help="generate a scored sentence-similarity set")
     p.add_argument("--vocab", required=True, help="path to a corpus vocab.json manifest")
     p.add_argument("--out", required=True, help="output TSV path")
-    p.add_argument("--seed", type=int, default=None, help="generation seed (default: env or 0)")
+    p.add_argument("--seed", type=int, default=0, help="generation seed")
     p.add_argument("--examples", type=int, default=128, help="number of scored pairs")
     p.add_argument("--dim", type=int, default=64, help="scoring-table embedding width")
     p.add_argument("--oracle-seed", type=int, default=0, help="scoring-table seed; must match training teacher_seed")
@@ -370,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", default="all",
                    choices=["all", "1", "2", "3", "4", "random_init", "pre_distill"],
                    help="which stage or baseline mode to run")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(handler=_cmd_train, allow_overrides=True)
 
     p = sub.add_parser("eval", help="score a checkpoint on retrieval and similarity")
@@ -395,13 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="float width for the check")
     p.add_argument("--batch", type=int, default=4, help="rows per input tensor")
     p.add_argument("--dim", type=int, default=8, help="columns per input tensor")
-    p.add_argument("--seed", type=int, default=None, help="input sampling seed (default: env or 0)")
+    p.add_argument("--seed", type=int, default=0, help="input sampling seed")
     p.set_defaults(handler=_cmd_grad_check, allow_overrides=False)
 
     p = sub.add_parser("sweep-depth", help="train the direct baseline at several depths")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--depths", default="1,2,4", help="comma-separated layer counts")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(handler=_cmd_sweep_depth, allow_overrides=True)
 
     return parser

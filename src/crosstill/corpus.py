@@ -350,7 +350,7 @@ def gen_parallel_corpus(
     """
     if n_pairs < 1:
         raise ContractError("n_pairs must be at least 1")
-    if len(splits) != 3 or any(s < 0 for s in splits) or abs(sum(splits) - 1.0) > 1e-9:
+    if len(splits) != 3 or any(s < 0 for s in splits) or not abs(sum(splits) - 1.0) <= 1e-9:
         raise ContractError(f"splits must be three non-negative fractions summing to 1, got {splits}")
     rng = stream(seed, "parallel-corpus")
     sentences = _draw_sentences(rng, vocab, n_pairs, length_range)

@@ -132,6 +132,8 @@ def retrieval_accuracy(encoder, pairs: list[ParallelPair], block_size: int = 64)
     nearest target row by cosine; the score is the fraction retrieving their
     own translation. Trailing pairs short of a full block are dropped.
     """
+    if block_size < 1:
+        raise ContractError(f"retrieval block_size must be at least 1, got {block_size}")
     if len(pairs) < block_size:
         raise ContractError(
             f"retrieval needs at least one full block of {block_size}, got {len(pairs)}"

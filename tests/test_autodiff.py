@@ -244,6 +244,31 @@ class TestNonlinear:
         assert np.signbit(got[:2]).tolist() == [False, True]
         assert np.isnan(got[4])
 
+    def test_float64_erf_special_values(self):
+        got = ad._erf_float64(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got[:4], [0.0, -0.0, 1.0, -1.0])
+        assert np.signbit(got[:2]).tolist() == [False, True]
+        assert np.isnan(got[4])
+
+    def test_gelu_float64_special_values_match_float32(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):  # -inf * (1 + erf(-inf)) is -inf * 0
+            got = ad.gelu(Tensor(x)).data
+            got32 = ad.gelu(Tensor(x.astype(np.float32))).data
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got[:3], [0.0, -0.0, np.inf])
+        assert np.signbit(got[:2]).tolist() == [False, True]
+        assert np.isnan(got[4])
+        np.testing.assert_array_equal(got, got32)
+
+    def test_gelu_float64_zero_dim_and_empty(self):
+        out = ad.gelu(Tensor(np.array(0.5)))
+        assert out.shape == () and out.data.dtype == np.float64
+        np.testing.assert_allclose(out.data, 0.25 * (1.0 + erf(0.5 / np.sqrt(2.0))), rtol=1e-15)
+        empty = ad.gelu(Tensor(np.zeros((0, 3))))
+        assert empty.shape == (0, 3) and empty.data.dtype == np.float64
+
     def test_clip_min_gradient_masks_floor(self):
         a = Tensor(np.array([0.5, 2.0, -1.0], dtype=np.float64), requires_grad=True)
         out = ad.clip_min(a, 1.0)

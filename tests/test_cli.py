@@ -60,6 +60,13 @@ def config_path(cli_corpus, tmp_path):
     return path
 
 
+@pytest.fixture()
+def untrained_checkpoint(tmp_path):
+    checkpoint = tmp_path / "untrained.xdst"
+    save_checkpoint(SentenceEncoder.init(micro_assistant(), seed=0), checkpoint)
+    return checkpoint
+
+
 class TestParserSurface:
     def test_all_subcommands_present(self):
         parser = build_parser()
@@ -141,19 +148,23 @@ class TestGenerators:
                 "--tokens-per-language", "32")
         assert (a / "train.tsv").read_bytes() == (b / "train.tsv").read_bytes()
 
-    def test_seed_env_var_used(self, tmp_path, capsys, monkeypatch):
-        flagged, env = tmp_path / "flagged", tmp_path / "env"
-        run_cli("gen-corpus", "--out", str(flagged), "--seed", "7", "--pairs", "50",
+    def test_seed_defaults_to_zero(self, tmp_path, capsys):
+        seeded, default = tmp_path / "seeded", tmp_path / "default"
+        run_cli("gen-corpus", "--out", str(seeded), "--seed", "0", "--pairs", "50",
                 "--tokens-per-language", "32")
-        monkeypatch.setenv("CROSSTILL_SEED", "7")
-        run_cli("gen-corpus", "--out", str(env), "--pairs", "50",
+        run_cli("gen-corpus", "--out", str(default), "--pairs", "50",
                 "--tokens-per-language", "32")
-        assert (flagged / "train.tsv").read_bytes() == (env / "train.tsv").read_bytes()
+        assert (seeded / "train.tsv").read_bytes() == (default / "train.tsv").read_bytes()
 
-    def test_bad_seed_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CROSSTILL_SEED", "many")
+    @pytest.mark.parametrize("splits, named", [
+        ("a,b,c", "--splits must be comma-separated fractions, got 'a,b,c'"),
+        ("nan,0.5,0.5", "splits must be three non-negative fractions summing to 1"),
+    ], ids=["not-numbers", "nan"])
+    def test_bad_splits_exit_1(self, tmp_path, capsys, splits, named):
         assert run_cli("gen-corpus", "--out", str(tmp_path / "x"), "--pairs", "10",
-                       "--tokens-per-language", "32") == 1
+                       "--tokens-per-language", "32", "--splits", splits) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
     def test_gen_sts_from_manifest(self, cli_corpus, tmp_path, capsys):
         out = tmp_path / "sts.tsv"
@@ -194,6 +205,23 @@ class TestTrain:
             assert result.returncode == 0, result.stderr
             digests.append(json.loads(result.stdout.splitlines()[-1])["checkpoint_sha256"])
         assert digests[0] == digests[1]
+
+    def test_seed_flag_equals_config_seed(self, config_path, tmp_path, capsys):
+        assert run_cli("train", "--config", str(config_path), "--seed", "9",
+                       "--out_dir", str(tmp_path / "flag")) == 0
+        flagged = json.loads(capsys.readouterr().out)["checkpoint"]
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw.update(seed=9, out_dir=str(tmp_path / "file"))
+        seeded = tmp_path / "seed9.json"
+        seeded.write_text(json.dumps(raw), encoding="utf-8")
+        assert run_cli("train", "--config", str(seeded)) == 0
+        from_file = json.loads(capsys.readouterr().out)["checkpoint"]
+        assert Path(flagged).read_bytes() == Path(from_file).read_bytes()
+
+    def test_non_integer_seed_rejected(self, config_path, capsys):
+        assert run_cli("train", "--config", str(config_path), "--seed", "abc") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed must be int" in err[0]
 
     def test_dotted_override_changes_run(self, config_path, tmp_path, capsys):
         over = tmp_path / "over"
@@ -292,19 +320,29 @@ class TestEval:
                             length_range=(5, 5))
         assert run_cli("eval", "--checkpoint", checkpoint, "--corpus", str(other)) == 1
 
+    @pytest.mark.parametrize("block_size", ["0", "-5"])
+    def test_block_size_below_one_exits_1(self, untrained_checkpoint, cli_corpus, block_size):
+        result = subprocess.run(
+            [sys.executable, "-m", "crosstill", "eval", "--checkpoint", str(untrained_checkpoint),
+             "--corpus", str(cli_corpus), "--block-size", block_size],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), result.stderr
+        assert f"block_size must be at least 1, got {block_size}" in err[0]
+
 
 class TestMalformedCorpusFiles:
     """`eval` on a broken split or manifest: exit 2, one `error:` line, no traceback."""
 
     @pytest.fixture()
-    def broken_corpus(self, cli_corpus, tmp_path):
-        checkpoint = tmp_path / "untrained.xdst"
-        save_checkpoint(SentenceEncoder.init(micro_assistant(), seed=0), checkpoint)
+    def broken_corpus(self, cli_corpus, untrained_checkpoint, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         for name in ("vocab.json", "test.tsv"):
             (corpus / name).write_bytes((cli_corpus / name).read_bytes())
-        return checkpoint, corpus
+        return untrained_checkpoint, corpus
 
     def run_eval(self, checkpoint, corpus, *extra):
         return subprocess.run(

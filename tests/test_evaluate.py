@@ -275,6 +275,13 @@ class TestRetrievalAccuracy:
         with pytest.raises(ContractError, match="full block"):
             retrieval_accuracy(self._embedder(vocab), pairs, block_size=64)
 
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_block_size_below_one_rejected(self, small_world, block_size):
+        vocab, _ = small_world
+        pairs = _first_token_pairs(vocab, 64)
+        with pytest.raises(ContractError, match="block_size must be at least 1"):
+            retrieval_accuracy(self._embedder(vocab), pairs, block_size=block_size)
+
 
 class TestEmbedSentences:
     def test_empty_rejected(self):

@@ -1,9 +1,10 @@
-"""Declared dependencies match what the package imports, and the benchmark's
-bindings into the package resolve."""
+"""Declared dependencies match what the package and its tests import, and the
+benchmark's bindings into the package resolve."""
 
 import ast
 import importlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,9 +15,9 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _imported_top_level_modules() -> set[str]:
+def _imported_top_level_modules(directory: Path = ROOT / "src" / "crosstill") -> set[str]:
     found = set()
-    for path in (ROOT / "src" / "crosstill").glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 found.update(alias.name.split(".")[0] for alias in node.names)
@@ -33,6 +34,37 @@ def test_third_party_imports_equal_declared_dependencies():
     }
     third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"crosstill"}
     assert third_party == declared
+
+
+def _requirement_names(specs: list[str]) -> set[str]:
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_") for spec in specs}
+
+
+def test_test_imports_equal_declared_test_dependencies():
+    """What tests/*.py import from outside the standard library, the package and
+    each other is exactly the runtime dependencies plus the `test` extra."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = _requirement_names(
+        project["dependencies"] + project["optional-dependencies"]["test"]
+    )
+    tests = ROOT / "tests"
+    local = {path.stem for path in tests.glob("*.py")}
+    third_party = (
+        _imported_top_level_modules(tests) - set(sys.stdlib_module_names) - {"crosstill"} - local
+    )
+    assert third_party == declared
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test dependency only: importing the package must not load it."""
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, crosstill; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 BENCH = ROOT / "bench"
