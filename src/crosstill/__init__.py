@@ -76,7 +76,6 @@ from .pipeline import (
 )
 from .rng import stream
 from .sizes import PRESETS, SizePreset, SizeReport, audit_registry, model_report
-from .validation import validate_corpus_dir, validate_run_artifacts
 
 __version__ = "0.1.0"
 
@@ -138,8 +137,6 @@ __all__ = [
     "sts_evaluate",
     "toy_config",
     "unroll",
-    "validate_corpus_dir",
-    "validate_run_artifacts",
     "zero_grads",
     "__version__",
 ]

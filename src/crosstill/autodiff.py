@@ -462,6 +462,7 @@ def gelu(a: Tensor) -> Tensor:
 
     Float32 inputs use `_erf_float32`; float64, the verification width,
     uses the standard library's `math.erf` elementwise (`_erf_float64`).
+    GELU(-inf) is 0, its limit.
     """
     x = a.data
     width = x.dtype.type
@@ -469,7 +470,10 @@ def gelu(a: Tensor) -> Tensor:
     phi = _erf_float32(z) if x.dtype == np.float32 else _erf_float64(z)
     phi += 1.0
     phi *= 0.5
-    out_data = x * phi
+    # -inf * 0 is NaN. Raised to the lowest finite value, -inf gives -0.0, as
+    # every finite x with phi 0 does; finite x are left as they are.
+    out_data = np.maximum(x, np.finfo(x.dtype).min)
+    out_data *= phi
 
     def vjp(g: Array):
         pdf = width(_INV_SQRT_2PI) * np.exp(-0.5 * x * x)

@@ -231,7 +231,6 @@ def _preset_encoder_config(preset):
         vocab_size=preset.vocab_size, hidden=preset.hidden,
         ffn_size=preset.ffn_size, heads=max(1, preset.hidden // 64),
         distinct_layers=preset.layers, recurrence_count=1,
-        bottleneck_enabled=preset.bottleneck is not None,
         bottleneck_size=preset.bottleneck, max_positions=preset.max_positions,
     )
 
@@ -276,6 +275,9 @@ GRAD_CHECK_LOSSES = ("anchor", "pairwise", "mcl", "bool", "ce", "stage4")
 
 
 def _cmd_grad_check(args, extras) -> int:
+    for flag, value in (("--batch", args.batch), ("--dim", args.dim)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     dtype = np.float64 if args.width == "64bit" else np.float32
     names = GRAD_CHECK_LOSSES if args.loss == "all" else (args.loss,)
     worst = 0.0

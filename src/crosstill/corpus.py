@@ -106,19 +106,6 @@ class VocabSpec:
         out[lang1] = self.lang2_start + self.cipher[ids[lang1] - self.lang1_start]
         return out
 
-    def decipher_ids(self, ids) -> np.ndarray:
-        """Inverse cipher: language-2 content ids back to language-1."""
-        ids = np.asarray(ids, dtype=np.int64)
-        out = ids.copy()
-        lang2 = (ids >= self.lang2_start) & (ids < self.vocab_size)
-        bad = ((ids >= self.lang1_start) & (ids < self.lang2_start)) | (ids < 0) | (
-            ids >= self.vocab_size
-        )
-        if bad.any():
-            raise ContractError("decipher_ids: input must contain only specials and language-2 ids")
-        out[lang2] = self.lang1_start + self._inverse[ids[lang2] - self.lang2_start]
-        return out
-
     def to_lang1_ids(self, ids) -> np.ndarray:
         """Normalize mixed content to language 1 (specials untouched)."""
         ids = np.asarray(ids, dtype=np.int64)
@@ -257,6 +244,8 @@ class OracleSemantics:
 
     @classmethod
     def create(cls, vocab: VocabSpec, dim: int = 64, seed: int = 0) -> "OracleSemantics":
+        if dim < 1:
+            raise ContractError(f"dim must be at least 1, got {dim}")
         rng = stream(seed, "oracle-concepts")
         table = rng.standard_normal((vocab.tokens_per_language, dim))
         return cls(concept_vectors=table, vocab=vocab, seed=seed)

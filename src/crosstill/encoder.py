@@ -34,7 +34,6 @@ class EncoderConfig:
     heads: int
     distinct_layers: int
     recurrence_count: int = 1
-    bottleneck_enabled: bool = False
     bottleneck_size: int | None = None
     max_positions: int = 16
     layernorm_eps: float = 1e-12
@@ -50,13 +49,15 @@ class EncoderConfig:
             raise ConfigError("distinct_layers and recurrence_count must be at least 1")
         if self.max_positions < 3:
             raise ConfigError("max_positions must be at least 3")
-        if self.bottleneck_enabled:
-            if self.bottleneck_size is None or self.bottleneck_size < 1:
-                raise ConfigError("bottleneck_enabled requires a positive bottleneck_size")
-        elif self.bottleneck_size is not None:
-            raise ConfigError("bottleneck_size given but bottleneck_enabled is false")
+        if self.bottleneck_size is not None and self.bottleneck_size < 1:
+            raise ConfigError("bottleneck_size must be positive, or null for no bottleneck")
         if self.layernorm_eps <= 0:
             raise ConfigError("layernorm_eps must be positive")
+
+    @property
+    def bottleneck_enabled(self) -> bool:
+        """Whether tokens pass through the V×B table and B→H projection."""
+        return self.bottleneck_size is not None
 
     @property
     def effective_depth(self) -> int:
@@ -74,7 +75,6 @@ _JSON_TYPES = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
     "None": lambda v: v is None,
 }
 
@@ -294,17 +294,13 @@ class SentenceEncoder:
                 x = self._layer(j, x, key_bias)
         return self._pool(x, mask)
 
-    def embedding_output(self, ids, mask, pooled: bool = True) -> Tensor:
-        """Token states straight after the embedding stack (projection + norm).
+    def embedding_output(self, ids, mask) -> Tensor:
+        """Mean-pooled token states straight after the embedding stack (projection + norm).
 
-        This is the tap point the second distillation stage aligns. Pooled by
-        default; `pooled=False` returns the per-token N×L×H states.
+        This is the tap point the second distillation stage aligns.
         """
         ids, mask = self._check_inputs(ids, mask)
-        x = self._embed(ids)
-        if pooled:
-            return self._pool(x, mask)
-        return x
+        return self._pool(self._embed(ids), mask)
 
 
 def init_student_from_assistant(

@@ -125,7 +125,6 @@ class PipelineConfig:
     variant: str = "mcl"
     ce_temperature: float = 0.05
     stages: tuple[StagePlan, ...] = field(default_factory=default_stage_plans)
-    eval_every_epoch: bool = True
 
     def __post_init__(self):
         self.stages = tuple(self.stages)
@@ -167,8 +166,7 @@ def toy_config(corpus_dir, out_dir, sts_path=None, seed: int = 42) -> PipelineCo
     )
     student = EncoderConfig(
         vocab_size=vocab_size, hidden=64, ffn_size=128, heads=4,
-        distinct_layers=2, recurrence_count=2,
-        bottleneck_enabled=True, bottleneck_size=16, max_positions=16,
+        distinct_layers=2, recurrence_count=2, bottleneck_size=16, max_positions=16,
     )
     return PipelineConfig(
         corpus_dir=str(corpus_dir), out_dir=str(out_dir),
@@ -231,7 +229,10 @@ class MetricsLog:
 
     @classmethod
     def read(cls, path) -> "MetricsLog":
-        """Load an existing log without modifying its file; a malformed line raises ParseError."""
+        """Load an existing log without modifying its file.
+
+        A malformed line, or a NaN or infinite loss, raises ParseError.
+        """
         log = cls.__new__(cls)
         log._start(path)
         for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
@@ -246,6 +247,8 @@ class MetricsLog:
                     and type(record.get("loss")) in (int, float)):
                 raise ParseError("not a UTF-8 JSON object with a string or integer stage, "
                                  "an integer epoch and a numeric loss", line_no, path)
+            if isinstance(record["loss"], float) and not np.isfinite(record["loss"]):
+                raise ParseError(f"non-finite loss {record['loss']}", line_no, path)
             log._admit(record)
         return log
 
@@ -265,9 +268,8 @@ class CorpusBundle:
     sts_examples: list | None
 
 
-def read_corpus_dir(corpus_dir) -> tuple[VocabSpec, dict[str, list[ParallelPair]]]:
-    """The vocabulary manifest and every split of a generated corpus directory."""
-    corpus_dir = Path(corpus_dir)
+def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
+    corpus_dir = Path(cfg.corpus_dir)
     manifest = corpus_dir / "vocab.json"
     if not manifest.exists():
         raise ConfigError(f"no vocabulary manifest at {manifest}")
@@ -278,11 +280,6 @@ def read_corpus_dir(corpus_dir) -> tuple[VocabSpec, dict[str, list[ParallelPair]
         if not path.exists():
             raise ConfigError(f"missing corpus split {path}")
         splits[name] = read_parallel_tsv(path, vocab)
-    return vocab, splits
-
-
-def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
-    vocab, splits = read_corpus_dir(cfg.corpus_dir)
     if vocab.vocab_size != cfg.assistant.vocab_size:
         raise ConfigError(
             f"corpus vocabulary has {vocab.vocab_size} ids but the assistant "
@@ -497,11 +494,10 @@ def run_stage(
                 for key, part in loss.components.items():
                     total_components[key] = total_components.get(key, 0.0) + part * batch.size
             n = len(bundle.train_pairs)
-            snapshot = _eval_snapshot(trainable, bundle) if cfg.eval_every_epoch else None
             log.append(
                 stage=spec.label, epoch=epoch, loss=total / n,
                 loss_components={k: v / n for k, v in total_components.items()},
-                eval_snapshot=snapshot,
+                eval_snapshot=_eval_snapshot(trainable, bundle),
             )
             save_checkpoint(trainable, out_path)
 
@@ -645,8 +641,7 @@ def depth_sweep(cfg: PipelineConfig, depths: list[int]) -> list[DepthPoint]:
     points = []
     for depth in depths:
         flat = replace(cfg, student=replace(
-            cfg.student, distinct_layers=depth, recurrence_count=1,
-            bottleneck_enabled=False, bottleneck_size=None,
+            cfg.student, distinct_layers=depth, recurrence_count=1, bottleneck_size=None,
         ))
         row = replace(RANDOM_INIT[0], checkpoint=f"single_random_d{depth}.xdst")
         result = _run_table(flat, (row,), f"metrics_random_init_d{depth}.jsonl")

@@ -128,7 +128,7 @@ def preset_from_config(cfg: EncoderConfig, name: str = "live") -> SizePreset:
         max_positions=cfg.max_positions,
         token_type_count=0,
         layers=cfg.distinct_layers,
-        bottleneck=cfg.bottleneck_size if cfg.bottleneck_enabled else None,
+        bottleneck=cfg.bottleneck_size,
     )
 
 

@@ -402,7 +402,6 @@ def determinism_world(tmp_path_factory):
     raw["student"].update(vocab_size=100, hidden=16, ffn_size=32, heads=2,
                           distinct_layers=1, recurrence_count=2,
                           bottleneck_size=8, max_positions=12)
-    raw["eval_every_epoch"] = False
     for plan in raw["stages"]:
         plan["epochs"] = 1
         plan["batch_size"] = 50

@@ -8,6 +8,7 @@ float64. A handful of cases also verify forward values against plain numpy.
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,13 +254,15 @@ class TestNonlinear:
 
     def test_gelu_float64_special_values_match_float32(self):
         x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
-        with np.errstate(invalid="ignore"):  # -inf * (1 + erf(-inf)) is -inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = ad.gelu(Tensor(x)).data
             got32 = ad.gelu(Tensor(x.astype(np.float32))).data
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got[:3], [0.0, -0.0, np.inf])
-        assert np.signbit(got[:2]).tolist() == [False, True]
-        assert np.isnan(got[4])
+        assert got.dtype == np.float64 and got32.dtype == np.float32
+        for out in (got, got32):
+            np.testing.assert_array_equal(out[:4], [0.0, -0.0, np.inf, 0.0])
+            assert np.signbit(out[:2]).tolist() == [False, True]
+            assert np.isnan(out[4])
         np.testing.assert_array_equal(got, got32)
 
     def test_gelu_float64_zero_dim_and_empty(self):

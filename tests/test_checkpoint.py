@@ -17,7 +17,7 @@ def make_encoder(dtype=np.float32, **overrides):
     base = dict(
         vocab_size=20, hidden=8, ffn_size=16, heads=2,
         distinct_layers=2, recurrence_count=2, max_positions=10,
-        bottleneck_enabled=True, bottleneck_size=4,
+        bottleneck_size=4,
     )
     base.update(overrides)
     return SentenceEncoder.init(EncoderConfig(**base), seed=3, dtype=dtype)
@@ -174,6 +174,21 @@ class TestValidation:
         )
         with pytest.raises(FormatError, match="invalid config blob") as info:
             load_checkpoint(path)
+        assert info.value.offset == 17
+
+    def test_bottleneck_enabled_key_rejected(self, tmp_path):
+        """A file written while `bottleneck_enabled` was a config field fails the schema."""
+        path, blob = self.write_good(tmp_path)
+        cfg_len = struct.unpack("<Q", blob[9:17])[0]
+        old_cfg = json.loads(blob[17:17 + cfg_len])
+        old_cfg["bottleneck_enabled"] = old_cfg["bottleneck_size"] is not None
+        new_cfg = json.dumps(old_cfg, sort_keys=True).encode("utf-8")
+        path.write_bytes(
+            blob[:9] + struct.pack("<Q", len(new_cfg)) + new_cfg + blob[17 + cfg_len:]
+        )
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(path)
+        assert "unknown encoder config fields: ['bottleneck_enabled']" in str(info.value)
         assert info.value.offset == 17
 
     def test_undecodable_tensor_name_reports_header_offset(self, tmp_path):

@@ -13,13 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from crosstill.checkpoint import save_checkpoint
+from crosstill.checkpoint import load_checkpoint, save_checkpoint
 from crosstill.cli import apply_overrides, build_parser, parse_and_dispatch
 from crosstill.corpus import OracleSemantics, VocabSpec, gen_parallel_corpus, gen_sts_set
 from crosstill.encoder import SentenceEncoder
 from crosstill.errors import ConfigError, FormatError
-from crosstill.pipeline import PipelineConfig, default_stage_plans
-from crosstill.validation import validate_run_artifacts
+from crosstill.pipeline import MetricsLog, PipelineConfig, default_stage_plans
 
 from test_pipeline import micro_assistant, micro_student
 
@@ -53,7 +52,6 @@ def config_path(cli_corpus, tmp_path):
         assistant=micro_assistant(), student=micro_student(),
         sts_path=str(cli_corpus / "sts.tsv"), seed=11, teacher_seed=0,
         stages=default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50),
-        eval_every_epoch=False,
     )
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict(), sort_keys=True), encoding="utf-8")
@@ -226,8 +224,7 @@ class TestTrain:
     def test_dotted_override_changes_run(self, config_path, tmp_path, capsys):
         over = tmp_path / "over"
         code = run_cli("train", "--config", str(config_path),
-                       "--out_dir", str(over), "--stages.0.epochs", "0",
-                       "--eval_every_epoch", "false")
+                       "--out_dir", str(over), "--stages.0.epochs", "0")
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["records"] == 3
@@ -289,9 +286,10 @@ class TestTrain:
         for stage in ("1", "2", "3", "4"):
             assert run_cli("train", "--config", str(config_path), "--stage", stage) == 0
         out_dir = Path(json.loads(config_path.read_text())["out_dir"])
-        summary = validate_run_artifacts(out_dir)
-        assert set(summary["checkpoints"]) == {"stage1", "stage2", "stage3", "stage4"}
-        assert summary["per_stage"] == {1: 1, 2: 1, 3: 1, 4: 1}
+        for k in (1, 2, 3, 4):
+            load_checkpoint(out_dir / f"stage{k}.xdst")
+            records = MetricsLog.read(out_dir / f"metrics_stage{k}.jsonl").records
+            assert [(r["stage"], r["epoch"]) for r in records] == [(k, 1)]
 
     def test_single_stage_mode(self, config_path, capsys):
         code = run_cli("train", "--config", str(config_path), "--stage", "random_init")
@@ -427,7 +425,6 @@ class TestSweepDepth:
             assistant=micro_assistant(), student=micro_student(),
             sts_path=str(cli_corpus / "sts.tsv"), seed=11, teacher_seed=0,
             stages=default_stage_plans(epochs=(0, 0, 0, 1), batch_size=50),
-            eval_every_epoch=False,
         )
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
@@ -448,3 +445,46 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("toy-assistant\t")
+
+
+def _int_flags() -> list[tuple[str, str]]:
+    sub = build_parser()._subparsers._group_actions[0]
+    return [
+        (command, action.option_strings[0])
+        for command, parser in sub.choices.items()
+        for action in parser._actions if action.type is int
+    ]
+
+
+# every integer flag of every subcommand, plus train's `--seed` override and
+# sweep-depth's integer list
+NUMERIC_FLAGS = _int_flags() + [("train", "--seed"), ("sweep-depth", "--depths")]
+ZERO_EPOCHS = [arg for k in range(4) for arg in (f"--stages.{k}.epochs", "0")]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", NUMERIC_FLAGS,
+                         ids=[f"{c} {f}" for c, f in NUMERIC_FLAGS])
+def test_numeric_flag_at_boundary_exits_cleanly(
+    command, flag, value, cli_corpus, config_path, untrained_checkpoint, tmp_path
+):
+    """0 and -1 either run or exit 1 or 2 with one `error:` line and no traceback."""
+    tiny = {  # the other arguments, each keeping the run small
+        "gen-corpus": ["--out", str(tmp_path / "corpus"), "--pairs", "30",
+                       "--tokens-per-language", "16"],
+        "gen-sts": ["--vocab", str(cli_corpus / "vocab.json"), "--out", str(tmp_path / "sts.tsv"),
+                    "--examples", "6", "--dim", "4"],
+        "train": ["--config", str(config_path), *ZERO_EPOCHS],
+        "eval": ["--checkpoint", str(untrained_checkpoint), "--corpus", str(cli_corpus)],
+        "grad-check": ["--loss", "mcl", "--batch", "2", "--dim", "3"],
+        "sweep-depth": ["--config", str(config_path), *ZERO_EPOCHS],
+    }[command]
+    result = subprocess.run(
+        [sys.executable, "-m", "crosstill", command, *tiny, flag, value],
+        capture_output=True, text=True,
+    )
+    assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr, result.stderr
+    if result.returncode != 0:
+        assert result.returncode in (1, 2), result.stderr
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), result.stderr

@@ -39,18 +39,17 @@ class TestConfig:
             small_cfg(hidden=10, heads=4)
 
     def test_bottleneck_requires_size(self):
-        with pytest.raises(ConfigError, match="bottleneck_size"):
-            small_cfg(bottleneck_enabled=True, bottleneck_size=None)
-
-    def test_bottleneck_size_without_flag_rejected(self):
-        with pytest.raises(ConfigError, match="bottleneck_enabled"):
-            small_cfg(bottleneck_size=8)
+        for size in (0, -1):
+            with pytest.raises(ConfigError, match="bottleneck_size must be positive"):
+                small_cfg(bottleneck_size=size)
+        assert not small_cfg(bottleneck_size=None).bottleneck_enabled
+        assert small_cfg(bottleneck_size=1).bottleneck_enabled
 
     def test_effective_depth(self):
         assert small_cfg(distinct_layers=2, recurrence_count=3).effective_depth == 6
 
     def test_dict_roundtrip(self):
-        cfg = small_cfg(bottleneck_enabled=True, bottleneck_size=8)
+        cfg = small_cfg(bottleneck_size=8)
         assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -58,11 +57,7 @@ class TestRegistry:
     def test_param_count_matches_shapes(self):
         for b in (False, True):
             for m in (1, 2):
-                cfg = small_cfg(
-                    distinct_layers=m,
-                    bottleneck_enabled=b,
-                    bottleneck_size=8 if b else None,
-                )
+                cfg = small_cfg(distinct_layers=m, bottleneck_size=8 if b else None)
                 enc = SentenceEncoder.init(cfg, seed=0)
                 expected = sum(
                     int(np.prod(s)) for s in expected_param_shapes(cfg).values()
@@ -170,17 +165,10 @@ class TestForward:
             enc.encode(np.array([[4, 999]]), np.ones((1, 2)))
 
     def test_bottleneck_forward_shape(self):
-        cfg = small_cfg(bottleneck_enabled=True, bottleneck_size=8)
+        cfg = small_cfg(bottleneck_size=8)
         enc = SentenceEncoder.init(cfg, seed=2)
         ids, mask = batch(stream(2, "bn"), cfg)
         assert enc.encode(ids, mask).shape == (3, cfg.hidden)
-
-    def test_embedding_output_token_mode(self):
-        cfg = small_cfg()
-        enc = SentenceEncoder.init(cfg, seed=1)
-        ids, mask = batch(stream(3, "tok"), cfg, n=2, length=5)
-        per_token = enc.embedding_output(ids, mask, pooled=False)
-        assert per_token.shape == (2, 5, cfg.hidden)
 
 
 class TestStudentInit:
@@ -214,7 +202,7 @@ class TestStudentInit:
 
     def test_bottleneck_embedding_param_count(self):
         assistant = self.assistant(layers=2)
-        cfg = small_cfg(distinct_layers=2, bottleneck_enabled=True, bottleneck_size=16)
+        cfg = small_cfg(distinct_layers=2, bottleneck_size=16)
         student = init_student_from_assistant(assistant, cfg, seed=0)
         v, h = cfg.vocab_size, cfg.hidden
         emb = student.params["embedding.factor"].size + student.params["embedding.proj"].size
@@ -302,7 +290,7 @@ class TestGradients:
         cfg = EncoderConfig(
             vocab_size=12, hidden=8, ffn_size=16, heads=2,
             distinct_layers=1, recurrence_count=2, max_positions=6,
-            bottleneck_enabled=True, bottleneck_size=4,
+            bottleneck_size=4,
         )
         enc = SentenceEncoder.init(cfg, seed=8, dtype=np.float64)
         ids = np.array([[4, 5, 6], [7, 8, 0]])

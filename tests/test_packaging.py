@@ -67,6 +67,15 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_public_names_are_unique_and_bound():
+    """`crosstill.__all__` lists each name once, and every name it lists exists."""
+    import crosstill
+
+    names = crosstill.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(crosstill, name)] == []
+
+
 BENCH = ROOT / "bench"
 
 

@@ -58,7 +58,7 @@ def micro_student() -> EncoderConfig:
     return EncoderConfig(
         vocab_size=VOCAB_SIZE, hidden=16, ffn_size=32, heads=2,
         distinct_layers=1, recurrence_count=2,
-        bottleneck_enabled=True, bottleneck_size=8, max_positions=12,
+        bottleneck_size=8, max_positions=12,
     )
 
 
@@ -82,7 +82,6 @@ def micro_cfg(corpus_dir, out_dir, **overrides) -> PipelineConfig:
         assistant=micro_assistant(), student=micro_student(),
         sts_path=str(corpus_dir / "sts.tsv"), seed=11, teacher_seed=0,
         stages=default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50),
-        eval_every_epoch=False,
     )
     base.update(overrides)
     return PipelineConfig(**base)
@@ -174,6 +173,12 @@ MALFORMED_CONFIGS = [
                  id="max-seq-len-field"),
     pytest.param(_set(("stages", 0, "stage"), 1), "unknown config fields in stages[0]: ['stage']",
                  id="stage-number-field"),
+    pytest.param(_set(("student", "bottleneck_enabled"), True),
+                 "unknown encoder config fields in student: ['bottleneck_enabled']",
+                 id="bottleneck-enabled-field"),
+    # per-epoch evaluation is always on
+    pytest.param(_set(("eval_every_epoch",), False), "unknown config fields: ['eval_every_epoch']",
+                 id="eval-every-epoch-field"),
 ]
 
 
@@ -296,7 +301,6 @@ TOY_CONFIG_JSON = """\
     "heads": 4,
     "distinct_layers": 4,
     "recurrence_count": 1,
-    "bottleneck_enabled": false,
     "bottleneck_size": null,
     "max_positions": 16,
     "layernorm_eps": 1e-12
@@ -308,7 +312,6 @@ TOY_CONFIG_JSON = """\
     "heads": 4,
     "distinct_layers": 2,
     "recurrence_count": 2,
-    "bottleneck_enabled": true,
     "bottleneck_size": 16,
     "max_positions": 16,
     "layernorm_eps": 1e-12
@@ -355,8 +358,7 @@ TOY_CONFIG_JSON = """\
         "warmup_fraction": 0.1
       }
     }
-  ],
-  "eval_every_epoch": true
+  ]
 }"""
 
 
@@ -388,8 +390,10 @@ class TestMetricsLog:
         with pytest.raises(ContractError, match="advance"):
             log.append(stage=1, epoch=2, loss=0.4)
 
-    @pytest.mark.parametrize("line", ["not json", '{"epoch": 1}', "[1]", "\udcff"],
-                             ids=["not-json", "missing-keys", "list", "not-utf8"])
+    @pytest.mark.parametrize("line", [
+        "not json", '{"epoch": 1}', "[1]", "\udcff",
+        '{"stage": 1, "epoch": 2, "loss": NaN}', '{"stage": 1, "epoch": 2, "loss": -Infinity}',
+    ], ids=["not-json", "missing-keys", "list", "not-utf8", "nan-loss", "infinite-loss"])
     def test_malformed_line_raises_parse_error(self, tmp_path, line):
         path = tmp_path / "m.jsonl"
         path.write_bytes(
@@ -495,7 +499,7 @@ class TestRunStage:
         assert retained.checksum() == before
 
     def test_eval_snapshot_recorded_when_enabled(self, corpus_dir, tmp_path):
-        cfg = micro_cfg(corpus_dir, tmp_path, eval_every_epoch=True)
+        cfg = micro_cfg(corpus_dir, tmp_path)
         bundle = load_corpus(cfg)
         assistant = SentenceEncoder.init(cfg.assistant, seed=10)
         log = MetricsLog(tmp_path / "m.jsonl")

@@ -85,7 +85,7 @@ class TestRegistryAudit:
         return EncoderConfig(
             vocab_size=64, hidden=16, ffn_size=32, heads=4,
             distinct_layers=m, recurrence_count=r,
-            bottleneck_enabled=b, bottleneck_size=8 if b else None,
+            bottleneck_size=8 if b else None,
             max_positions=10,
         )
 
@@ -131,7 +131,7 @@ class TestRegistryAudit:
             vocab_size=preset.vocab_size, hidden=preset.hidden,
             ffn_size=preset.ffn_size, heads=4,
             distinct_layers=preset.layers, recurrence_count=2,
-            bottleneck_enabled=True, bottleneck_size=preset.bottleneck,
+            bottleneck_size=preset.bottleneck,
             max_positions=preset.max_positions,
         )
         enc = SentenceEncoder.init(cfg, seed=1)
