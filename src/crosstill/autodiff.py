@@ -462,7 +462,7 @@ def gelu(a: Tensor) -> Tensor:
 
     Float32 inputs use `_erf_float32`; float64, the verification width,
     uses the standard library's `math.erf` elementwise (`_erf_float64`).
-    GELU(-inf) is 0, its limit.
+    GELU(-inf) is 0 and its gradient is finite at ±inf, their limits.
     """
     x = a.data
     width = x.dtype.type
@@ -476,8 +476,12 @@ def gelu(a: Tensor) -> Tensor:
     out_data *= phi
 
     def vjp(g: Array):
-        pdf = width(_INV_SQRT_2PI) * np.exp(-0.5 * x * x)
-        return (g * (phi + x * pdf),)
+        # exp(-0.5 x^2) is exactly 0 past |x| = 40 in both widths, so clipping
+        # there changes no finite result; it keeps ±inf * 0 (NaN) and float32
+        # overflow of x * x out, and x * pdf keeps its sign.
+        near = np.clip(x, width(-40.0), width(40.0))
+        pdf = width(_INV_SQRT_2PI) * np.exp(-0.5 * near * near)
+        return (g * (phi + near * pdf),)
 
     return _node(out_data, (a,), vjp, "gelu")
 

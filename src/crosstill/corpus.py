@@ -56,6 +56,12 @@ class VocabSpec:
 
     Global ids: specials 0..3, language-1 tokens 4..4+K-1, language-2 tokens
     4+K..4+2K-1. `cipher[i] = j` maps language-1 index i to language-2 index j.
+
+    Once the permutation is validated, the spec builds the tables every
+    corpus path reads, each with one entry per id: `_surfaces[i]` is id i's
+    surface text, `_ids` maps that text back to i, `_cipher_table` sends a
+    language-1 id to its cipher image and back (specials to themselves), and
+    `_lang1_table` sends every id to its language-1 form.
     """
 
     tokens_per_language: int
@@ -71,8 +77,16 @@ class VocabSpec:
             np.sort(self.cipher), np.arange(k)
         ):
             raise ContractError("cipher must be a permutation of language indices")
-        self._inverse = np.empty(k, dtype=np.int64)
-        self._inverse[self.cipher] = np.arange(k)
+        self._surfaces = [_SPECIAL_SURFACE[i] for i in range(N_SPECIALS)]
+        self._surfaces += [f"l1_{i}" for i in range(k)] + [f"l2_{i}" for i in range(k)]
+        self._ids = {text: i for i, text in enumerate(self._surfaces)}
+        every_id = np.arange(self.vocab_size)
+        lang1 = every_id[N_SPECIALS:N_SPECIALS + k]
+        self._cipher_table = every_id.copy()
+        self._cipher_table[lang1] = N_SPECIALS + k + self.cipher
+        self._cipher_table[N_SPECIALS + k + self.cipher] = lang1
+        # an id and its cipher image lie in opposite ranges; language 1 is the lower
+        self._lang1_table = np.minimum(every_id, self._cipher_table)
 
     @classmethod
     def create(cls, tokens_per_language: int = 512, seed: int = 0) -> "VocabSpec":
@@ -98,38 +112,25 @@ class VocabSpec:
     def cipher_ids(self, ids) -> np.ndarray:
         """Translate language-1 content ids into language-2; specials pass through."""
         ids = np.asarray(ids, dtype=np.int64)
-        out = ids.copy()
-        lang1 = (ids >= self.lang1_start) & (ids < self.lang2_start)
-        bad = (ids >= self.lang2_start) | (ids < 0) | (ids >= self.vocab_size)
-        if bad.any():
+        if ((ids < 0) | (ids >= self.lang2_start)).any():
             raise ContractError("cipher_ids: input must contain only specials and language-1 ids")
-        out[lang1] = self.lang2_start + self.cipher[ids[lang1] - self.lang1_start]
-        return out
+        return self._cipher_table[ids]
 
     def to_lang1_ids(self, ids) -> np.ndarray:
         """Normalize mixed content to language 1 (specials untouched)."""
         ids = np.asarray(ids, dtype=np.int64)
         if ((ids < 0) | (ids >= self.vocab_size)).any():
             raise ContractError("to_lang1_ids: id outside vocabulary")
-        out = ids.copy()
-        lang2 = ids >= self.lang2_start
-        out[lang2] = self.lang1_start + self._inverse[ids[lang2] - self.lang2_start]
-        return out
+        return self._lang1_table[ids]
 
-    def surface(self, token_id: int) -> str:
-        token_id = int(token_id)
-        if token_id in _SPECIAL_SURFACE:
-            return _SPECIAL_SURFACE[token_id]
-        if self.lang1_start <= token_id < self.lang2_start:
-            return f"l1_{token_id - self.lang1_start}"
-        if self.lang2_start <= token_id < self.vocab_size:
-            return f"l2_{token_id - self.lang2_start}"
-        raise ContractError(f"id {token_id} outside vocabulary")
+    def _parse_token(self, text: str) -> tuple[int, bool]:
+        """Map one token to an id; second value flags an unknown.
 
-    def parse_token(self, text: str) -> tuple[int, bool]:
-        """Map one surface token to an id; second value flags an unknown.
-
-        Indices and decimal ids are ASCII digits; anything else is unknown.
+        This is the one definition of a token. Readers look canonical surface
+        text up in `_ids`, which holds this rule's result for it, and send
+        only what that misses here: decimal ids, zero-padded indices and
+        anything else. Indices and decimal ids are ASCII digits; anything else
+        is unknown.
         """
         if text in _SURFACE_SPECIAL:
             return _SURFACE_SPECIAL[text], False
@@ -280,9 +281,17 @@ def oracle_embed_batch(ids: np.ndarray, mask: np.ndarray, oracle: OracleSemantic
 # -- generation ------------------------------------------------------------
 
 
-def _zipf_probs(k: int) -> np.ndarray:
+def _zipf_cdf(k: int) -> np.ndarray:
+    """Zipf(1.0) cumulative distribution over `k` indices, built for sampling.
+
+    `cdf.searchsorted(rng.random(n), side="right")` is how
+    `rng.choice(k, size=n, p=probs)` samples inside, with this same
+    normalisation: the two draw the same indices from the same stream.
+    """
     weights = 1.0 / np.arange(1, k + 1, dtype=np.float64)
-    return weights / weights.sum()
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _draw_sentences(rng, vocab: VocabSpec, n: int, length_range: tuple[int, int]):
@@ -292,8 +301,8 @@ def _draw_sentences(rng, vocab: VocabSpec, n: int, length_range: tuple[int, int]
         raise ContractError(f"minimum sentence length is 3, got {lo}")
     if hi < lo:
         raise ContractError(f"empty length range ({lo}, {hi})")
-    probs = _zipf_probs(vocab.tokens_per_language)
-    seen: set[tuple[int, ...]] = set()
+    cdf = _zipf_cdf(vocab.tokens_per_language)
+    seen: set[bytes] = set()
     out: list[np.ndarray] = []
     attempts = 0
     while len(out) < n:
@@ -303,17 +312,29 @@ def _draw_sentences(rng, vocab: VocabSpec, n: int, length_range: tuple[int, int]
                 f"could not draw {n} distinct sentences; vocabulary or length range too small"
             )
         length = int(rng.integers(lo, hi + 1))
-        tokens = rng.choice(vocab.tokens_per_language, size=length, p=probs)
-        key = tuple(int(t) for t in tokens)
+        tokens = cdf.searchsorted(rng.random(length), side="right")
+        key = tokens.tobytes()  # lengths differ in bytes, so equal keys are equal sentences
         if key in seen:
             continue
         seen.add(key)
-        out.append(vocab.lang1_start + tokens.astype(np.int64))
+        out.append(N_SPECIALS + tokens)
     return out
 
 
-def _format_sentence(ids, vocab: VocabSpec) -> str:
-    return " ".join(vocab.surface(t) for t in ids)
+def _flatten(sentences: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """The sentences' ids end to end, and the offset where each sentence ends."""
+    ends = np.cumsum([len(s) for s in sentences], dtype=np.int64).tolist()
+    return (np.concatenate(sentences) if sentences else np.empty(0, dtype=np.int64)), ends
+
+
+def _format_sentences(flat_ids: np.ndarray, ends: list[int], vocab: VocabSpec) -> list[str]:
+    """Surface text of each sentence, `flat_ids` cut at `ends` (see `_flatten`)."""
+    if flat_ids.size and (flat_ids.min() < 0 or flat_ids.max() >= vocab.vocab_size):
+        raise ContractError(
+            f"ids {flat_ids.min()}..{flat_ids.max()} outside vocabulary of {vocab.vocab_size}"
+        )
+    words = list(map(vocab._surfaces.__getitem__, flat_ids.tolist()))
+    return [" ".join(words[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def _write_tsv(path, rows) -> Path:
@@ -350,13 +371,13 @@ def gen_parallel_corpus(
         sentences[:n_train], sentences[n_train:n_train + n_dev], sentences[n_train + n_dev:],
     )))
     out_dir = Path(out_dir)
-    paths = {
-        name: _write_tsv(out_dir / f"{name}.tsv", [
-            (_format_sentence(src, vocab), _format_sentence(vocab.cipher_ids(src), vocab))
-            for src in split_sentences
-        ])
-        for name, split_sentences in bounds.items()
-    }
+    paths = {}
+    for name, split_sentences in bounds.items():
+        sources, ends = _flatten(split_sentences)
+        paths[name] = _write_tsv(out_dir / f"{name}.tsv", zip(
+            _format_sentences(sources, ends, vocab),
+            _format_sentences(vocab.cipher_ids(sources), ends, vocab),
+        ))
     vocab.save_manifest(out_dir / "vocab.json")
     paths["vocab"] = out_dir / "vocab.json"
     return paths
@@ -379,7 +400,7 @@ def gen_sts_set(
         raise ContractError("n_examples must be at least 1")
     vocab = oracle.vocab
     rng = stream(seed, "sts-set")
-    probs = _zipf_probs(vocab.tokens_per_language)
+    cdf = _zipf_cdf(vocab.tokens_per_language)
     lo, hi = length_range
     if lo < 1 or hi < lo:
         raise ContractError(f"bad length range ({lo}, {hi})")
@@ -389,7 +410,7 @@ def gen_sts_set(
     for i in range(n_examples):
         level = overlap_levels[i % len(overlap_levels)]
         length = int(rng.integers(lo, hi + 1))
-        a_tokens = rng.choice(vocab.tokens_per_language, size=length, p=probs)
+        a_tokens = cdf.searchsorted(rng.random(length), side="right")
         if level == 1.0:
             b_tokens = rng.permutation(a_tokens)
         elif level < 0.0:
@@ -404,11 +425,9 @@ def gen_sts_set(
             keep = int(round(level * length))
             b_tokens = a_tokens.copy()
             redraw = rng.choice(length, size=length - keep, replace=False)
-            b_tokens[redraw] = rng.choice(
-                vocab.tokens_per_language, size=length - keep, p=probs
-            )
-        a_ids = vocab.lang1_start + a_tokens.astype(np.int64)
-        b_ids = vocab.lang1_start + b_tokens.astype(np.int64)
+            b_tokens[redraw] = cdf.searchsorted(rng.random(length - keep), side="right")
+        a_ids = N_SPECIALS + a_tokens
+        b_ids = N_SPECIALS + b_tokens
         va = oracle_embed(a_ids, oracle)
         vb = oracle_embed(b_ids, oracle)
         cos = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
@@ -426,9 +445,12 @@ def _read_tsv(path, vocab: VocabSpec, n_fields: int):
     A line holds `n_fields` tab-separated fields, the first two sentences. One
     that is not UTF-8, has another field count or an empty sentence raises
     ParseError; every ParseError about a line names the file and the line.
-    Unknown tokens become UNK and are counted, one warning per file.
+    Tokens are looked up in the vocabulary's surface table; only text it
+    misses goes through `VocabSpec._parse_token`. Unknown tokens become UNK
+    and are counted, one warning per file.
     """
     global _unknown_count
+    known = vocab._ids
     unknowns = 0
     for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not raw:
@@ -446,11 +468,13 @@ def _read_tsv(path, vocab: VocabSpec, n_fields: int):
             tokens = text.split()
             if not tokens:
                 raise ParseError("empty sentence", line_no, path)
-            ids = np.empty(len(tokens), dtype=np.int64)
-            for i, tok in enumerate(tokens):
-                ids[i], was_unknown = vocab.parse_token(tok)
-                unknowns += was_unknown
-            sentences.append(ids)
+            ids = [known.get(tok) for tok in tokens]
+            if None in ids:
+                for i, tok in enumerate(tokens):
+                    if ids[i] is None:
+                        ids[i], was_unknown = vocab._parse_token(tok)
+                        unknowns += was_unknown
+            sentences.append(np.array(ids, dtype=np.int64))
         yield line_no, *sentences, fields[2:]
     if unknowns > 0:
         _unknown_count += unknowns
@@ -478,16 +502,21 @@ def frame_rows(sentences: list[np.ndarray], max_seq_len: int) -> tuple[np.ndarra
     Rows are PAD-filled to the widest framed row; the {0,1} mask marks the
     framed tokens.
     """
-    framed = [
-        np.concatenate(([BOS], s[: max_seq_len - 2], [EOS])).astype(np.int64)
-        for s in sentences
-    ]
-    width = max(len(f) for f in framed)
-    ids = np.full((len(framed), width), PAD, dtype=np.int64)
-    mask = np.zeros((len(framed), width), dtype=np.uint8)
-    for row, f in enumerate(framed):
-        ids[row, : len(f)] = f
-        mask[row, : len(f)] = 1
+    if not sentences:
+        raise ContractError("frame_rows: no sentences to frame")
+    if max_seq_len < 3:
+        raise ContractError("max_seq_len must be at least 3 to fit BOS, EOS and content")
+    limit = max_seq_len - 2
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    content = np.minimum(lengths, limit)
+    columns = np.arange(content.max() + 2)
+    ids = np.full((len(sentences), columns.size), PAD, dtype=np.int64)
+    ids[:, 0] = BOS
+    ids[(columns >= 1) & (columns <= content[:, None])] = np.concatenate(
+        sentences if lengths.max() <= limit else [s[:limit] for s in sentences]
+    )
+    ids[np.arange(len(sentences)), content + 1] = EOS
+    mask = (columns < content[:, None] + 2).astype(np.uint8)
     return ids, mask
 
 
@@ -501,8 +530,6 @@ def batch_pairs(
 
     Both sides of a batch share one width: the widest framed sentence in it.
     """
-    if max_seq_len < 3:
-        raise ContractError("max_seq_len must be at least 3 to fit BOS, EOS and content")
     if batch_size < 1:
         raise ContractError("batch_size must be positive")
     order = np.arange(len(pairs))
@@ -539,8 +566,8 @@ def load_sts_tsv(path, vocab: VocabSpec) -> list[StsExample]:
 
 
 def write_sts_tsv(path, examples: list[StsExample], vocab: VocabSpec) -> Path:
-    return _write_tsv(path, [
-        (_format_sentence(ex.sentence_a, vocab), _format_sentence(ex.sentence_b, vocab),
-         f"{ex.gold_score:.6f}")
-        for ex in examples
-    ])
+    return _write_tsv(path, zip(
+        _format_sentences(*_flatten([ex.sentence_a for ex in examples]), vocab),
+        _format_sentences(*_flatten([ex.sentence_b for ex in examples]), vocab),
+        [f"{ex.gold_score:.6f}" for ex in examples],
+    ))

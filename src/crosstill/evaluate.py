@@ -94,6 +94,8 @@ def embed_sentences(encoder, sentences: list[np.ndarray], batch_size: int = 64) 
     """Stack embeddings for content-id sentences; batches transformer encoders."""
     if not sentences:
         raise ContractError("no sentences to embed")
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
     if isinstance(encoder, SentenceEncoder):
         rows = []
         for start in range(0, len(sentences), batch_size):

@@ -274,17 +274,17 @@ def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
     if not manifest.exists():
         raise ConfigError(f"no vocabulary manifest at {manifest}")
     vocab = VocabSpec.from_manifest(manifest)
+    if vocab.vocab_size != cfg.assistant.vocab_size:
+        raise ConfigError(
+            f"corpus vocabulary has {vocab.vocab_size} ids but the assistant "
+            f"expects {cfg.assistant.vocab_size}"
+        )
     splits = {}
     for name in SPLIT_NAMES:
         path = corpus_dir / f"{name}.tsv"
         if not path.exists():
             raise ConfigError(f"missing corpus split {path}")
         splits[name] = read_parallel_tsv(path, vocab)
-    if vocab.vocab_size != cfg.assistant.vocab_size:
-        raise ConfigError(
-            f"corpus vocabulary has {vocab.vocab_size} ids but the assistant "
-            f"expects {cfg.assistant.vocab_size}"
-        )
     oracle = OracleSemantics.create(vocab, dim=cfg.assistant.hidden, seed=cfg.teacher_seed)
     sts = None
     if cfg.sts_path is not None:

@@ -265,6 +265,38 @@ class TestNonlinear:
             assert np.isnan(out[4])
         np.testing.assert_array_equal(got, got32)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_gradient_finite_at_infinities(self, dtype):
+        # a loss over gelu(inf) is inf, which backward refuses, so the
+        # gradient g = 3 is pulled back through the node's VJP directly
+        x = np.array([-np.inf, -1e30, 1.0, 1e30, np.inf], dtype=dtype)
+        g = np.full(5, 3.0, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (grad,) = ad.gelu(Tensor(x, requires_grad=True))._vjp(g)
+            (at_one,) = ad.gelu(Tensor(x[2:3], requires_grad=True))._vjp(g[2:3])
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad[[0, 1, 3, 4]], [0.0, 0.0, 3.0, 3.0])
+        assert grad[2] == at_one[0]
+        exact = 0.5 * (1.0 + erf(1.0 / np.sqrt(2.0))) + np.exp(-0.5) / np.sqrt(2.0 * np.pi)
+        assert grad[2] == pytest.approx(3.0 * exact, rel=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_gradient_bits_kept_at_finite_inputs(self, dtype):
+        big = np.array([45.0, 1e3, 1e10, 1e19, 1e30])
+        x = np.concatenate([np.linspace(-50.0, 50.0, 4001), big, -big]).astype(dtype)
+        a = Tensor(x, requires_grad=True)
+        backward(ad.tsum(ad.gelu(a)))
+        # the VJP as written before it clipped x: phi + x * pdf
+        width = x.dtype.type
+        z = x * width(ad._INV_SQRT2)
+        phi = ad._erf_float32(z) if dtype == np.float32 else ad._erf_float64(z)
+        phi += 1.0
+        phi *= 0.5
+        with np.errstate(over="ignore"):
+            want = phi + x * (width(ad._INV_SQRT_2PI) * np.exp(-0.5 * x * x))
+        assert a.grad.tobytes() == want.tobytes()
+
     def test_gelu_float64_zero_dim_and_empty(self):
         out = ad.gelu(Tensor(np.array(0.5)))
         assert out.shape == () and out.data.dtype == np.float64

@@ -28,6 +28,19 @@ def oracle(vocab):
     return OracleSemantics.create(vocab, dim=8, seed=5)
 
 
+def _read_token(vocab, tmp_path, text: str) -> tuple[int, bool]:
+    """Read `text` as a one-token sentence through the line reader; flag an unknown."""
+    path = tmp_path / "token.tsv"
+    path.write_text(f"{text}\t<bos>\n", encoding="utf-8")
+    C.reset_unknown_token_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        (pair,) = C.read_parallel_tsv(path, vocab)
+    unknown = C.unknown_token_count() == 1
+    C.reset_unknown_token_count()
+    return int(pair.source_ids[0]), unknown
+
+
 class TestVocab:
     def test_ranges(self, vocab):
         assert vocab.vocab_size == 4 + 64
@@ -55,6 +68,24 @@ class TestVocab:
         out = vocab.to_lang1_ids(mixed)
         np.testing.assert_array_equal(out, [4, 5, 6, BOS])
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 32])
+    def test_cipher_tables_match_the_permutation(self, k):
+        vocab = VocabSpec.create(k, seed=k)
+        lang1 = np.arange(4, 4 + k)
+        lang2 = 4 + k + vocab.cipher
+        np.testing.assert_array_equal(vocab.cipher_ids(lang1), lang2)
+        np.testing.assert_array_equal(vocab.cipher_ids(np.arange(4)), np.arange(4))
+        np.testing.assert_array_equal(vocab.to_lang1_ids(lang2), lang1)
+        np.testing.assert_array_equal(
+            vocab.to_lang1_ids(np.arange(4 + k)), np.arange(4 + k)
+        )
+        for bad in (-1, 4 + k, 4 + 2 * k):
+            with pytest.raises(ContractError, match="cipher_ids"):
+                vocab.cipher_ids(np.array([bad]))
+        for bad in (-1, 4 + 2 * k):
+            with pytest.raises(ContractError, match="to_lang1_ids"):
+                vocab.to_lang1_ids(np.array([4, bad]))
+
     def test_same_seed_same_cipher(self):
         a = VocabSpec.create(16, seed=9)
         b = VocabSpec.create(16, seed=9)
@@ -67,22 +98,24 @@ class TestVocab:
         assert loaded.tokens_per_language == vocab.tokens_per_language
         np.testing.assert_array_equal(loaded.cipher, vocab.cipher)
 
-    def test_surface_and_parse_inverse(self, vocab):
-        for token_id in [PAD, BOS, EOS, UNK, 4, 20, 36, 67]:
-            parsed, unknown = vocab.parse_token(vocab.surface(token_id))
-            assert parsed == token_id and not unknown
+    def test_surface_and_parse_inverse(self, vocab, tmp_path):
+        ids = np.arange(vocab.vocab_size)
+        path = C.write_sts_tsv(tmp_path / "all.tsv", [StsExample(ids, ids[::-1], 1.0)], vocab)
+        (back,) = C.load_sts_tsv(path, vocab)
+        np.testing.assert_array_equal(back.sentence_a, ids)
+        np.testing.assert_array_equal(back.sentence_b, ids[::-1])
 
-    def test_parse_decimal_id(self, vocab):
-        assert vocab.parse_token("17") == (17, False)
-        assert vocab.parse_token("l1_007") == (vocab.lang1_start + 7, False)
+    def test_parse_decimal_id(self, vocab, tmp_path):
+        assert _read_token(vocab, tmp_path, "17") == (17, False)
+        assert _read_token(vocab, tmp_path, "l1_007") == (vocab.lang1_start + 7, False)
 
-    def test_parse_unknown(self, vocab):
-        assert vocab.parse_token("zebra") == (UNK, True)
-        assert vocab.parse_token("l1_999") == (UNK, True)
-        assert vocab.parse_token("999") == (UNK, True)
+    def test_parse_unknown(self, vocab, tmp_path):
+        assert _read_token(vocab, tmp_path, "zebra") == (UNK, True)
+        assert _read_token(vocab, tmp_path, "l1_999") == (UNK, True)
+        assert _read_token(vocab, tmp_path, "999") == (UNK, True)
         # only ASCII digits are indices; int() would take these or refuse them
         for text in ("l1_\u00b2", "\u00b2", "l2_\u0663", "1" * 5000, "l1_"):
-            assert vocab.parse_token(text) == (UNK, True)
+            assert _read_token(vocab, tmp_path, text) == (UNK, True)
 
     @pytest.mark.parametrize("content", [
         b"{}", b"[1]", b"not json", b"\xff{}", b"[" * 100_000,
@@ -163,7 +196,29 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of each file generated in a 512-token world by
+# `gen_parallel_corpus(seed=8, n_pairs=300, length_range=(3, 14))` and
+# `gen_sts_set(seed=9, n_examples=60, length_range=(3, 14))`
+GOLDEN_SHA256_512 = {
+    "train.tsv": "7b2c3323c66e9f6c0410b809e07136b68ff2280485cb32ed84201781af748407",
+    "dev.tsv": "534a783394ac4f2aa681fb95a37c1a10852d46a9215ee8417a0c9ef0430dc144",
+    "test.tsv": "f7da31b4b747062bb1734dad2815d4aee5653f8bb5d13034b02403a910cf7a35",
+    "sts.tsv": "e8bee42c4ad9fdc53deebce22b5d58fb292d239c4ea59f39418d782ca8215412",
+    "vocab.json": "f8caef4d62807ecea84c7273991cfdc645cb50d6f3bee1f6718b9972a825330a",
+}
+
+
 class TestGeneration:
+    def test_generated_bytes_are_pinned_512(self, tmp_path):
+        vocab = VocabSpec.create(tokens_per_language=512, seed=7)
+        oracle = OracleSemantics.create(vocab, dim=16, seed=2)
+        paths = C.gen_parallel_corpus(seed=8, n_pairs=300, vocab=vocab,
+                                      length_range=(3, 14), out_dir=tmp_path)
+        paths["sts"] = C.gen_sts_set(seed=9, n_examples=60, oracle=oracle,
+                                     out_path=tmp_path / "sts.tsv", length_range=(3, 14))
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths.values()}
+        assert digests == GOLDEN_SHA256_512
+
     def test_generated_bytes_are_pinned(self, vocab, oracle, tmp_path):
         paths = C.gen_parallel_corpus(seed=3, n_pairs=40, vocab=vocab, out_dir=tmp_path)
         paths["sts"] = C.gen_sts_set(seed=4, n_examples=12, oracle=oracle,
@@ -281,6 +336,43 @@ class TestBatching:
         assert any(
             not np.array_equal(x.source_ids, y.source_ids) for x, y in zip(a, c)
         )
+
+    @pytest.mark.parametrize("sentences, max_seq_len", [
+        ([], 16), ([np.array([4, 5])], 2), ([np.array([4, 5])], 0), ([np.array([4])], -1),
+    ], ids=["no-sentences", "max-len-2", "max-len-0", "max-len-negative"])
+    def test_frame_rows_rejects_bad_input(self, sentences, max_seq_len):
+        with pytest.raises(ContractError):
+            C.frame_rows(sentences, max_seq_len)
+
+
+def _frame_rows_loop(sentences, max_seq_len):
+    """frame_rows one row at a time: BOS + content + EOS, truncated, PAD-filled."""
+    framed = [[BOS, *list(s)[: max_seq_len - 2], EOS] for s in sentences]
+    width = max(len(f) for f in framed)
+    ids = np.full((len(framed), width), PAD, dtype=np.int64)
+    mask = np.zeros((len(framed), width), dtype=np.uint8)
+    for row, f in enumerate(framed):
+        ids[row, : len(f)] = f
+        mask[row, : len(f)] = 1
+    return ids, mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sentences=st.lists(
+        st.lists(st.integers(min_value=0, max_value=67), max_size=20).map(
+            lambda s: np.array(s, dtype=np.int64)
+        ),
+        min_size=1, max_size=12,
+    ),
+    max_seq_len=st.integers(min_value=3, max_value=24),
+)
+def test_frame_rows_matches_loop_reference(sentences, max_seq_len):
+    ids, mask = C.frame_rows(sentences, max_seq_len)
+    want_ids, want_mask = _frame_rows_loop(sentences, max_seq_len)
+    assert ids.dtype == np.int64 and mask.dtype == np.uint8
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(mask, want_mask)
 
 
 class TestLoading:
@@ -420,6 +512,99 @@ def test_mutated_tsv_raises_only_parse_error(fuzz_file, reader, valid, mutations
 def test_random_bytes_raise_only_parse_error(fuzz_file, reader, blob):
     fuzz_file.write_bytes(blob)
     _read_or_parse_error(reader, fuzz_file)
+
+
+def _parse_token_reference(vocab, text):
+    """The per-token rule as it stood before the reader's surface table."""
+    specials = {"<pad>": PAD, "<bos>": BOS, "<eos>": EOS, "<unk>": UNK}
+    if text in specials:
+        return specials[text], False
+    k = vocab.tokens_per_language
+    start, limit, digits = 0, vocab.vocab_size, text
+    if text.startswith("l1_"):
+        start, limit, digits = 4, k, text[3:]
+    elif text.startswith("l2_"):
+        start, limit, digits = 4 + k, k, text[3:]
+    if digits.isascii() and digits.isdigit():
+        try:
+            index = int(digits)
+        except ValueError:
+            return UNK, True
+        if index < limit:
+            return start + index, False
+    return UNK, True
+
+
+def _read_tsv_reference(path, vocab, n_fields):
+    """The TSV line loop with one rule call per token; returns (lines, unknown count)."""
+    lines, unknowns = [], 0
+    for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        if not raw:
+            continue
+        try:
+            fields = raw.decode("utf-8").split("\t")
+        except UnicodeDecodeError:
+            raise ParseError("not UTF-8", line_no, path) from None
+        if len(fields) != n_fields:
+            raise ParseError("field count", line_no, path)
+        sentences = []
+        for text in fields[:2]:
+            tokens = text.split()
+            if not tokens:
+                raise ParseError("empty sentence", line_no, path)
+            parsed = [_parse_token_reference(vocab, tok) for tok in tokens]
+            unknowns += sum(unknown for _, unknown in parsed)
+            sentences.append([i for i, _ in parsed])
+        lines.append((line_no, *sentences, fields[2:]))
+    return lines, unknowns
+
+
+def _outcome(read):
+    """`read()`'s result, or the line of the ParseError it raised."""
+    try:
+        return read()
+    except ParseError as exc:
+        return ("ParseError", exc.line)
+
+
+_K = _FUZZ_VOCAB.tokens_per_language
+_TOKENS = st.one_of(
+    st.sampled_from(["<pad>", "<bos>", "<eos>", "<unk>", "<PAD>", "bos"]),
+    st.tuples(st.sampled_from(["l1_", "l2_"]), st.integers(0, 2 * _K)).map(
+        lambda t: f"{t[0]}{t[1]}"
+    ),
+    st.integers(0, 3 * _FUZZ_VOCAB.vocab_size).map(str),
+    st.tuples(st.sampled_from(["", "l1_", "l2_"]), st.integers(1, 3),
+              st.integers(0, 2 * _K)).map(lambda t: f"{t[0]}{'0' * t[1]}{t[2]}"),
+    st.sampled_from(["\u00b2", "\u0663", "l1_\u0663", "l2_\u00b2", "\uff11", "l1_\uff10"]),
+    st.integers(4000, 5000).map(lambda n: "1" * n),
+    st.sampled_from(["l1_", "l2_", "l1_-1", "-1", "+3", " 4", "l1_1 ", "l1_1\tl2_1", "\n"]),
+    st.text(max_size=6),
+)
+_SENTENCE = st.lists(_TOKENS, max_size=4).map(" ".join)
+
+
+@pytest.mark.parametrize("n_fields", [2, 3], ids=["parallel", "sts"])
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.lists(_SENTENCE, min_size=1, max_size=3).map("\t".join),
+                      min_size=1, max_size=4))
+def test_reader_matches_per_token_rule(fuzz_file, n_fields, lines):
+    fuzz_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def read():
+        C.reset_unknown_token_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = [(n, a.tolist(), b.tolist(), rest)
+                   for n, a, b, rest in C._read_tsv(fuzz_file, _FUZZ_VOCAB, n_fields)]
+        return got, C.unknown_token_count()
+
+    try:
+        assert _outcome(read) == _outcome(
+            lambda: _read_tsv_reference(fuzz_file, _FUZZ_VOCAB, n_fields)
+        )
+    finally:
+        C.reset_unknown_token_count()
 
 
 # (operation, key, index, value): drop field `key`, set it to `value`, or set

@@ -292,3 +292,19 @@ class TestEmbedSentences:
         out = embed_sentences(lambda s: np.full(3, float(len(s))), [np.arange(2), np.arange(5)])
         assert out.shape == (2, 3)
         assert out[0, 0] == 2.0 and out[1, 0] == 5.0
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    @pytest.mark.parametrize("call", ["embed_sentences", "sts_evaluate"])
+    def test_batch_size_below_one_rejected(self, small_world, call, batch_size):
+        vocab, _ = small_world
+        cfg = EncoderConfig(
+            vocab_size=vocab.vocab_size, hidden=16, ffn_size=32, heads=2,
+            distinct_layers=1, max_positions=12,
+        )
+        enc = SentenceEncoder.init(cfg, seed=2)
+        examples = [StsExample(np.array([4, 5]), np.array([6, 7]), 1.0)] * 2
+        with pytest.raises(ContractError, match="batch_size must be at least 1"):
+            if call == "embed_sentences":
+                embed_sentences(enc, [e.sentence_a for e in examples], batch_size=batch_size)
+            else:
+                sts_evaluate(enc, examples, batch_size=batch_size)

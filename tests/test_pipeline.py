@@ -434,6 +434,20 @@ class TestLoadCorpus:
         with pytest.raises(ConfigError, match="vocabulary"):
             load_corpus(cfg)
 
+    def test_vocab_size_mismatch_found_before_splits_are_read(self, corpus_dir, tmp_path):
+        corrupt = tmp_path / "corrupt"
+        corrupt.mkdir()
+        for name in ("vocab.json", "dev.tsv", "test.tsv"):
+            (corrupt / name).write_bytes((corpus_dir / name).read_bytes())
+        (corrupt / "train.tsv").write_bytes(b"l1_1\t\xff\n")
+        with pytest.raises(ParseError, match="train.tsv"):
+            load_corpus(micro_cfg(corrupt, tmp_path / "out", sts_path=None))
+        wrong = replace(micro_assistant(), vocab_size=4 + 2 * 50)
+        cfg = micro_cfg(corrupt, tmp_path / "out", sts_path=None, assistant=wrong,
+                        student=replace(micro_student(), vocab_size=4 + 2 * 50))
+        with pytest.raises(ConfigError, match="vocabulary"):
+            load_corpus(cfg)
+
     def test_missing_split(self, corpus_dir, tmp_path):
         partial = tmp_path / "partial"
         partial.mkdir()
