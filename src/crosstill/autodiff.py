@@ -32,18 +32,45 @@ minor page faults, 1.0-1.4 s of system time in 3.0-4.0 s of wall time;
 with the thresholds raised its steady-state faults and system time are
 about zero. The setting applies to the whole process that imports
 `crosstill`; elsewhere than glibc nothing is changed.
+
+Thread policy (process-wide): training uses a second core for the second
+language side. The first call to `concurrently` or `backward` decides, once
+per process, whether one helper thread starts. It starts only when the
+process may run on at least 2 CPUs (`os.sched_getaffinity`) and a loaded
+OpenBLAS exports a `set_num_threads` symbol; every such OpenBLAS is then set
+to one thread through it, since two threads each asking BLAS for two more
+oversubscribe a 2-core machine and lose. `concurrently` runs one of two
+independent calls on the helper and the other on the caller; the pipeline
+runs a batch's source side on the helper and its target side on the caller.
+`backward` runs a node's VJP as soon as all of its consumers have run, on
+whichever thread is free, and sums every tensor's incoming gradients in the
+order the one-thread walk does: by the consumer's position in the reverse
+topological order, then by operand index. So every `.grad`, and every
+checkpoint, is bitwise the same whether the helper runs or not, and digests
+do not depend on the CPU count or the BLAS thread count. An exception on
+either thread stops both and is raised in the caller. Without the helper
+(one CPU, no OpenBLAS setter, no `sched_getaffinity`) both functions run
+sequentially on the caller. A forked child drops the parent's helper and
+decides afresh. Evaluation never calls either function, so it stays on the
+calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
+import heapq
 import math
 import os
-from typing import Callable, Iterable, Sequence
+import threading
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, NumericError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 Array = np.ndarray
 
@@ -92,6 +119,98 @@ def _keep_freed_memory() -> bool:
 
 
 _HEAP_POLICY_SET = _keep_freed_memory()
+
+# Exported thread-count setters of the OpenBLAS builds numpy and scipy ship
+# (64-bit and 32-bit integer interfaces) and of a plain OpenBLAS.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _pin_openblas_to_one_thread() -> bool:
+    """Set every loaded OpenBLAS that exports a thread-count setter to one
+    thread; True when there was at least one.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return False
+    pinned = False
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        setter = next(
+            (getattr(handle, s) for s in _OPENBLAS_SETTERS if hasattr(handle, s)), None
+        )
+        if setter is not None:
+            setter.argtypes = (ctypes.c_int,)
+            setter.restype = None
+            setter(1)
+            pinned = True
+    return pinned
+
+
+# The helper thread: None until the first `_helper()` call decides, then an
+# executor with one worker, or False where the walk stays sequential.
+_HELPER: ThreadPoolExecutor | bool | None = None
+
+
+def _helper() -> ThreadPoolExecutor | None:
+    global _HELPER
+    if _HELPER is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        if cpus >= 2 and _pin_openblas_to_one_thread():
+            # imported here, so a process that never trains does not load it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crosstill-side")
+        else:
+            _HELPER = False
+    return _HELPER or None
+
+
+def _drop_helper() -> None:
+    """In a forked child the parent's worker thread is gone, but its executor
+    still counts it as idle and would queue work for it forever."""
+    global _HELPER
+    _HELPER = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _first_failure(failures: list[tuple[int, BaseException]]) -> BaseException:
+    """The failure to raise: an interrupt first, then the error at the
+    earliest position in the one-thread order."""
+    return min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
+
+
+def concurrently(first: Callable, second: Callable):
+    """`(first(), second())`, with `first` on the helper thread when there is one.
+
+    Both calls finish before this returns or raises. When either raises, the
+    error raised is the one a sequential `first(); second()` meets first; an
+    interrupt (a `BaseException` that is not an `Exception`) wins over an
+    error.
+    """
+    helper = _helper()
+    if helper is None:
+        return first(), second()
+    future = helper.submit(contextvars.copy_context().run, first)
+    failures = []
+    try:
+        out_second = second()
+    except BaseException as exc:
+        failures.append((1, exc))
+    try:
+        out_first = future.result()
+    except BaseException as exc:
+        failures.append((0, exc))
+    if failures:
+        raise _first_failure(failures)
+    return out_first, out_second
 
 
 class Tensor:
@@ -682,12 +801,131 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _send(node: Tensor, grads) -> list[Array | None]:
+    """Check the VJP's gradients against `node`'s operands: one per operand,
+    None where an operand gets none."""
+    sent: list[Array | None] = []
+    for parent, pg in zip(node._parents, grads):
+        if pg is None or not parent.requires_grad:
+            sent.append(None)
+            continue
+        if pg.dtype != parent.data.dtype or pg.shape != parent.data.shape:
+            raise ContractError(
+                f"primitive {node.op!r} returned a {pg.dtype} gradient of shape "
+                f"{pg.shape} for a {parent.data.dtype} operand of shape {parent.shape}"
+            )
+        sent.append(pg)
+    return sent + [None] * (len(node._parents) - len(sent))
+
+
+def _run_vjp(node: Tensor, g: Array) -> list[Array | None]:
+    if not np.isfinite(g).all():
+        raise NumericError(f"non-finite gradient flowing into primitive {node.op!r}")
+    return _send(node, node._vjp(g))
+
+
+def _walk(order: list[Tensor]) -> None:
+    """The one-thread walk: each node in reverse topological order."""
+    for node in reversed(order):
+        if node._vjp is None:
+            continue
+        g = node.grad
+        if g is None:
+            continue
+        for parent, pg in zip(node._parents, _run_vjp(node, g)):
+            if pg is not None:
+                parent.grad = pg if parent.grad is None else parent.grad + pg
+
+
+class _TwoThreadWalk:
+    """The walk of `_walk` on two threads, with the same sums.
+
+    Nodes are numbered by their position in the one-thread walk. A node's
+    inbox has one slot per (consumer, operand) edge, in walk order; a node
+    is ready once every slot is filled, and then folds its slots into
+    `.grad` in that order, exactly as `_walk` adds them, before its VJP
+    runs. Ready nodes run lowest position first.
+    """
+
+    def __init__(self, order: list[Tensor]):
+        self.nodes = order[::-1]
+        position = {id(node): i for i, node in enumerate(self.nodes)}
+        self.inbox: list[list] = [[] for _ in self.nodes]
+        # routes[i]: for each operand of node i, (its position, its slot) or None
+        self.routes: list[list] = []
+        for node in self.nodes:
+            routes = []
+            for parent in node._parents if node._vjp is not None else ():
+                if parent.requires_grad:
+                    j = position[id(parent)]
+                    routes.append((j, len(self.inbox[j])))
+                    self.inbox[j].append(None)
+                else:
+                    routes.append(None)
+            self.routes.append(routes)
+        self.waiting = [len(slots) for slots in self.inbox]
+        self.ready = [i for i, n in enumerate(self.waiting) if n == 0]
+        self.left = len(self.nodes)
+        self.failures: list[tuple[int, BaseException]] = []
+        self.cond = threading.Condition(threading.Lock())
+
+    def _run(self, i: int) -> list[Array | None]:
+        node = self.nodes[i]
+        g = node.grad
+        for pg in self.inbox[i]:
+            if pg is not None:
+                g = pg if g is None else g + pg
+        node.grad = g
+        self.inbox[i] = None
+        if node._vjp is None or g is None:
+            return [None] * len(self.routes[i])
+        return _run_vjp(node, g)
+
+    def work(self) -> None:
+        """Run ready nodes until every node has run or a thread failed.
+
+        A failure is recorded with the position of the node that raised it;
+        one outside any node's run sorts after every node.
+        """
+        cond, i = self.cond, len(self.nodes)
+        try:
+            while True:
+                with cond:
+                    while not self.ready and self.left and not self.failures:
+                        cond.wait()
+                    if not self.left or self.failures:
+                        return
+                    i = heapq.heappop(self.ready)
+                sent = self._run(i)
+                with cond:
+                    woke = False
+                    for route, pg in zip(self.routes[i], sent):
+                        if route is not None:
+                            j, slot = route
+                            self.inbox[j][slot] = pg
+                            self.waiting[j] -= 1
+                            if not self.waiting[j]:
+                                heapq.heappush(self.ready, j)
+                                woke = True
+                    self.left -= 1
+                    if not self.left:
+                        cond.notify_all()
+                    elif woke:
+                        cond.notify()
+                i = len(self.nodes)
+        except BaseException as exc:
+            with cond:
+                self.failures.append((i, exc))
+                cond.notify_all()
+
+
 def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
     """Populate .grad on every reachable tensor with requires_grad.
 
     `loss` must be a scalar. Parameters listed in `params` that the graph
     never reaches get an explicit zero gradient. Adds to gradients left by
-    earlier calls; call `zero_grads` between steps.
+    earlier calls; call `zero_grads` between steps. With the helper thread
+    the walk runs on two threads and gives the one-thread walk's bits.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -701,23 +939,18 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
 
     order = _toposort(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._vjp is None:
-            continue
-        g = node.grad
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient flowing into primitive {node.op!r}")
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
-                continue
-            if pg.dtype != parent.data.dtype or pg.shape != parent.data.shape:
-                raise ContractError(
-                    f"primitive {node.op!r} returned a {pg.dtype} gradient of shape "
-                    f"{pg.shape} for a {parent.data.dtype} operand of shape {parent.shape}"
-                )
-            parent.grad = pg if parent.grad is None else parent.grad + pg
+    helper = _helper()
+    if helper is None:
+        _walk(order)
+    else:
+        walk = _TwoThreadWalk(order)
+        future = helper.submit(contextvars.copy_context().run, walk.work)
+        try:
+            walk.work()
+        finally:
+            future.result()
+        if walk.failures:
+            raise _first_failure(walk.failures)
 
     for p in params:
         if p.requires_grad and p.grad is None:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, zero_grads
+from .autodiff import Tensor, backward, concurrently, zero_grads
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
     SPLIT_NAMES,
@@ -305,9 +305,11 @@ def _teacher_anchor(batch: ParallelBatch, oracle: OracleSemantics, dtype) -> Ten
 
 
 def _both_sides(forward, batch: ParallelBatch):
-    return (
-        forward(batch.source_ids, batch.source_mask),
-        forward(batch.target_ids, batch.target_mask),
+    """`forward` on the source side (on the helper thread, when there is one)
+    and on the target side."""
+    return concurrently(
+        partial(forward, batch.source_ids, batch.source_mask),
+        partial(forward, batch.target_ids, batch.target_mask),
     )
 
 

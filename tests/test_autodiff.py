@@ -5,10 +5,15 @@ the analytic backward pass, and compares against finite differences at
 float64. A handful of cases also verify forward values against plain numpy.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +23,11 @@ from scipy.special import erf
 import crosstill
 from crosstill import autodiff as ad
 from crosstill.autodiff import Tensor, backward, zero_grads
+from crosstill.corpus import OracleSemantics, ParallelBatch, VocabSpec, frame_rows
+from crosstill.encoder import SentenceEncoder
 from crosstill.errors import ContractError, NumericError
 from crosstill.gradcheck import finite_diff_check
+from crosstill.pipeline import _stage4_loss, toy_config
 from crosstill.rng import stream
 
 TOL = 1e-6
@@ -651,6 +659,274 @@ class TestChainedGraph:
         check(loss_fn, {"w1": w1, "b1": b1, "w2": w2, "b2": b2})
 
 
+# -- the two-thread walk -----------------------------------------------------
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """A helper thread for `concurrently` and `backward`, whatever the machine."""
+    helper = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(ad, "_HELPER", helper)
+    yield helper
+    helper.shutdown(wait=False)
+
+
+def reference_backward(loss: Tensor) -> None:
+    """The one-thread walk: every node in reverse topological order, each
+    gradient added to its operand's `.grad` as it comes."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(ad._toposort(loss)):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(node.grad)):
+            if pg is not None and parent.requires_grad:
+                parent.grad = pg if parent.grad is None else parent.grad + pg
+
+
+def toy_stage4(variant: str, dtype):
+    """The toy student and its two-sided stage-4 loss on one 32-pair batch."""
+    cfg = replace(toy_config("corpus", "out"), variant=variant)
+    vocab = VocabSpec.create(tokens_per_language=512, seed=0)
+    rng = stream(5, "two-sided-batch")
+    sentences = [vocab.lang1_start + rng.integers(0, 512, size=n)
+                 for n in rng.integers(3, 13, size=32)]
+    source_ids, mask = frame_rows(sentences, cfg.max_seq_len)
+    target_ids, _ = frame_rows([vocab.cipher_ids(s) for s in sentences], cfg.max_seq_len)
+    batch = ParallelBatch(source_ids, target_ids, mask, mask)
+    oracle = OracleSemantics.create(vocab, dim=cfg.assistant.hidden, seed=0)
+    student = SentenceEncoder.init(cfg.student, seed=0, dtype=dtype)
+    return student, lambda: _stage4_loss(student, None, batch, oracle, cfg).value
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["mcl", "none"])
+def test_two_thread_backward_gives_the_one_thread_bits(two_threads, variant, dtype):
+    student, loss_fn = toy_stage4(variant, dtype)
+    params = list(student.params.values())
+    backward(loss_fn(), params=params)
+    threaded = {name: p.grad for name, p in student.params.items()}
+    zero_grads(params)
+    reference_backward(loss_fn())
+    for name, p in student.params.items():
+        assert threaded[name].dtype == dtype
+        assert np.array_equal(threaded[name], p.grad), name
+
+
+def test_two_thread_backward_adds_to_earlier_gradients_in_order(two_threads):
+    student, loss_fn = toy_stage4("mcl", np.float32)
+    params = list(student.params.values())
+    for _ in range(2):
+        backward(loss_fn(), params=params)
+    threaded = {name: p.grad for name, p in student.params.items()}
+    zero_grads(params)
+    for _ in range(2):
+        reference_backward(loss_fn())
+    assert all(np.array_equal(threaded[n], p.grad) for n, p in student.params.items())
+
+
+def _wide_graph(seed: int):
+    """Leaves and a loss over 60 random nodes that reuse earlier nodes and
+    leaves, so tensors gather gradients from many consumers."""
+    rng = stream(seed, "wide-graph")
+    leaves = [Tensor(rng.standard_normal((6, 6)), requires_grad=True) for _ in range(5)]
+    scale, shift = (Tensor(rng.standard_normal(6), requires_grad=True) for _ in range(2))
+    nodes = list(leaves)
+    for kind in rng.integers(0, 3, size=60):
+        a, b = (nodes[k] for k in rng.integers(0, len(nodes), size=2))
+        if kind == 0:
+            nodes.append(ad.add_layer_norm(a, b, scale, shift, 1e-5))
+        elif kind == 1:
+            nodes.append(ad.softmax_last(a) @ b)
+        else:
+            nodes.append(ad.gelu(a) * ad.softmax_last(b))
+    loss = ad.tsum(nodes[-1])
+    for node in nodes[-12:-1]:
+        loss = loss + ad.tmean(node)
+    return leaves + [scale, shift], loss
+
+
+def test_two_thread_walks_from_several_callers_under_fast_switching(two_threads):
+    mismatches, finished = [], []
+
+    def caller(index):
+        for seed in range(index * 100, index * 100 + 15):
+            leaves, loss = _wide_graph(seed)
+            backward(loss)
+            threaded = [p.grad for p in leaves]
+            leaves, loss = _wide_graph(seed)
+            reference_backward(loss)
+            mismatches.extend(seed for g, p in zip(threaded, leaves) if not np.array_equal(g, p.grad))
+        finished.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert sorted(finished) == [0, 1, 2] and not mismatches
+
+
+def test_concurrently_runs_first_on_the_helper(two_threads):
+    caller = threading.get_ident()
+    on_first, on_second = ad.concurrently(threading.get_ident, threading.get_ident)
+    assert on_second == caller and on_first != caller
+
+
+@pytest.mark.parametrize("delay_first", [0.0, 0.2])
+def test_concurrently_raises_firsts_error_when_both_fail(two_threads, delay_first):
+    def fail(exc, delay=0.0):
+        def call():
+            time.sleep(delay)
+            raise exc
+        return call
+
+    with pytest.raises(KeyError):
+        ad.concurrently(fail(KeyError("first"), delay_first), fail(ValueError("second"), 0.2 - delay_first))
+    with pytest.raises(ValueError):
+        ad.concurrently(lambda: 1, fail(ValueError("second")))
+
+
+def _pass_through(x: Tensor, vjp) -> Tensor:
+    """A copy of `x` whose VJP is `vjp`, as one node."""
+    return ad._node(x.data.copy(), (x,), vjp, "pass_through")
+
+
+def _branches(leaf: Tensor, make) -> Tensor:
+    """A loss over two independent branches of `leaf`, each through `make`."""
+    return ad.tsum(ad.gelu(make(leaf * 2.0)) + ad.gelu(make(leaf * 3.0)))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_non_finite_gradient_in_one_side_names_the_primitive(two_threads, side):
+    a = Tensor(np.ones((4, 3)), requires_grad=True)
+    sides = [ad.tsum(ad.gelu(a * 2.0)), ad.tsum(ad.gelu(a * 3.0))]
+    # sqrt's VJP at 0 sends an infinite gradient into the mul below it
+    sides[side] = ad.tsum(ad.tsqrt(a * np.zeros((4, 3))))
+    with np.errstate(divide="ignore"), pytest.raises(NumericError, match="'mul'"):
+        backward(sides[0] + sides[1])
+
+
+class Boom(Exception):
+    pass
+
+
+def test_raising_vjp_on_the_caller_releases_the_helper(two_threads):
+    caller, failed = threading.get_ident(), threading.Event()
+
+    def make(x):
+        def vjp(g):
+            if threading.get_ident() == caller:
+                failed.set()
+                raise Boom()
+            # the helper holds its node until the caller has failed on the other
+            assert failed.wait(timeout=30)
+            return (g,)
+
+        return _pass_through(x, vjp)
+
+    a = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(Boom):
+        backward(_branches(a, make))
+    assert two_threads.submit(lambda: 1).result(timeout=30) == 1
+    b = Tensor(np.ones(3), requires_grad=True)
+    backward(ad.tsum(b * b))
+    np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+
+
+def test_interrupt_on_the_helper_is_raised_in_the_caller(two_threads):
+    caller, interrupted = threading.get_ident(), threading.Event()
+
+    def make(x):
+        def vjp(g):
+            if threading.get_ident() != caller:
+                interrupted.set()
+                raise KeyboardInterrupt
+            # the caller holds its node until the helper has been interrupted
+            assert interrupted.wait(timeout=30)
+            return (g,)
+
+        return _pass_through(x, vjp)
+
+    a = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(KeyboardInterrupt):
+        backward(_branches(a, make))
+    assert two_threads.submit(lambda: 1).result(timeout=30) == 1
+
+
+@pytest.mark.parametrize("slow", ["left", "right"])
+def test_two_failures_raise_the_one_thread_walks_first(two_threads, monkeypatch, slow):
+    def loss_with_two_failures(parties):
+        barrier = threading.Barrier(parties, timeout=30)
+        names = iter(("left", "right"))
+
+        def make(x):
+            name = next(names)
+
+            def vjp(g):
+                barrier.wait()  # with two parties, both fail at once on both threads
+                if name == slow:
+                    time.sleep(0.2)  # and this one fails second
+                raise Boom(name)
+
+            return _pass_through(x, vjp)
+
+        return _branches(Tensor(np.ones(3), requires_grad=True), make)
+
+    with pytest.raises(Boom) as threaded:
+        backward(loss_with_two_failures(2))
+    monkeypatch.setattr(ad, "_HELPER", False)
+    with pytest.raises(Boom) as sequential:
+        backward(loss_with_two_failures(1))
+    assert str(threaded.value) == str(sequential.value)
+
+
+def test_helper_needs_two_cpus_and_an_openblas_setter(monkeypatch):
+    monkeypatch.setattr(ad, "_pin_openblas_to_one_thread", lambda: True)
+    monkeypatch.setattr(ad, "_HELPER", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert ad._helper() is None and ad._HELPER is False
+    monkeypatch.setattr(ad, "_HELPER", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(ad, "_pin_openblas_to_one_thread", lambda: False)
+    assert ad._helper() is None and ad._HELPER is False
+    # the one-thread walk gives the same gradient
+    a = Tensor(np.arange(3.0), requires_grad=True)
+    backward(ad.tsum(a * a))
+    np.testing.assert_array_equal(a.grad, [0.0, 2.0, 4.0])
+
+
+def test_forked_child_trains_after_the_parent_used_the_helper(two_threads):
+    student, loss_fn = toy_stage4("mcl", np.float32)
+    params = list(student.params.values())
+    backward(loss_fn(), params=params)
+    expected = {name: p.grad for name, p in student.params.items()}
+    zero_grads(params)
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+
+    def one_step():
+        backward(loss_fn(), params=params)
+        sender.send({name: p.grad for name, p in student.params.items()})
+
+    child = context.Process(target=one_step)
+    child.start()
+    try:
+        assert receiver.poll(120), "the forked child's training step did not finish"
+        got = receiver.recv()
+        child.join(30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+    assert all(np.array_equal(expected[name], got[name]) for name in expected)
+
+
 def _on_glibc() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))
@@ -691,3 +967,47 @@ def test_encodes_reuse_freed_memory_without_page_faults():
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 0.05 * DEFAULT_POLICY_FAULTS
     assert ad._HEAP_POLICY_SET
+
+
+# Five warm-up stage-4 steps of the toy student on a (64, 12) batch per side,
+# through `_both_sides` and `backward`, then minor page faults over 20 more.
+# With the helper thread running, its arena must keep its freed memory too.
+TWO_SIDED_FAULT_SCRIPT = """
+import resource
+import numpy as np
+from crosstill.autodiff import Tensor, backward, zero_grads
+from crosstill.corpus import ParallelBatch
+from crosstill.encoder import SentenceEncoder
+from crosstill.losses import loss_stage4
+from crosstill.pipeline import _both_sides, toy_config
+
+student = SentenceEncoder.init(toy_config("corpus", "out").student, seed=0)
+params = list(student.params.values())
+rng = np.random.default_rng(0)
+source, target = (rng.integers(4, student.config.vocab_size, size=(64, 12)) for _ in range(2))
+mask = np.ones((64, 12), dtype=np.uint8)
+batch = ParallelBatch(source, target, mask, mask)
+anchor = Tensor(rng.standard_normal((64, 64)).astype(np.float32))
+
+def step():
+    backward(loss_stage4(anchor, *_both_sides(student.encode, batch)).value, params=params)
+    zero_grads(params)
+
+for _ in range(5):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap policy is set only on glibc")
+def test_two_sided_steps_reuse_freed_memory_without_page_faults():
+    src = str(Path(crosstill.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", TWO_SIDED_FAULT_SCRIPT], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 0.05 * DEFAULT_POLICY_FAULTS
