@@ -38,21 +38,25 @@ language side. The first call to `concurrently` or `backward` decides, once
 per process, whether one helper thread starts. It starts only when the
 process may run on at least 2 CPUs (`os.sched_getaffinity`) and a loaded
 OpenBLAS exports a `set_num_threads` symbol; every such OpenBLAS is then set
-to one thread through it, since two threads each asking BLAS for two more
-oversubscribe a 2-core machine and lose. `concurrently` runs one of two
-independent calls on the helper and the other on the caller; the pipeline
-runs a batch's source side on the helper and its target side on the caller.
-`backward` runs a node's VJP as soon as all of its consumers have run, on
-whichever thread is free, and sums every tensor's incoming gradients in the
-order the one-thread walk does: by the consumer's position in the reverse
-topological order, then by operand index. So every `.grad`, and every
-checkpoint, is bitwise the same whether the helper runs or not, and digests
-do not depend on the CPU count or the BLAS thread count. An exception on
-either thread stops both and is raised in the caller. Without the helper
-(one CPU, no OpenBLAS setter, no `sched_getaffinity`) both functions run
-sequentially on the caller. A forked child drops the parent's helper and
-decides afresh. Evaluation never calls either function, so it stays on the
-calling thread.
+to one thread through it, for the rest of the process and over any
+`OPENBLAS_NUM_THREADS`, since two threads each asking BLAS for two more
+oversubscribe a 2-core machine and lose. The rule was measured only on a
+2-CPU machine. `concurrently` runs one of two independent calls on the
+helper and the other on the caller; the pipeline runs a batch's source side
+on the helper and its target side on the caller. `backward` has one walk:
+a node's VJP runs as soon as all of its consumers have run, lowest position
+in the reverse topological order first, on whichever thread is free, and
+every tensor sums its incoming gradients by the consumer's position in that
+order, then by operand index. On the caller alone that visits the nodes in
+order. So every `.grad`, and every checkpoint, is bitwise the same whether
+the helper runs or not, and digests do not depend on the CPU count or the
+BLAS thread count. An error at one node stops the walk once every node
+before it in that order has run, and the error raised is the earliest
+there, the one the walk on one thread meets; an interrupt stops both
+threads at once. Without the helper (one CPU, no OpenBLAS setter, no
+`sched_getaffinity`) both functions run on the caller. A forked child
+drops the parent's helper and decides afresh. Evaluation never calls
+either function, so it stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -128,18 +132,34 @@ _OPENBLAS_SETTERS = (
 )
 
 
-def _pin_openblas_to_one_thread() -> bool:
-    """Set every loaded OpenBLAS that exports a thread-count setter to one
-    thread; True when there was at least one.
+def _loaded_openblas(maps: str = "/proc/self/maps") -> list[str]:
+    """Paths of the mapped files whose name mentions OpenBLAS.
+
+    A maps line is address, perms, offset, device, inode, then the path,
+    which may hold spaces; a file replaced since it was mapped ends in
+    " (deleted)" and is left out.
     """
     try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+        with open(maps) as fh:
+            paths = {fields[5] for fields in (line.rstrip("\n").split(maxsplit=5) for line in fh)
+                     if len(fields) == 6}
     except OSError:
-        return False
+        return []
+    return sorted(path for path in paths
+                  if "openblas" in path.lower() and not path.endswith(" (deleted)"))
+
+
+def _pin_openblas_to_one_thread(maps: str = "/proc/self/maps") -> bool:
+    """Set every loaded OpenBLAS that exports a thread-count setter to one
+    thread; True when there was at least one. A library that cannot be
+    opened counts as one without a setter.
+    """
     pinned = False
-    for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
+    for lib in _loaded_openblas(maps):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
         setter = next(
             (getattr(handle, s) for s in _OPENBLAS_SETTERS if hasattr(handle, s)), None
         )
@@ -824,27 +844,15 @@ def _run_vjp(node: Tensor, g: Array) -> list[Array | None]:
     return _send(node, node._vjp(g))
 
 
-def _walk(order: list[Tensor]) -> None:
-    """The one-thread walk: each node in reverse topological order."""
-    for node in reversed(order):
-        if node._vjp is None:
-            continue
-        g = node.grad
-        if g is None:
-            continue
-        for parent, pg in zip(node._parents, _run_vjp(node, g)):
-            if pg is not None:
-                parent.grad = pg if parent.grad is None else parent.grad + pg
+class _Walk:
+    """The backward walk, on the caller alone or with the helper thread.
 
-
-class _TwoThreadWalk:
-    """The walk of `_walk` on two threads, with the same sums.
-
-    Nodes are numbered by their position in the one-thread walk. A node's
-    inbox has one slot per (consumer, operand) edge, in walk order; a node
-    is ready once every slot is filled, and then folds its slots into
-    `.grad` in that order, exactly as `_walk` adds them, before its VJP
-    runs. Ready nodes run lowest position first.
+    Nodes are numbered by their position in the reverse topological order,
+    the one-thread walk. A node's inbox has one slot per (consumer, operand)
+    edge, in walk order; a node is ready once every slot is filled, and then
+    folds its slots into `.grad` in that order before its VJP runs. Ready
+    nodes run lowest position first, so on one thread the walk visits the
+    nodes in order, and on two every tensor still gets the same sums.
     """
 
     def __init__(self, order: list[Tensor]):
@@ -865,7 +873,11 @@ class _TwoThreadWalk:
             self.routes.append(routes)
         self.waiting = [len(slots) for slots in self.inbox]
         self.ready = [i for i, n in enumerate(self.waiting) if n == 0]
-        self.left = len(self.nodes)
+        self.done = [False] * len(self.nodes)
+        # every node below `low` has run; none at or past `bound` is needed
+        self.low = 0
+        self.bound = len(self.nodes)
+        self.interrupted = False
         self.failures: list[tuple[int, BaseException]] = []
         self.cond = threading.Condition(threading.Lock())
 
@@ -882,18 +894,23 @@ class _TwoThreadWalk:
         return _run_vjp(node, g)
 
     def work(self) -> None:
-        """Run ready nodes until every node has run or a thread failed.
+        """Run ready nodes until every node below `bound` has run.
 
-        A failure is recorded with the position of the node that raised it;
-        one outside any node's run sorts after every node.
+        An error at position p lowers `bound` to p: the nodes below p still
+        run, as the one-thread walk runs them before p, so the earliest error
+        in that walk is among the failures. An interrupt stops the walk at
+        once. A failure is recorded with the position of the node that
+        raised it; one outside any node's run sorts after every node.
         """
-        cond, i = self.cond, len(self.nodes)
+        cond, n = self.cond, len(self.nodes)
+        i = n
         try:
             while True:
                 with cond:
-                    while not self.ready and self.left and not self.failures:
+                    while not (self.interrupted or self.low >= self.bound
+                               or (self.ready and self.ready[0] < self.bound)):
                         cond.wait()
-                    if not self.left or self.failures:
+                    if self.interrupted or self.low >= self.bound:
                         return
                     i = heapq.heappop(self.ready)
                 sent = self._run(i)
@@ -907,15 +924,21 @@ class _TwoThreadWalk:
                             if not self.waiting[j]:
                                 heapq.heappush(self.ready, j)
                                 woke = True
-                    self.left -= 1
-                    if not self.left:
+                    self.done[i] = True
+                    while self.low < n and self.done[self.low]:
+                        self.low += 1
+                    if self.low >= self.bound:
                         cond.notify_all()
                     elif woke:
                         cond.notify()
-                i = len(self.nodes)
+                i = n
         except BaseException as exc:
             with cond:
                 self.failures.append((i, exc))
+                if isinstance(exc, Exception):
+                    self.bound = min(self.bound, i)
+                else:
+                    self.interrupted = True
                 cond.notify_all()
 
 
@@ -939,18 +962,16 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
 
     order = _toposort(loss)
     loss.grad = np.ones_like(loss.data)
+    walk = _Walk(order)
     helper = _helper()
-    if helper is None:
-        _walk(order)
-    else:
-        walk = _TwoThreadWalk(order)
-        future = helper.submit(contextvars.copy_context().run, walk.work)
-        try:
-            walk.work()
-        finally:
+    future = None if helper is None else helper.submit(contextvars.copy_context().run, walk.work)
+    try:
+        walk.work()
+    finally:
+        if future is not None:
             future.result()
-        if walk.failures:
-            raise _first_failure(walk.failures)
+    if walk.failures:
+        raise _first_failure(walk.failures)
 
     for p in params:
         if p.requires_grad and p.grad is None:

@@ -700,7 +700,10 @@ def toy_stage4(variant: str, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("variant", ["mcl", "none"])
-def test_two_thread_backward_gives_the_one_thread_bits(two_threads, variant, dtype):
+@pytest.mark.parametrize("threads", [2, 1])
+def test_backward_gives_the_reference_bits(two_threads, monkeypatch, threads, variant, dtype):
+    if threads == 1:
+        monkeypatch.setattr(ad, "_HELPER", False)
     student, loss_fn = toy_stage4(variant, dtype)
     params = list(student.params.values())
     backward(loss_fn(), params=params)
@@ -884,6 +887,67 @@ def test_two_failures_raise_the_one_thread_walks_first(two_threads, monkeypatch,
     with pytest.raises(Boom) as sequential:
         backward(loss_with_two_failures(1))
     assert str(threaded.value) == str(sequential.value)
+
+
+@pytest.mark.parametrize("threads", [2, 1])
+def test_a_later_failure_first_does_not_hide_the_one_thread_walks_error(two_threads, monkeypatch, threads):
+    """The later node q fails while the earlier node p is still waiting for
+    its consumer; the walk must still reach p and raise p's error."""
+    if threads == 1:
+        monkeypatch.setattr(ad, "_HELPER", False)
+    a = Tensor(np.ones(3), requires_grad=True)
+    q_failed, roles = threading.Event(), {}
+
+    def make(x):
+        def vjp(g):
+            role = roles.get(id(node))
+            if role == "hold":  # p's consumer waits until q has failed
+                q_failed.wait(timeout=30 if threads == 2 else 0)
+            elif role == "q":
+                q_failed.set()
+                raise Boom("q")
+            elif role == "p":
+                raise Boom("p")
+            return (g,)
+
+        node = _pass_through(x, vjp)
+        return node
+
+    inner = [make(a * 2.0), make(a * 3.0)]
+    outer = [make(x) for x in inner]
+    loss = ad.tsum(outer[0] + outer[1])
+    position = {id(node): k for k, node in enumerate(reversed(ad._toposort(loss)))}
+    first = min((0, 1), key=lambda k: position[id(inner[k])])
+    roles.update({id(inner[first]): "p", id(outer[first]): "hold", id(inner[1 - first]): "q"})
+    with pytest.raises(Boom, match="^p$"):
+        backward(loss)
+    assert q_failed.is_set() == (threads == 2)
+
+
+def test_loaded_openblas_reads_paths_with_spaces(tmp_path):
+    real = ad._loaded_openblas()
+    if not real:
+        pytest.skip("no OpenBLAS mapped in this process")
+    spaced = tmp_path / "a dir" / "libopenblas copy.so"
+    spaced.parent.mkdir()
+    spaced.symlink_to(real[0])
+    missing = tmp_path / "gone dir" / "libopenblas.so"
+    maps = tmp_path / "maps"
+
+    def entry(path):
+        return f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234                       {path}\n"
+
+    maps.write_text(
+        entry(spaced) + entry(spaced) + entry(f"{missing} (deleted)")
+        + "7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n" + entry("/usr/lib/libc.so.6")
+    )
+    assert ad._loaded_openblas(str(maps)) == [str(spaced)]
+    assert ad._pin_openblas_to_one_thread(str(maps))
+    # a path that cannot be opened counts as a library without a setter
+    maps.write_text(entry(missing))
+    assert ad._loaded_openblas(str(maps)) == [str(missing)]
+    assert not ad._pin_openblas_to_one_thread(str(maps))
+    assert ad._loaded_openblas(str(tmp_path / "no-maps")) == []
 
 
 def test_helper_needs_two_cpus_and_an_openblas_setter(monkeypatch):

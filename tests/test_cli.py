@@ -192,17 +192,22 @@ class TestTrain:
         assert first == second
 
     def test_determinism_across_processes_and_blas_threads(self, config_path, tmp_path):
-        # The third process may run on one CPU only, so it trains without the
-        # helper thread, on the one-thread walk; the others use the helper
-        # wherever the machine has two CPUs.
+        # The first two processes use the helper thread wherever the machine
+        # has two CPUs, and the helper sets OpenBLAS to one thread. The third
+        # turns the helper off before training, so on two CPUs it trains with
+        # two BLAS threads. The fourth may run on one CPU only, so it trains
+        # without the helper, with one BLAS thread.
+        module = ["-m", "crosstill"]
+        no_helper = ["-c", "import sys; import crosstill.autodiff as ad; ad._HELPER = False; "
+                           "from crosstill.cli import main; sys.exit(main(sys.argv[1:]))"]
         one_cpu = lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # noqa: E731
-        runs = [("1", None), ("2", None)]
+        runs = [("1", module, None), ("2", module, None), ("2", no_helper, None)]
         if hasattr(os, "sched_setaffinity"):
-            runs.append(("2", one_cpu))
+            runs.append(("2", module, one_cpu))
         digests = []
-        for index, (threads, preexec) in enumerate(runs):
+        for index, (threads, entry, preexec) in enumerate(runs):
             result = subprocess.run(
-                [sys.executable, "-m", "crosstill", "train", "--config", str(config_path),
+                [sys.executable, *entry, "train", "--config", str(config_path),
                  "--stage", "all", "--out_dir", str(tmp_path / f"run{index}")],
                 capture_output=True, text=True, preexec_fn=preexec,
                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
