@@ -1,9 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Define-by-run: every operation records its parents and a VJP closure on the
-output node, and `backward` replays the graph in reverse topological order.
-The graph lives only as long as the output tensors; each training batch
-builds a fresh one.
+Define-by-run: an operation with an operand that requires a gradient
+records its parents and a VJP closure on the output node, and `backward`
+replays the graph once, in reverse topological order. Each training batch
+builds a fresh graph.
+
+Memory rule: only live arrays are kept. An operation whose operands need no
+gradient records nothing, so a forward-only pass (evaluation) keeps no graph
+and each array is freed once the next operation has read it. `backward`
+frees the graph as it walks: once a node's VJP has returned, the node drops
+its gradient, its VJP closure with the forward arrays it saved, and its
+links to its operands. Only leaves, the tensors without a VJP (parameters
+and inputs), keep their `.grad`. The graph is then spent: a second
+`backward` over any node of it is a `ContractError`.
 
 Element width is float32 for training and float64 for verification runs.
 Operands of one expression must share a width; there is no implicit
@@ -17,7 +26,7 @@ with one node and one VJP.
 
 VJP contract: a node's VJP takes the gradient of its output and returns one
 gradient per parent (or None), each in that parent's shape and width.
-`backward` keeps the first gradient a tensor receives as its `.grad` and
+`backward` starts a tensor's gradient from the first array it receives and
 adds later ones out of place, so a returned array is never mutated after
 the VJP returns it; a gradient of the wrong shape or width is a
 `ContractError` naming the primitive.
@@ -55,8 +64,10 @@ before it in that order has run, and the error raised is the earliest
 there, the one the walk on one thread meets; an interrupt stops both
 threads at once. Without the helper (one CPU, no OpenBLAS setter, no
 `sched_getaffinity`) both functions run on the caller. A forked child
-drops the parent's helper and decides afresh. Evaluation never calls
-either function, so it stays on the calling thread.
+drops the parent's helper and decides afresh. Work already running on the
+helper that calls either function runs that call on the helper alone, since
+waiting for the one busy worker would hang. Evaluation never calls either
+function, so it stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -174,10 +185,17 @@ def _pin_openblas_to_one_thread(maps: str = "/proc/self/maps") -> bool:
 # The helper thread: None until the first `_helper()` call decides, then an
 # executor with one worker, or False where the walk stays sequential.
 _HELPER: ThreadPoolExecutor | bool | None = None
+# `on_helper` is True on a thread while it runs work handed to the helper.
+_THREAD = threading.local()
 
 
 def _helper() -> ThreadPoolExecutor | None:
+    """The executor to hand work to, or None to run it on the caller alone:
+    also on the helper itself, whose one worker a nested call would wait on
+    forever."""
     global _HELPER
+    if getattr(_THREAD, "on_helper", False):
+        return None
     if _HELPER is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         if cpus >= 2 and _pin_openblas_to_one_thread():
@@ -201,6 +219,19 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helper)
 
 
+def _as_helper_work(fn: Callable):
+    _THREAD.on_helper = True
+    try:
+        return fn()
+    finally:
+        _THREAD.on_helper = False
+
+
+def _submit(helper: ThreadPoolExecutor, fn: Callable):
+    """Run `fn` on the helper in a copy of the caller's context."""
+    return helper.submit(contextvars.copy_context().run, _as_helper_work, fn)
+
+
 def _first_failure(failures: list[tuple[int, BaseException]]) -> BaseException:
     """The failure to raise: an interrupt first, then the error at the
     earliest position in the one-thread order."""
@@ -218,7 +249,7 @@ def concurrently(first: Callable, second: Callable):
     helper = _helper()
     if helper is None:
         return first(), second()
-    future = helper.submit(contextvars.copy_context().run, first)
+    future = _submit(helper, first)
     failures = []
     try:
         out_second = second()
@@ -236,7 +267,7 @@ def concurrently(first: Callable, second: Callable):
 class Tensor:
     """N-dimensional float array that can participate in a backward pass."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -246,7 +277,8 @@ class Tensor:
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
-        self._parents: tuple[Tensor, ...] = ()
+        # None once `backward` has walked this node: the graph is spent
+        self._parents: tuple[Tensor, ...] | None = ()
         self._vjp: Callable[[Array], tuple[Array | None, ...]] | None = None
 
     # -- introspection -----------------------------------------------------
@@ -813,6 +845,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise ContractError(
+                f"backward over a spent graph: its {node.op!r} node was already walked; "
+                "build the graph again"
+            )
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -850,9 +887,10 @@ class _Walk:
     Nodes are numbered by their position in the reverse topological order,
     the one-thread walk. A node's inbox has one slot per (consumer, operand)
     edge, in walk order; a node is ready once every slot is filled, and then
-    folds its slots into `.grad` in that order before its VJP runs. Ready
-    nodes run lowest position first, so on one thread the walk visits the
-    nodes in order, and on two every tensor still gets the same sums.
+    folds its slots in that order into the gradient its VJP gets (a leaf
+    keeps it as `.grad`). Ready nodes run lowest position first, so on one
+    thread the walk visits the nodes in order, and on two every tensor still
+    gets the same sums.
     """
 
     def __init__(self, order: list[Tensor]):
@@ -863,7 +901,7 @@ class _Walk:
         self.routes: list[list] = []
         for node in self.nodes:
             routes = []
-            for parent in node._parents if node._vjp is not None else ():
+            for parent in node._parents:
                 if parent.requires_grad:
                     j = position[id(parent)]
                     routes.append((j, len(self.inbox[j])))
@@ -883,15 +921,21 @@ class _Walk:
 
     def _run(self, i: int) -> list[Array | None]:
         node = self.nodes[i]
+        self.nodes[i] = None
         g = node.grad
         for pg in self.inbox[i]:
             if pg is not None:
                 g = pg if g is None else g + pg
-        node.grad = g
         self.inbox[i] = None
-        if node._vjp is None or g is None:
+        if node._vjp is None:  # a leaf keeps its gradient
+            node.grad = g
             return [None] * len(self.routes[i])
-        return _run_vjp(node, g)
+        sent = [None] * len(self.routes[i]) if g is None else _run_vjp(node, g)
+        # The VJP has used what the node saved; once nothing else holds the
+        # node, it and its forward arrays are freed.
+        node.grad = node._vjp = None
+        node._parents = None
+        return sent
 
     def work(self) -> None:
         """Run ready nodes until every node below `bound` has run.
@@ -943,12 +987,18 @@ class _Walk:
 
 
 def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
-    """Populate .grad on every reachable tensor with requires_grad.
+    """Populate .grad on every leaf with requires_grad that `loss` reaches.
 
-    `loss` must be a scalar. Parameters listed in `params` that the graph
-    never reaches get an explicit zero gradient. Adds to gradients left by
-    earlier calls; call `zero_grads` between steps. With the helper thread
-    the walk runs on two threads and gives the one-thread walk's bits.
+    Leaves are the tensors without a VJP: parameters and inputs. `loss`
+    must be a scalar. Parameters listed in `params` that the graph never
+    reaches get an explicit zero gradient. Adds to gradients left by earlier
+    calls; call `zero_grads` between steps. With the helper thread the walk
+    runs on two threads and gives the one-thread walk's bits.
+
+    The walk frees every other node's gradient, VJP and operand links as
+    soon as its VJP has returned, so the graph is spent afterwards: calling
+    `backward` again over a node it walked raises `ContractError`, also
+    when the walk stopped at an error.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -960,11 +1010,10 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
                 p.grad = np.zeros_like(p.data)
         return
 
-    order = _toposort(loss)
+    walk = _Walk(_toposort(loss))
     loss.grad = np.ones_like(loss.data)
-    walk = _Walk(order)
     helper = _helper()
-    future = None if helper is None else helper.submit(contextvars.copy_context().run, walk.work)
+    future = None if helper is None else _submit(helper, walk.work)
     try:
         walk.work()
     finally:

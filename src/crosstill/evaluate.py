@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import Tensor
 from .corpus import ParallelPair, StsExample, frame_rows
 from .encoder import SentenceEncoder
 from .errors import ContractError
@@ -91,17 +92,26 @@ class EvalReport:
 
 
 def embed_sentences(encoder, sentences: list[np.ndarray], batch_size: int = 64) -> np.ndarray:
-    """Stack embeddings for content-id sentences; batches transformer encoders."""
+    """Stack embeddings for content-id sentences; batches transformer encoders.
+
+    A transformer encoder runs through a view of its parameters that shares
+    their arrays but needs no gradient, so the forward records no graph and
+    each intermediate array is freed once the next operation has read it.
+    The encoder itself is not changed.
+    """
     if not sentences:
         raise ContractError("no sentences to embed")
     if batch_size < 1:
         raise ContractError(f"batch_size must be at least 1, got {batch_size}")
     if isinstance(encoder, SentenceEncoder):
+        view = SentenceEncoder(
+            encoder.config, {name: Tensor(p.data) for name, p in encoder.params.items()}
+        )
         rows = []
         for start in range(0, len(sentences), batch_size):
             chunk = sentences[start:start + batch_size]
             ids, mask = frame_rows(chunk, encoder.config.max_positions)
-            rows.append(encoder.encode(ids, mask).data)
+            rows.append(view.encode(ids, mask).data)
         return np.concatenate(rows, axis=0)
     return np.stack([np.asarray(encoder(s), dtype=np.float64) for s in sentences])
 

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -727,6 +728,39 @@ def test_two_thread_backward_adds_to_earlier_gradients_in_order(two_threads):
     assert all(np.array_equal(threaded[n], p.grad) for n, p in student.params.items())
 
 
+@pytest.mark.parametrize("threads", [2, 1])
+def test_backward_frees_every_node_it_walks(two_threads, monkeypatch, threads):
+    if threads == 1:
+        monkeypatch.setattr(ad, "_HELPER", False)
+    student, loss_fn = toy_stage4("mcl", np.float32)
+    loss = loss_fn()
+    order = ad._toposort(loss)
+    walked = [weakref.ref(node) for node in order if node._vjp is not None and node is not loss]
+    del order
+    backward(loss, params=list(student.params.values()))
+    assert len(walked) > 50 and all(ref() is None for ref in walked)
+    assert loss.grad is None and loss._vjp is None and loss._parents is None
+    # leaves keep their gradients
+    assert all(p.grad is not None for p in student.params.values())
+
+
+@pytest.mark.parametrize("threads", [2, 1])
+def test_backward_over_a_spent_graph_raises(two_threads, monkeypatch, threads):
+    if threads == 1:
+        monkeypatch.setattr(ad, "_HELPER", False)
+    a = Tensor(np.ones(3), requires_grad=True)
+    loss = ad.tsum(a * a)
+    later = loss * 2.0  # shares the graph `backward(loss)` spends
+    backward(loss)
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+    zero_grads([a])
+    with pytest.raises(ContractError, match="spent graph"):
+        backward(loss)
+    with pytest.raises(ContractError, match="spent graph"):
+        backward(later)
+    assert a.grad is None
+
+
 def _wide_graph(seed: int):
     """Leaves and a loss over 60 random nodes that reuse earlier nodes and
     leaves, so tensors gather gradients from many consumers."""
@@ -922,6 +956,63 @@ def test_a_later_failure_first_does_not_hide_the_one_thread_walks_error(two_thre
     with pytest.raises(Boom, match="^p$"):
         backward(loss)
     assert q_failed.is_set() == (threads == 2)
+
+
+# A call nested in work the one-worker helper runs: `concurrently`, or a
+# stage-4 step (its forward nests `concurrently` too) whose gradients must
+# equal those of the one-thread walk. Waiting on the busy helper would hang.
+NESTED_SCRIPT = """
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from crosstill import autodiff as ad
+from crosstill.autodiff import Tensor, backward, zero_grads
+from crosstill.corpus import ParallelBatch
+from crosstill.encoder import SentenceEncoder
+from crosstill.losses import loss_stage4
+from crosstill.pipeline import _both_sides, toy_config
+
+ad._HELPER = ThreadPoolExecutor(max_workers=1)
+if sys.argv[1] == "concurrently":
+    def nested():
+        return threading.get_ident(), ad.concurrently(threading.get_ident, threading.get_ident)
+
+    (helper, inner), caller = ad.concurrently(nested, threading.get_ident)
+    assert inner == (helper, helper) and helper != caller
+else:
+    student = SentenceEncoder.init(toy_config("corpus", "out").student, seed=0)
+    rng = np.random.default_rng(0)
+    source, target = (rng.integers(4, student.config.vocab_size, size=(16, 10)) for _ in range(2))
+    mask = np.ones((16, 10), dtype=np.uint8)
+    batch = ParallelBatch(source, target, mask, mask)
+    anchor = Tensor(rng.standard_normal((16, student.config.hidden)).astype(np.float32))
+    params = list(student.params.values())
+
+    def step():
+        backward(loss_stage4(anchor, *_both_sides(student.encode, batch)).value, params=params)
+        grads = [p.grad for p in params]
+        zero_grads(params)
+        return grads
+
+    nested, _ = ad.concurrently(step, lambda: None)
+    ad._HELPER = False
+    assert all(np.array_equal(a, b) for a, b in zip(nested, step()))
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("call", ["concurrently", "backward"])
+def test_a_call_nested_on_the_helper_runs_there_alone(call):
+    src = str(Path(crosstill.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        result = subprocess.run([sys.executable, "-c", NESTED_SCRIPT, call], capture_output=True,
+                                text=True, env=env, timeout=120)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"a nested {call} did not return within 120 s")
+    assert result.returncode == 0 and result.stdout == "ok\n", result.stderr
 
 
 def test_loaded_openblas_reads_paths_with_spaces(tmp_path):

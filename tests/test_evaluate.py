@@ -15,6 +15,7 @@ from crosstill.corpus import (
     ParallelPair,
     StsExample,
     VocabSpec,
+    frame_rows,
     oracle_embed,
 )
 from crosstill.encoder import EncoderConfig, SentenceEncoder
@@ -146,6 +147,33 @@ def small_world():
     vocab = VocabSpec.create(tokens_per_language=64, seed=11)
     oracle = OracleSemantics.create(vocab, dim=16, seed=11)
     return vocab, oracle
+
+
+def test_embed_sentences_records_no_graph_and_leaves_the_model_as_is(small_world, monkeypatch):
+    vocab, _ = small_world
+    cfg = EncoderConfig(
+        vocab_size=vocab.vocab_size, hidden=16, ffn_size=32, heads=2,
+        distinct_layers=1, recurrence_count=2, bottleneck_size=8, max_positions=12,
+    )
+    model = SentenceEncoder.init(cfg, seed=3)
+    rng = np.random.default_rng(8)
+    sentences = [rng.integers(4, 4 + 64, size=int(rng.integers(3, 11))) for _ in range(9)]
+    outputs = []
+    encode = SentenceEncoder.encode
+
+    def recording_encode(self, ids, mask):
+        outputs.append(encode(self, ids, mask))
+        return outputs[-1]
+
+    monkeypatch.setattr(SentenceEncoder, "encode", recording_encode)
+    got = embed_sentences(model, sentences, batch_size=len(sentences))
+    assert len(outputs) == 1 and not outputs[0].requires_grad and outputs[0]._parents == ()
+    assert all(p.requires_grad and p.grad is None for p in model.params.values())
+    monkeypatch.undo()
+    ids, mask = frame_rows(sentences, cfg.max_positions)
+    want = model.encode(ids, mask)
+    assert want.requires_grad
+    assert got.dtype == want.data.dtype and np.array_equal(got, want.data)
 
 
 class TestStsEvaluate:
