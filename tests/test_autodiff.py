@@ -254,6 +254,12 @@ class TestNonlinear:
         assert np.signbit(got[:2]).tolist() == [False, True]
         assert np.isnan(got[4])
 
+    def test_float32_erf_is_odd_and_non_decreasing(self):
+        grid = np.linspace(-6, 6, 4_000_001, dtype=np.float32)
+        got = ad._erf_float32(grid)
+        assert ad._erf_float32(-grid).tobytes() == (-got).tobytes()
+        assert (np.diff(got) >= 0).all()
+
     def test_float64_erf_special_values(self):
         got = ad._erf_float64(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
         assert got.dtype == np.float64
@@ -525,6 +531,60 @@ class TestFusedNodes:
             ad.add_layer_norm(x, y, scale, shift, eps=1e-5)
 
 
+def at_offset(data: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of `data` whose first element sits `offset` bytes past a 64-byte boundary."""
+    buf = np.zeros(data.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    out = buf[start:start + data.nbytes].view(data.dtype).reshape(data.shape)
+    out[...] = data
+    return out
+
+
+def alignment_case(node: str):
+    """Float64 operands, the node built from them, a key bias, and the weights
+    of a loss summed over the node's output. Rows of 10 keys and 20 features
+    leave a remainder in every SIMD width."""
+    rng = stream(0, f"alignment-{node}")
+    n, length, h, heads = 6, 10, 20, 4
+    x = rng.standard_normal((n, length, h))
+    scale, shift = 0.5 + rng.random(h), rng.standard_normal(h)
+    if node == "layer_norm":
+        operands = [x, scale, shift]
+
+        def build(t, key_bias):
+            return ad.layer_norm(*t, eps=1e-5)
+    elif node == "add_layer_norm":
+        operands = [x, rng.standard_normal((n, length, h)), scale, shift]
+
+        def build(t, key_bias):
+            return ad.add_layer_norm(*t, eps=1e-5)
+    else:
+        operands = [x, *(p.data for p in attention_params(rng, h).values())]
+
+        def build(t, key_bias):
+            return ad.attention(t[0], *t[1:], key_bias, heads)
+    mask = (np.arange(length) < rng.integers(1, length + 1, size=(n, 1))).astype(np.float64)
+    return operands, build, key_bias_for(mask), rng.standard_normal((n, length, h))
+
+
+# Where the allocator puts an array must not change a bit of the result
+# (determinism across processes). A 4-byte shift also moves a float64 array
+# off its element alignment.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("offset", [4, 8, 16, 36])
+@pytest.mark.parametrize("node", ["layer_norm", "add_layer_norm", "attention"])
+def test_node_bits_do_not_depend_on_memory_alignment(node, offset, dtype):
+    operands, build, key_bias, weights = alignment_case(node)
+    results = []
+    for start in (0, offset):
+        tensors = [Tensor(at_offset(a.astype(dtype), start), requires_grad=True)
+                   for a in operands]
+        out = build(tensors, at_offset(key_bias.astype(dtype), start))
+        backward(ad.tsum(out * Tensor(at_offset(weights.astype(dtype), start))))
+        results.append([out.data.tobytes(), *(t.grad.tobytes() for t in tensors)])
+    assert results[0] == results[1]
+
+
 class TestBackwardContract:
     def test_scalar_required(self):
         a = Tensor(np.ones((2, 2), dtype=np.float64), requires_grad=True)
@@ -726,6 +786,20 @@ def test_two_thread_backward_adds_to_earlier_gradients_in_order(two_threads):
     for _ in range(2):
         reference_backward(loss_fn())
     assert all(np.array_equal(threaded[n], p.grad) for n, p in student.params.items())
+
+
+@pytest.mark.parametrize("threads", [2, 1])
+def test_backward_on_a_leaf_loss_adds_to_its_gradient(two_threads, monkeypatch, threads):
+    if threads == 1:
+        monkeypatch.setattr(ad, "_HELPER", False)
+    for dtype in (np.float32, np.float64):
+        leaf_loss = Tensor(np.ones((), dtype=dtype), requires_grad=True)
+        through_a_node = Tensor(np.ones((), dtype=dtype), requires_grad=True)
+        for _ in range(2):
+            backward(leaf_loss)
+            backward(through_a_node * 1.0)
+        assert leaf_loss.grad.dtype == dtype
+        assert leaf_loss.grad == through_a_node.grad == 2.0
 
 
 @pytest.mark.parametrize("threads", [2, 1])
