@@ -62,7 +62,6 @@ from .optim import AdamW
 from .pipeline import (
     DepthPoint,
     MetricsLog,
-    OptimizerPlan,
     PipelineConfig,
     PipelineResult,
     StagePlan,
@@ -93,7 +92,6 @@ __all__ = [
     "LossValue",
     "MetricsLog",
     "NumericError",
-    "OptimizerPlan",
     "OracleSemantics",
     "ParallelBatch",
     "ParallelPair",

@@ -469,24 +469,15 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _node(a.data.transpose(axes), (a,), vjp, "transpose")
 
 
-def _swap_last2(x: Array) -> Array:
-    return np.swapaxes(x, -1, -2)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product; leading dims broadcast per NumPy rules."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ContractError("matmul requires operands of rank >= 2")
+    """`a @ b` for a 2-D `b`: one GEMM over the rows of a's leading dims."""
+    if a.ndim < 2 or b.ndim != 2:
+        raise ContractError(
+            f"matmul expects a left operand of rank >= 2 and a 2-D right operand, "
+            f"got {a.shape}, {b.shape}"
+        )
     _check_same_dtype(a, b)
-    if b.ndim == 2:
-        return _dense(a, b, None, "matmul")
-
-    def vjp(g: Array):
-        ga = _unbroadcast(np.matmul(g, _swap_last2(b.data)), a.shape)
-        gb = _unbroadcast(np.matmul(_swap_last2(a.data), g), b.shape)
-        return ga, gb
-
-    return _node(np.matmul(a.data, b.data), (a, b), vjp, "matmul")
+    return _dense(a, b, None, "matmul")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -877,6 +868,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def _send(node: Tensor, grads) -> list[Array | None]:
     """Check the VJP's gradients against `node`'s operands: one per operand,
     None where an operand gets none."""
+    if len(grads) != len(node._parents):
+        raise ContractError(
+            f"primitive {node.op!r} returned {len(grads)} gradients "
+            f"for {len(node._parents)} operands"
+        )
     sent: list[Array | None] = []
     for parent, pg in zip(node._parents, grads):
         if pg is None or not parent.requires_grad:
@@ -888,7 +884,7 @@ def _send(node: Tensor, grads) -> list[Array | None]:
                 f"{pg.shape} for a {parent.data.dtype} operand of shape {parent.shape}"
             )
         sent.append(pg)
-    return sent + [None] * (len(node._parents) - len(sent))
+    return sent
 
 
 def _run_vjp(node: Tensor, g: Array) -> list[Array | None]:

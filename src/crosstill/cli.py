@@ -138,7 +138,7 @@ def _cmd_gen_corpus(args, extras) -> int:
 
 def _cmd_gen_sts(args, extras) -> int:
     vocab = VocabSpec.from_manifest(args.vocab)
-    oracle = OracleSemantics.create(vocab, dim=args.dim, seed=args.oracle_seed)
+    oracle = OracleSemantics.create(vocab, dim=args.dim)
     path = gen_sts_set(
         seed=args.seed, n_examples=args.examples, oracle=oracle,
         out_path=args.out, length_range=(args.min_len, args.max_len),
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="generation seed")
     p.add_argument("--examples", type=int, default=128, help="number of scored pairs")
     p.add_argument("--dim", type=int, default=64, help="scoring-table embedding width")
-    p.add_argument("--oracle-seed", type=int, default=0, help="scoring-table seed; must match training teacher_seed")
     p.add_argument("--min-len", type=int, default=3, help="minimum sentence length")
     p.add_argument("--max-len", type=int, default=12, help="maximum sentence length")
     p.set_defaults(handler=_cmd_gen_sts, allow_overrides=False)

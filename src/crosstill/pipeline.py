@@ -51,24 +51,13 @@ EMBEDDING_PATH_KEYS = (
 )
 
 
+# every stage's AdamW peak rate; weight decay and warmup are AdamW's defaults
+LEARNING_RATE = 2e-3
+
+
 def derive_seed(seed: int, label: str) -> int:
     """Stable sub-seed for one named purpose within a run."""
     return int(stream(seed, label).integers(0, 2**31 - 1))
-
-
-@dataclass(frozen=True)
-class OptimizerPlan:
-    lr: float = 2e-3
-    weight_decay: float = 0.01
-    warmup_fraction: float = 0.1
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ConfigError("warmup_fraction must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -77,7 +66,6 @@ class StagePlan:
 
     epochs: int
     batch_size: int = 64
-    optimizer: OptimizerPlan = field(default_factory=OptimizerPlan)
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -88,9 +76,7 @@ class StagePlan:
 
 # section parsers, called with (value, section path)
 _encoder_section = partial(config_from_dict, EncoderConfig, kind="encoder config")
-_stage_section = partial(
-    config_from_dict, StagePlan, nested={"optimizer": partial(config_from_dict, OptimizerPlan)}
-)
+_stage_section = partial(config_from_dict, StagePlan)
 
 
 def _stage_list(raw, where: str) -> tuple[StagePlan, ...]:
@@ -121,7 +107,6 @@ class PipelineConfig:
     student: EncoderConfig
     sts_path: str | None = None
     seed: int = 0
-    teacher_seed: int = 0
     variant: str = "mcl"
     ce_temperature: float = 0.05
     stages: tuple[StagePlan, ...] = field(default_factory=default_stage_plans)
@@ -172,7 +157,7 @@ def toy_config(corpus_dir, out_dir, sts_path=None, seed: int = 42) -> PipelineCo
         corpus_dir=str(corpus_dir), out_dir=str(out_dir),
         assistant=assistant, student=student,
         sts_path=None if sts_path is None else str(sts_path),
-        seed=seed, teacher_seed=0,
+        seed=seed,
     )
 
 
@@ -212,6 +197,8 @@ class MetricsLog:
         self, stage, epoch: int, loss: float,
         loss_components: dict | None = None, eval_snapshot: dict | None = None,
     ) -> dict:
+        """Record one epoch. A NaN or infinite value anywhere in it raises
+        ContractError, and nothing is recorded or written."""
         record = {
             "stage": stage,
             "epoch": epoch,
@@ -219,9 +206,15 @@ class MetricsLog:
             "loss_components": dict(loss_components or {}),
             "eval": eval_snapshot,
         }
+        try:
+            line = json.dumps(record, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ContractError(
+                f"metrics for stage {stage!r} epoch {epoch} hold a non-finite value"
+            ) from exc
         self._admit(record)
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(line + "\n")
         return record
 
     def stage_losses(self, stage) -> list[float]:
@@ -285,7 +278,7 @@ def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
         if not path.exists():
             raise ConfigError(f"missing corpus split {path}")
         splits[name] = read_parallel_tsv(path, vocab)
-    oracle = OracleSemantics.create(vocab, dim=cfg.assistant.hidden, seed=cfg.teacher_seed)
+    oracle = OracleSemantics.create(vocab, dim=cfg.assistant.hidden)
     sts = None
     if cfg.sts_path is not None:
         sts = load_sts_tsv(cfg.sts_path, vocab)
@@ -352,8 +345,8 @@ def _stage4_loss(model, reference, batch, oracle, cfg):
 class StageSpec:
     """One row of a training table: what a `run_stage` call trains, and how.
 
-    `stage` picks the config plan that supplies batch size and optimizer; its
-    epoch count is used unless `epochs_from` names the plans to sum instead.
+    `stage` picks the config plan that supplies the batch size; its epoch
+    count is used unless `epochs_from` names the plans to sum instead.
     `init` says where the trained model comes from: "fresh" draws it from
     `seed`, "assistant" builds the student from the assistant in play, and
     "continue" keeps the model the previous row trained (or, when a table is
@@ -467,13 +460,7 @@ def run_stage(
     save_checkpoint(trainable, out_path)
     if plan.epochs > 0:
         n_batches = (len(bundle.train_pairs) + plan.batch_size - 1) // plan.batch_size
-        optimizer = AdamW(
-            params=subset,
-            lr=plan.optimizer.lr,
-            weight_decay=plan.optimizer.weight_decay,
-            warmup_fraction=plan.optimizer.warmup_fraction,
-            total_steps=plan.epochs * n_batches,
-        )
+        optimizer = AdamW(params=subset, lr=LEARNING_RATE, total_steps=plan.epochs * n_batches)
         all_params = list(trainable.params.values())
         for epoch in range(1, plan.epochs + 1):
             shuffle_seed = derive_seed(cfg.seed, f"shuffle-{spec.label}-epoch{epoch}")

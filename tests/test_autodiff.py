@@ -164,6 +164,12 @@ class TestShapes:
         with pytest.raises(ContractError):
             ad.matmul(a, b)
 
+    def test_matmul_rejects_a_batched_right_operand(self):
+        a = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        b = Tensor(np.ones((2, 4, 5)), requires_grad=True)
+        with pytest.raises(ContractError, match="matmul"):
+            a @ b
+
     def test_gather_rows_accumulates_repeats(self):
         table = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3), requires_grad=True)
         ids = np.array([[1, 1], [3, 0]])
@@ -374,6 +380,14 @@ def key_bias_for(mask, dtype=np.float64):
     return ((1.0 - mask)[:, None, None, :] * -1e9).astype(dtype)
 
 
+def _batched_matmul(a, b):
+    """`a @ b` over matching leading dims, as one node."""
+    def vjp(g):
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+
+    return ad._node(a.data @ b.data, (a, b), vjp, "batched_matmul")
+
+
 def unfused_attention(x, p, key_bias, heads):
     """The chain of primitives `ad.attention` replaces."""
     n, length, h = x.shape
@@ -384,9 +398,9 @@ def unfused_attention(x, p, key_bias, heads):
         return ad.transpose(ad.reshape(proj, (n, length, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = split("q"), split("k"), split("v")
-    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(dh))
+    scores = _batched_matmul(q, ad.transpose(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(dh))
     weights = ad.softmax_last(scores + Tensor(key_bias))
-    ctx = ad.reshape(ad.transpose(weights @ v, (0, 2, 1, 3)), (n, length, h))
+    ctx = ad.reshape(ad.transpose(_batched_matmul(weights, v), (0, 2, 1, 3)), (n, length, h))
     return ad.linear(ctx, p["wo"], p["bo"])
 
 
@@ -816,6 +830,19 @@ def test_backward_frees_every_node_it_walks(two_threads, monkeypatch, threads):
     assert loss.grad is None and loss._vjp is None and loss._parents is None
     # leaves keep their gradients
     assert all(p.grad is not None for p in student.params.values())
+
+
+@pytest.mark.parametrize("threads", [2, 1])
+@pytest.mark.parametrize("count", [1, 3])
+def test_vjp_must_return_one_gradient_per_operand(two_threads, monkeypatch, threads, count):
+    if threads == 1:
+        monkeypatch.setattr(ad, "_HELPER", False)
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    out = ad._node(a.data + b.data, (a, b), lambda g: (g.copy(),) * count, "miscounted")
+    with pytest.raises(ContractError, match=f"'miscounted' returned {count} gradients for 2"):
+        backward(ad.tsum(out))
+    assert b.grad is None
 
 
 @pytest.mark.parametrize("threads", [2, 1])

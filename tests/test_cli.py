@@ -50,7 +50,7 @@ def config_path(cli_corpus, tmp_path):
     cfg = PipelineConfig(
         corpus_dir=str(cli_corpus), out_dir=str(tmp_path / "run"),
         assistant=micro_assistant(), student=micro_student(),
-        sts_path=str(cli_corpus / "sts.tsv"), seed=11, teacher_seed=0,
+        sts_path=str(cli_corpus / "sts.tsv"), seed=11,
         stages=default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50),
     )
     path = tmp_path / "config.json"
@@ -254,12 +254,28 @@ class TestTrain:
     def test_unknown_optimizer_field_exits_without_traceback(self, config_path):
         result = subprocess.run(
             [sys.executable, "-m", "crosstill", "train", "--config", str(config_path),
-             "--stages.0.optimizer.momentum", "0.9"],
+             "--stages.0.optimizer.lr", "0.001"],
             capture_output=True, text=True,
         )
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("error:") and "momentum" in result.stderr
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'stages.0.optimizer'" in err[0]
+
+    @pytest.mark.parametrize("edit, override, where", [
+        (lambda raw: raw["stages"][1].update(optimizer={"lr": 0.002}), [], "stages[1]: ['optimizer']"),
+        (lambda raw: raw.update(teacher_seed=0), [], "['teacher_seed']"),
+        (None, ["--stages.1.optimizer", '{"lr": 0.002}'], "stages[1]: ['optimizer']"),
+        (None, ["--teacher_seed", "0"], "['teacher_seed']"),
+    ], ids=["optimizer-in-file", "teacher-seed-in-file", "optimizer-override", "teacher-seed-override"])
+    def test_removed_settings_rejected(self, config_path, capsys, edit, override, where):
+        if edit is not None:
+            raw = json.loads(config_path.read_text(encoding="utf-8"))
+            edit(raw)
+            config_path.write_text(json.dumps(raw), encoding="utf-8")
+        assert run_cli("train", "--config", str(config_path), *override) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and where in err[0]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("train", "--config", str(tmp_path / "nope.json")) == 2
@@ -435,7 +451,7 @@ class TestSweepDepth:
         cfg = PipelineConfig(
             corpus_dir=str(cli_corpus), out_dir=str(tmp_path / "sweep"),
             assistant=micro_assistant(), student=micro_student(),
-            sts_path=str(cli_corpus / "sts.tsv"), seed=11, teacher_seed=0,
+            sts_path=str(cli_corpus / "sts.tsv"), seed=11,
             stages=default_stage_plans(epochs=(0, 0, 0, 1), batch_size=50),
         )
         path = tmp_path / "cfg.json"

@@ -29,7 +29,6 @@ from crosstill.pipeline import (
     STAGES,
     CorpusBundle,
     MetricsLog,
-    OptimizerPlan,
     PipelineConfig,
     StagePlan,
     default_stage_plans,
@@ -80,7 +79,7 @@ def micro_cfg(corpus_dir, out_dir, **overrides) -> PipelineConfig:
     base = dict(
         corpus_dir=str(corpus_dir), out_dir=str(out_dir),
         assistant=micro_assistant(), student=micro_student(),
-        sts_path=str(corpus_dir / "sts.tsv"), seed=11, teacher_seed=0,
+        sts_path=str(corpus_dir / "sts.tsv"), seed=11,
         stages=default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50),
     )
     base.update(overrides)
@@ -109,13 +108,10 @@ class TestPlans:
             StagePlan(epochs=-1)
         with pytest.raises(ConfigError, match="batch_size"):
             StagePlan(epochs=1, batch_size=0)
-        with pytest.raises(ConfigError, match="lr"):
-            OptimizerPlan(lr=0.0)
 
     def test_plan_round_trip(self, corpus_dir, tmp_path):
         stages = list(default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50))
-        stages[1] = StagePlan(epochs=7, batch_size=16,
-                              optimizer=OptimizerPlan(lr=1e-3, warmup_fraction=0.2))
+        stages[1] = StagePlan(epochs=7, batch_size=16)
         cfg = micro_cfg(corpus_dir, tmp_path, stages=tuple(stages))
         again = PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again.plan(2) == stages[1]
@@ -140,8 +136,15 @@ def _drop(key):
 
 # (edit of a valid config dict, section path the ConfigError must name)
 MALFORMED_CONFIGS = [
-    pytest.param(_set(("stages", 0, "optimizer", "momentum"), 0.9), "stages[0].optimizer",
-                 id="unknown-optimizer-key"),
+    # every stage trains with the same AdamW settings; there is no optimizer section
+    pytest.param(_set(("stages", 0, "optimizer"), {"momentum": 0.9}),
+                 "unknown config fields in stages[0]: ['optimizer']", id="unknown-optimizer-key"),
+    pytest.param(_set(("stages", 0, "optimizer"), {"lr": float("nan")}),
+                 "unknown config fields in stages[0]: ['optimizer']", id="lr-nan"),
+    pytest.param(_set(("stages", 1, "optimizer"), {"weight_decay": float("nan")}),
+                 "unknown config fields in stages[1]: ['optimizer']", id="weight-decay-nan"),
+    pytest.param(_set(("stages", 3, "optimizer"), {"warmup_fraction": -5}),
+                 "unknown config fields in stages[3]: ['optimizer']", id="warmup-fraction-negative"),
     pytest.param(_set(("stages", 0, "epochs"), "five"), "stages[0].epochs", id="epochs-string"),
     pytest.param(_set(("stages", 3, "epoch"), 30), "stages[3]", id="unknown-stage-key"),
     pytest.param(_set(("student", "hidden"), "64"), "student.hidden", id="hidden-string"),
@@ -152,23 +155,20 @@ MALFORMED_CONFIGS = [
     pytest.param(_set(("seed",), True), "seed", id="seed-bool"),
     pytest.param(_set(("stages",), {}), "stages", id="stages-object"),
     pytest.param(_drop("assistant"), "missing required fields: ['assistant']", id="missing-assistant"),
-    pytest.param(_set(("stages", 2, "optimizer", "lr"), -1.0), "stages[2].optimizer: lr",
+    pytest.param(_set(("stages", 2, "batch_size"), 0), "stages[2]: batch_size",
                  id="post-init-check"),
-    pytest.param(_set(("stages", 0, "optimizer", "lr"), float("nan")), "stages[0].optimizer.lr",
-                 id="lr-nan"),
-    pytest.param(_set(("stages", 1, "optimizer", "weight_decay"), float("nan")),
-                 "stages[1].optimizer.weight_decay", id="weight-decay-nan"),
     pytest.param(_set(("student", "layernorm_eps"), float("nan")), "student.layernorm_eps",
                  id="layernorm-eps-nan"),
     pytest.param(_set(("ce_temperature",), float("inf")), "ce_temperature",
                  id="ce-temperature-inf"),
-    pytest.param(_set(("stages", 0, "optimizer", "warmup_fraction"), -5),
-                 "stages[0].optimizer: warmup_fraction", id="warmup-fraction-negative"),
     pytest.param(_set(("stages",), []), "config: stages must hold exactly four plans",
                  id="stages-empty"),
     # settings derived from other fields: teacher width, sequence length, stage number
     pytest.param(_set(("teacher_dim",), 64), "unknown config fields: ['teacher_dim']",
                  id="teacher-dim-field"),
+    # the teacher is the one the similarity sets are scored by
+    pytest.param(_set(("teacher_seed",), 0), "unknown config fields: ['teacher_seed']",
+                 id="teacher-seed-field"),
     pytest.param(_set(("max_seq_len",), 16), "unknown config fields: ['max_seq_len']",
                  id="max-seq-len-field"),
     pytest.param(_set(("stages", 0, "stage"), 1), "unknown config fields in stages[0]: ['stage']",
@@ -230,9 +230,9 @@ class TestPipelineConfig:
     def test_int_passes_as_float(self):
         raw = toy_config("c", "o").to_dict()
         raw["ce_temperature"] = 1
-        raw["stages"][0]["optimizer"]["lr"] = 1
+        raw["student"]["layernorm_eps"] = 1
         cfg = PipelineConfig.from_dict(raw)
-        assert cfg.ce_temperature == 1 and cfg.plan(1).optimizer.lr == 1
+        assert cfg.ce_temperature == 1 and cfg.student.layernorm_eps == 1
 
 
 _JSON_VALUES = st.recursive(
@@ -241,7 +241,7 @@ _JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 _FIELD_NAMES = sorted({
-    f.name for cls in (PipelineConfig, EncoderConfig, StagePlan, OptimizerPlan) for f in fields(cls)
+    f.name for cls in (PipelineConfig, EncoderConfig, StagePlan) for f in fields(cls)
 })
 # (operation, which section, which key, key to insert, new value)
 _EDITS = st.lists(
@@ -318,45 +318,24 @@ TOY_CONFIG_JSON = """\
   },
   "sts_path": "s.tsv",
   "seed": 42,
-  "teacher_seed": 0,
   "variant": "mcl",
   "ce_temperature": 0.05,
   "stages": [
     {
       "epochs": 5,
-      "batch_size": 64,
-      "optimizer": {
-        "lr": 0.002,
-        "weight_decay": 0.01,
-        "warmup_fraction": 0.1
-      }
+      "batch_size": 64
     },
     {
       "epochs": 5,
-      "batch_size": 64,
-      "optimizer": {
-        "lr": 0.002,
-        "weight_decay": 0.01,
-        "warmup_fraction": 0.1
-      }
+      "batch_size": 64
     },
     {
       "epochs": 5,
-      "batch_size": 64,
-      "optimizer": {
-        "lr": 0.002,
-        "weight_decay": 0.01,
-        "warmup_fraction": 0.1
-      }
+      "batch_size": 64
     },
     {
       "epochs": 15,
-      "batch_size": 64,
-      "optimizer": {
-        "lr": 0.002,
-        "weight_decay": 0.01,
-        "warmup_fraction": 0.1
-      }
+      "batch_size": 64
     }
   ]
 }"""
@@ -404,6 +383,22 @@ class TestMetricsLog:
             MetricsLog.read(path)
         assert info.value.line == 2
         assert str(info.value).startswith(f"{path}: line 2: ")
+
+    @pytest.mark.parametrize("record", [
+        dict(loss=float("nan")),
+        dict(loss=0.5, loss_components={"source": float("inf")}),
+        dict(loss=0.5, eval_snapshot={"spearman": float("-inf")}),
+    ], ids=["nan-loss", "infinite-component", "infinite-eval"])
+    def test_non_finite_value_rejected_before_writing(self, tmp_path, record):
+        path = tmp_path / "m.jsonl"
+        log = MetricsLog(path)
+        log.append(stage=1, epoch=1, loss=0.5)
+        before = path.read_bytes()
+        with pytest.raises(ContractError, match="non-finite"):
+            log.append(stage=1, epoch=2, **record)
+        assert path.read_bytes() == before and len(log.records) == 1
+        log.append(stage=1, epoch=2, loss=0.4)
+        assert MetricsLog.read(path).records == log.records
 
     def test_fresh_truncates(self, tmp_path):
         path = tmp_path / "m.jsonl"
