@@ -6,9 +6,10 @@ verification, and the depth sweep. Machine-readable results go to standard
 output; diagnostics go to standard error. Exit codes: 0 success, 1 for
 contract or configuration violations, 2 for I/O and format problems.
 
-Training commands read a JSON config file mirroring PipelineConfig; any
-field can be overridden on the command line with a dotted flag, e.g.
-`--seed 9`, `--student.bottleneck_size 16` or `--stages.3.epochs 30`.
+Training commands and `gen-sts` read a JSON config file mirroring
+PipelineConfig; any field can be overridden on the command line with a
+dotted flag, e.g. `--seed 9`, `--student.bottleneck_size 16` or
+`--stages.3.epochs 30`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import numpy as np
 
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint
-from .corpus import OracleSemantics, VocabSpec, gen_parallel_corpus, gen_sts_set, load_sts_tsv, read_parallel_tsv
+from .corpus import VocabSpec, gen_parallel_corpus, gen_sts_set, load_sts_tsv, read_parallel_tsv
 from .encoder import EncoderConfig, SentenceEncoder
 from .errors import ConfigError, CrosstillError, FormatError, ParseError
-from .evaluate import EvalReport, retrieval_accuracy, sts_evaluate
+from .evaluate import RETRIEVAL_BLOCK, EvalReport, retrieval_accuracy, sts_evaluate
 from .gradcheck import finite_diff_check
 from .losses import (
     CeLossConfig,
@@ -37,7 +38,9 @@ from .losses import (
     loss_pairwise_align,
     loss_stage4,
 )
-from .pipeline import PipelineConfig, depth_sweep, resume_stage, run_pipeline, run_single_stage
+from .pipeline import (
+    PipelineConfig, depth_sweep, load_teacher, resume_stage, run_pipeline, run_single_stage,
+)
 from .rng import stream
 from .sizes import PRESETS, model_report
 
@@ -137,14 +140,13 @@ def _cmd_gen_corpus(args, extras) -> int:
 
 
 def _cmd_gen_sts(args, extras) -> int:
-    vocab = VocabSpec.from_manifest(args.vocab)
-    oracle = OracleSemantics.create(vocab, dim=args.dim)
+    oracle = load_teacher(_load_config(args.config, extras))
     path = gen_sts_set(
         seed=args.seed, n_examples=args.examples, oracle=oracle,
         out_path=args.out, length_range=(args.min_len, args.max_len),
     )
     _say(f"similarity set written to {path}")
-    _emit({"out": str(path), "examples": args.examples, "dim": args.dim})
+    _emit({"out": str(path), "examples": args.examples, "dim": oracle.dim})
     return 0
 
 
@@ -155,10 +157,8 @@ def _cmd_train(args, extras) -> int:
         result = run_pipeline(cfg)
     elif stage in ("1", "2", "3", "4"):
         result = resume_stage(cfg, int(stage))
-    elif stage in ("random_init", "pre_distill"):
-        result = run_single_stage(cfg, stage)
     else:
-        raise ConfigError(f"unknown stage {stage!r}")
+        result = run_single_stage(cfg, stage)
     _say(f"training finished; checkpoint at {result.checkpoint_path}")
     _emit({
         "checkpoint": str(result.checkpoint_path),
@@ -278,14 +278,11 @@ def _cmd_grad_check(args, extras) -> int:
     for flag, value in (("--batch", args.batch), ("--dim", args.dim)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
-    dtype = np.float64 if args.width == "64bit" else np.float32
     names = GRAD_CHECK_LOSSES if args.loss == "all" else (args.loss,)
     worst = 0.0
     for name in names:
-        loss_fn, params = _grad_check_cases(name, args.batch, args.dim, args.seed, dtype)
-        report = finite_diff_check(
-            loss_fn, params, allow_float32=(args.width == "32bit")
-        )
+        loss_fn, params = _grad_check_cases(name, args.batch, args.dim, args.seed, np.float64)
+        report = finite_diff_check(loss_fn, params)
         worst = max(worst, report.max_rel_error)
         _emit({
             "loss": name,
@@ -336,15 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", default="0.9,0.05,0.05", help="train,dev,test fractions")
     p.set_defaults(handler=_cmd_gen_corpus, allow_overrides=False)
 
-    p = sub.add_parser("gen-sts", help="generate a scored sentence-similarity set")
-    p.add_argument("--vocab", required=True, help="path to a corpus vocab.json manifest")
+    p = sub.add_parser("gen-sts", help="generate a similarity set scored by a config's teacher")
+    p.add_argument("--config", required=True,
+                   help="JSON config file whose corpus and assistant width define the teacher")
     p.add_argument("--out", required=True, help="output TSV path")
     p.add_argument("--seed", type=int, default=0, help="generation seed")
     p.add_argument("--examples", type=int, default=128, help="number of scored pairs")
-    p.add_argument("--dim", type=int, default=64, help="scoring-table embedding width")
     p.add_argument("--min-len", type=int, default=3, help="minimum sentence length")
     p.add_argument("--max-len", type=int, default=12, help="maximum sentence length")
-    p.set_defaults(handler=_cmd_gen_sts, allow_overrides=False)
+    p.set_defaults(handler=_cmd_gen_sts, allow_overrides=True)
 
     p = sub.add_parser("train", help="run staged or single-stage training")
     p.add_argument("--config", required=True, help="JSON config file")
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test", choices=["train", "dev", "test"],
                    help="which split to use for retrieval")
     p.add_argument("--sts", default=None, help="optional similarity TSV to score")
-    p.add_argument("--block-size", type=int, default=64, help="retrieval block size")
+    p.add_argument("--block-size", type=int, default=RETRIEVAL_BLOCK, help="retrieval block size")
     p.set_defaults(handler=_cmd_eval, allow_overrides=False)
 
     p = sub.add_parser("count-params", help="print exact and rounded parameter counts")
@@ -371,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="verify loss gradients by central differences")
     p.add_argument("--loss", default="all", choices=list(GRAD_CHECK_LOSSES) + ["all"],
                    help="which loss to check")
-    p.add_argument("--width", default="64bit", choices=["32bit", "64bit"],
-                   help="float width for the check")
     p.add_argument("--batch", type=int, default=4, help="rows per input tensor")
     p.add_argument("--dim", type=int, default=8, help="columns per input tensor")
     p.add_argument("--seed", type=int, default=0, help="input sampling seed")

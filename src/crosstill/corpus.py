@@ -244,7 +244,7 @@ class OracleSemantics:
     seed: int
 
     @classmethod
-    def create(cls, vocab: VocabSpec, dim: int = 64, seed: int = 0) -> "OracleSemantics":
+    def create(cls, vocab: VocabSpec, dim: int, seed: int = 0) -> "OracleSemantics":
         if dim < 1:
             raise ContractError(f"dim must be at least 1, got {dim}")
         rng = stream(seed, "oracle-concepts")

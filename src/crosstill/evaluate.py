@@ -17,6 +17,9 @@ from .corpus import ParallelPair, StsExample, frame_rows
 from .encoder import SentenceEncoder
 from .errors import ContractError
 
+# pairs per retrieval block: each source row picks its translation among this many
+RETRIEVAL_BLOCK = 64
+
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties assigned the mean of their positions."""
@@ -137,7 +140,7 @@ def sts_evaluate(encoder, examples: list[StsExample], batch_size: int = 64) -> E
     )
 
 
-def retrieval_accuracy(encoder, pairs: list[ParallelPair], block_size: int = 64) -> float:
+def retrieval_accuracy(encoder, pairs: list[ParallelPair], block_size: int = RETRIEVAL_BLOCK) -> float:
     """Within-block nearest-neighbor translation retrieval.
 
     For each block of `block_size` pairs, each source row retrieves its

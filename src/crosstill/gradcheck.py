@@ -37,18 +37,18 @@ class GradCheckReport:
 def finite_diff_check(
     loss_fn: Callable[[], Tensor],
     params: Mapping[str, Tensor],
-    h: float = 1e-4,
+    h: float = 2e-5,
     min_coords: int = 20,
     seed: int = 0,
-    allow_float32: bool = False,
 ) -> GradCheckReport:
     """Compare analytic gradients of `loss_fn` against central differences.
 
     `loss_fn` must close over `params` and rebuild its graph on every call;
     it is evaluated twice up front to confirm determinism. Each parameter is
     probed at min(min_coords, size) coordinates drawn without replacement.
-    Float32 parameters are rejected unless `allow_float32` is set, because
-    the quotient loses too many bits to certify anything at tight tolerance.
+    Parameters must be float64: in float32 the quotient loses too many bits
+    to certify anything at tight tolerance. The default `h` keeps truncation
+    error inside a 1e-6 bound on the losses, which h=1e-4 does not.
     """
     if not params:
         raise ContractError("finite_diff_check needs at least one parameter")
@@ -57,10 +57,9 @@ def finite_diff_check(
             raise ContractError(f"parameter {name!r} is not a Tensor")
         if not p.requires_grad:
             raise ContractError(f"parameter {name!r} is frozen; gradient undefined")
-        if p.data.dtype != np.float64 and not allow_float32:
+        if p.data.dtype != np.float64:
             raise ContractError(
-                f"parameter {name!r} is {p.data.dtype}; finite differences need float64 "
-                "(pass allow_float32=True to override)"
+                f"parameter {name!r} is {p.data.dtype}; finite differences need float64"
             )
 
     first = loss_fn()

@@ -222,6 +222,10 @@ def loss_ce(
     return LossValue(value=-ad.tsum(weights * log_probs))
 
 
+# the contrastive halves stage 4 can pair with distillation; "none" means kd only
+STAGE4_VARIANTS = ("mcl", "bool", "ce", "none")
+
+
 def loss_stage4(
     teacher_src: Tensor,
     student_src: Tensor,

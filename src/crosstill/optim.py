@@ -10,26 +10,29 @@ from .autodiff import Tensor
 from .errors import ContractError
 
 
+# the one optimizer setting every stage trains with
+LEARNING_RATE = 2e-3
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+WEIGHT_DECAY = 0.01
+WARMUP_FRACTION = 0.1
+
+
 @dataclass
 class AdamW:
     """Adam with weight decay applied directly to the weights.
 
     The effective learning rate ramps linearly from zero over the first
-    `warmup_fraction` of `total_steps` and then stays at `lr`. Steps are
-    counted from zero: at step s the rate factor is min(1, s / warmup_steps),
-    so e.g. step 5 of 100 total with fraction 0.1 trains at half rate.
+    `WARMUP_FRACTION` of `total_steps` and then stays at `LEARNING_RATE`.
+    Steps count from zero, and step s trains at rate factor
+    min(1, s / (WARMUP_FRACTION * total_steps)): step 5 of 100 is at half rate.
 
     Weight decay touches only matrices (ndim >= 2); bias vectors, layer-norm
     parameters, and other 1-D tensors are exempt.
     """
 
     params: dict[str, Tensor]
-    lr: float = 2e-5
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-    total_steps: int = 1
-    warmup_fraction: float = 0.1
+    total_steps: int
     step_count: int = field(default=0, init=False)
     _m: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     _v: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
@@ -37,8 +40,6 @@ class AdamW:
     def __post_init__(self):
         if self.total_steps < 1:
             raise ContractError("total_steps must be at least 1")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ContractError("warmup_fraction must lie in [0, 1]")
         for name, p in self.params.items():
             if not p.requires_grad:
                 raise ContractError(f"optimizer given frozen parameter {name!r}")
@@ -47,10 +48,7 @@ class AdamW:
 
     def lr_at(self, step: int) -> float:
         """Effective learning rate at a zero-based step index."""
-        warmup_steps = self.warmup_fraction * self.total_steps
-        if warmup_steps <= 0:
-            return self.lr
-        return self.lr * min(1.0, step / warmup_steps)
+        return LEARNING_RATE * min(1.0, step / (WARMUP_FRACTION * self.total_steps))
 
     def step(self) -> float:
         """Apply one update from the accumulated gradients; returns the lr used."""
@@ -60,7 +58,7 @@ class AdamW:
             )
         lr_t = self.lr_at(self.step_count)
         t = self.step_count + 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         bias1 = 1.0 - b1**t
         bias2 = 1.0 - b2**t
         for name, p in self.params.items():
@@ -75,9 +73,9 @@ class AdamW:
             v += (1.0 - b2) * (g * g)
             mhat = m / bias1
             vhat = v / bias2
-            update = lr_t * mhat / (np.sqrt(vhat) + self.eps)
-            if self.weight_decay > 0.0 and p.data.ndim >= 2:
-                update = update + lr_t * self.weight_decay * p.data
+            update = lr_t * mhat / (np.sqrt(vhat) + EPS)
+            if p.data.ndim >= 2:
+                update = update + lr_t * WEIGHT_DECAY * p.data
             p.data -= update.astype(p.data.dtype)
         self.step_count += 1
         return lr_t

@@ -36,8 +36,8 @@ from .corpus import (
 )
 from .encoder import EncoderConfig, SentenceEncoder, config_from_dict, init_student_from_assistant
 from .errors import ConfigError, ContractError, NumericError, ParseError
-from .evaluate import EvalReport, retrieval_accuracy, sts_evaluate
-from .losses import CeLossConfig, loss_anchor_align, loss_pairwise_align, loss_stage4
+from .evaluate import RETRIEVAL_BLOCK, EvalReport, retrieval_accuracy, sts_evaluate
+from .losses import STAGE4_VARIANTS, CeLossConfig, loss_anchor_align, loss_pairwise_align, loss_stage4
 from .optim import AdamW
 from .rng import stream
 
@@ -49,10 +49,6 @@ EMBEDDING_PATH_KEYS = (
     "embedding.ln.scale",
     "embedding.ln.shift",
 )
-
-
-# every stage's AdamW peak rate; weight decay and warmup are AdamW's defaults
-LEARNING_RATE = 2e-3
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -117,7 +113,7 @@ class PipelineConfig:
             raise ConfigError(
                 f"stages must hold exactly four plans, one per stage, got {len(self.stages)}"
             )
-        if self.variant not in ("mcl", "bool", "ce", "none"):
+        if self.variant not in STAGE4_VARIANTS:
             raise ConfigError(f"unknown contrastive variant {self.variant!r}")
         if self.ce_temperature <= 0:
             raise ConfigError("ce_temperature must be positive")
@@ -251,9 +247,8 @@ class MetricsLog:
 
 @dataclass
 class CorpusBundle:
-    """Loaded data world: vocabulary, teacher table, splits, and similarity set."""
+    """Loaded data world: the teacher (which holds the vocabulary), splits, and similarity set."""
 
-    vocab: VocabSpec
     oracle: OracleSemantics
     train_pairs: list[ParallelPair]
     dev_pairs: list[ParallelPair]
@@ -261,9 +256,10 @@ class CorpusBundle:
     sts_examples: list | None
 
 
-def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
-    corpus_dir = Path(cfg.corpus_dir)
-    manifest = corpus_dir / "vocab.json"
+def load_teacher(cfg: PipelineConfig) -> OracleSemantics:
+    """The run's frozen teacher: the corpus vocabulary's concept table at the
+    assistant's width. Training and `gen-sts` both build it here."""
+    manifest = Path(cfg.corpus_dir) / "vocab.json"
     if not manifest.exists():
         raise ConfigError(f"no vocabulary manifest at {manifest}")
     vocab = VocabSpec.from_manifest(manifest)
@@ -272,19 +268,21 @@ def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
             f"corpus vocabulary has {vocab.vocab_size} ids but the assistant "
             f"expects {cfg.assistant.vocab_size}"
         )
+    return OracleSemantics.create(vocab, dim=cfg.assistant.hidden)
+
+
+def load_corpus(cfg: PipelineConfig) -> CorpusBundle:
+    oracle = load_teacher(cfg)
+    corpus_dir = Path(cfg.corpus_dir)
     splits = {}
     for name in SPLIT_NAMES:
         path = corpus_dir / f"{name}.tsv"
         if not path.exists():
             raise ConfigError(f"missing corpus split {path}")
-        splits[name] = read_parallel_tsv(path, vocab)
-    oracle = OracleSemantics.create(vocab, dim=cfg.assistant.hidden)
-    sts = None
-    if cfg.sts_path is not None:
-        sts = load_sts_tsv(cfg.sts_path, vocab)
+        splits[name] = read_parallel_tsv(path, oracle.vocab)
+    sts = None if cfg.sts_path is None else load_sts_tsv(cfg.sts_path, oracle.vocab)
     return CorpusBundle(
-        vocab=vocab, oracle=oracle,
-        train_pairs=splits["train"], dev_pairs=splits["dev"],
+        oracle=oracle, train_pairs=splits["train"], dev_pairs=splits["dev"],
         test_pairs=splits["test"], sts_examples=sts,
     )
 
@@ -418,7 +416,7 @@ def _tensor_digests(encoder: SentenceEncoder, names) -> dict[str, bytes]:
 
 def _eval_snapshot(model: SentenceEncoder, bundle: CorpusBundle) -> dict | None:
     snapshot = {}
-    if len(bundle.dev_pairs) >= 64:
+    if len(bundle.dev_pairs) >= RETRIEVAL_BLOCK:
         snapshot["retrieval_acc"] = retrieval_accuracy(model, bundle.dev_pairs)
     if bundle.sts_examples:
         snapshot["spearman"] = sts_evaluate(model, bundle.sts_examples).spearman_rho
@@ -460,7 +458,7 @@ def run_stage(
     save_checkpoint(trainable, out_path)
     if plan.epochs > 0:
         n_batches = (len(bundle.train_pairs) + plan.batch_size - 1) // plan.batch_size
-        optimizer = AdamW(params=subset, lr=LEARNING_RATE, total_steps=plan.epochs * n_batches)
+        optimizer = AdamW(params=subset, total_steps=plan.epochs * n_batches)
         all_params = list(trainable.params.values())
         for epoch in range(1, plan.epochs + 1):
             shuffle_seed = derive_seed(cfg.seed, f"shuffle-{spec.label}-epoch{epoch}")
@@ -569,7 +567,7 @@ def _run_table(
         return result
     if bundle.sts_examples:
         result.sts_report = sts_evaluate(trained, bundle.sts_examples)
-    if len(bundle.test_pairs) >= 64:
+    if len(bundle.test_pairs) >= RETRIEVAL_BLOCK:
         result.retrieval_report = EvalReport(
             task="retrieval", n_examples=len(bundle.test_pairs),
             retrieval_accuracy=retrieval_accuracy(trained, bundle.test_pairs),

@@ -691,11 +691,6 @@ class TestGradCheckContract:
         with pytest.raises(ContractError, match="float64"):
             finite_diff_check(lambda: ad.tsum(a * a), {"a": a})
 
-    def test_allows_float32_with_flag(self):
-        a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        report = finite_diff_check(lambda: ad.tsum(a * a), {"a": a}, allow_float32=True)
-        assert report.max_rel_error < 1e-2
-
     def test_rejects_nondeterministic_loss(self):
         a = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
         counter = iter(range(1000))

@@ -5,7 +5,7 @@ import pytest
 
 from crosstill.autodiff import Tensor
 from crosstill.errors import ContractError
-from crosstill.optim import AdamW
+from crosstill.optim import LEARNING_RATE, WEIGHT_DECAY, AdamW
 from crosstill.rng import stream
 
 
@@ -37,24 +37,19 @@ def reference_adamw(w0, grads, lr, betas, eps, wd, total_steps, warmup_fraction)
 class TestWarmup:
     def test_half_rate_at_step_five_of_hundred(self):
         p = Tensor(np.ones((2, 2), dtype=np.float64), requires_grad=True)
-        opt = AdamW({"p": p}, lr=1e-3, total_steps=100, warmup_fraction=0.1)
-        assert opt.lr_at(5) == pytest.approx(0.5e-3)
+        opt = AdamW({"p": p}, total_steps=100)
+        assert opt.lr_at(5) == pytest.approx(0.5 * LEARNING_RATE)
 
     def test_zero_rate_at_step_zero(self):
         p = Tensor(np.ones(2, dtype=np.float64), requires_grad=True)
-        opt = AdamW({"p": p}, lr=1e-3, total_steps=100, warmup_fraction=0.1)
+        opt = AdamW({"p": p}, total_steps=100)
         assert opt.lr_at(0) == 0.0
 
     def test_full_rate_after_warmup(self):
         p = Tensor(np.ones(2, dtype=np.float64), requires_grad=True)
-        opt = AdamW({"p": p}, lr=1e-3, total_steps=100, warmup_fraction=0.1)
-        assert opt.lr_at(10) == pytest.approx(1e-3)
-        assert opt.lr_at(99) == pytest.approx(1e-3)
-
-    def test_no_warmup_means_constant_rate(self):
-        p = Tensor(np.ones(2, dtype=np.float64), requires_grad=True)
-        opt = AdamW({"p": p}, lr=1e-3, total_steps=10, warmup_fraction=0.0)
-        assert opt.lr_at(0) == pytest.approx(1e-3)
+        opt = AdamW({"p": p}, total_steps=100)
+        assert opt.lr_at(10) == pytest.approx(LEARNING_RATE)
+        assert opt.lr_at(99) == pytest.approx(LEARNING_RATE)
 
 
 class TestUpdateRule:
@@ -67,8 +62,7 @@ class TestUpdateRule:
         ]
 
         params = {k: Tensor(v.copy(), requires_grad=True) for k, v in w0.items()}
-        opt = AdamW(params, lr=1e-2, weight_decay=0.01,
-                    total_steps=10, warmup_fraction=0.2)
+        opt = AdamW(params, total_steps=10)
         for gstep in grads:
             for k, p in params.items():
                 p.grad = gstep[k].copy()
@@ -77,39 +71,45 @@ class TestUpdateRule:
                 p.grad = None
 
         expected = reference_adamw(
-            w0, grads, lr=1e-2, betas=(0.9, 0.999), eps=1e-8, wd=0.01,
-            total_steps=10, warmup_fraction=0.2,
+            w0, grads, lr=2e-3, betas=(0.9, 0.999), eps=1e-8, wd=0.01,
+            total_steps=10, warmup_fraction=0.1,
         )
         for k in shapes:
             np.testing.assert_allclose(params[k].data, expected[k], rtol=1e-12, atol=1e-14)
 
     def test_decay_skips_vectors(self):
-        # With zero gradient the Adam term vanishes, leaving only decay.
+        # With zero gradient the Adam term vanishes, leaving only decay. Step 0
+        # trains at rate 0; step 1 of 2 is past the warmup, at the full rate.
         mat = Tensor(np.full((2, 2), 2.0), requires_grad=True)
         vec = Tensor(np.full(2, 2.0), requires_grad=True)
-        opt = AdamW({"mat": mat, "vec": vec}, lr=0.1, weight_decay=0.5,
-                    total_steps=1, warmup_fraction=0.0)
-        mat.grad = np.zeros((2, 2))
-        vec.grad = np.zeros(2)
-        opt.step()
-        np.testing.assert_allclose(mat.data, np.full((2, 2), 2.0 - 0.1 * 0.5 * 2.0))
+        opt = AdamW({"mat": mat, "vec": vec}, total_steps=2)
+        for _ in range(2):
+            mat.grad = np.zeros((2, 2))
+            vec.grad = np.zeros(2)
+            opt.step()
+        np.testing.assert_allclose(
+            mat.data, np.full((2, 2), 2.0 - LEARNING_RATE * WEIGHT_DECAY * 2.0)
+        )
         np.testing.assert_allclose(vec.data, np.full(2, 2.0))
 
     def test_first_step_bias_correction(self):
-        # After one step with constant gradient g, mhat = g and vhat = g^2,
-        # so the update is lr * g / (|g| + eps) regardless of magnitude.
+        # After two steps with constant gradient g, mhat = g and vhat = g^2,
+        # so the update is lr * g / (|g| + eps) regardless of magnitude; step
+        # 0 trains at rate 0, so only step 1 of 2 moves the vector.
         p = Tensor(np.array([10.0, -10.0]), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0,
-                    total_steps=1, warmup_fraction=0.0)
-        p.grad = np.array([4.0, -0.25])
-        opt.step()
-        np.testing.assert_allclose(p.data, [10.0 - 0.1, -10.0 + 0.1], rtol=1e-6)
+        opt = AdamW({"p": p}, total_steps=2)
+        for _ in range(2):
+            p.grad = np.array([4.0, -0.25])
+            opt.step()
+        np.testing.assert_allclose(
+            p.data, [10.0 - LEARNING_RATE, -10.0 + LEARNING_RATE], rtol=1e-6
+        )
 
 
 class TestContract:
     def test_step_budget_enforced(self):
         p = Tensor(np.ones(2, dtype=np.float64), requires_grad=True)
-        opt = AdamW({"p": p}, total_steps=1, warmup_fraction=0.0)
+        opt = AdamW({"p": p}, total_steps=1)
         p.grad = np.zeros(2)
         opt.step()
         with pytest.raises(ContractError, match="sized for"):
@@ -125,8 +125,3 @@ class TestContract:
         p = Tensor(np.ones(2, dtype=np.float64))
         with pytest.raises(ContractError, match="frozen"):
             AdamW({"p": p}, total_steps=5)
-
-    def test_bad_warmup_fraction_rejected(self):
-        p = Tensor(np.ones(2, dtype=np.float64), requires_grad=True)
-        with pytest.raises(ContractError):
-            AdamW({"p": p}, total_steps=5, warmup_fraction=1.5)
