@@ -43,41 +43,54 @@ about zero. The setting applies to the whole process that imports
 `crosstill`; elsewhere than glibc nothing is changed.
 
 Thread policy (process-wide): training uses a second core for the second
-language side. The first call to `concurrently` or `backward` decides, once
-per process, whether one helper thread starts. It starts only when the
-process may run on at least 2 CPUs (`os.sched_getaffinity`) and a loaded
-OpenBLAS exports a `set_num_threads` symbol; every such OpenBLAS is then set
-to one thread through it, for the rest of the process and over any
+language side. The first call to `concurrently` decides, once per process,
+whether one helper thread starts. It starts only when the process may run
+on at least 2 CPUs (`os.sched_getaffinity`) and a loaded OpenBLAS exports a
+`set_num_threads` symbol; every such OpenBLAS is then set to one thread
+through it, for the rest of the process and over any
 `OPENBLAS_NUM_THREADS`, since two threads each asking BLAS for two more
 oversubscribe a 2-core machine and lose. The rule was measured only on a
-2-CPU machine. `concurrently` runs one of two independent calls on the
-helper and the other on the caller; the pipeline runs a batch's source side
-on the helper and its target side on the caller. `backward` has one walk:
-a node's VJP runs as soon as all of its consumers have run, lowest position
-in the reverse topological order first, on whichever thread is free, and
-every tensor sums its incoming gradients by the consumer's position in that
-order, then by operand index. On the caller alone that visits the nodes in
-order. So every `.grad`, and every checkpoint, is bitwise the same whether
+2-CPU machine. `concurrently(first, second)` is the only code that hands
+work to the helper: it runs `first` there and `second` on the caller, and
+the pipeline passes a batch's source side as `first` and its target side
+as `second`. A result that records a graph comes back cut: as a leaf that
+shares its data and stands for the graph its call built. The two calls
+must build separate graphs, sharing only leaves.
+
+`backward` walks the loss graph on the calling thread, one node at a time in
+reverse topological order, each node summing its incoming gradients by
+consumer, then by operand index. For each pair of cut leaves it reaches,
+it walks the two graphs they stand for through `concurrently`, each from
+its cut leaf's gradient, and their own cuts the same way. A side walk
+writes no `.grad`: it returns its leaves' gradients in order, and
+`backward` adds them once every walk is done, one array at a time: the
+loss walk's first, then the first side's, then the second side's. In the
+pipeline's graphs each parameter gets all of its source-side gradients
+before its target-side ones in the one-thread walk over the uncut graph
+too, so every `.grad`, and every checkpoint, is bitwise the same whether
 the helper runs or not, and digests do not depend on the CPU count or the
-BLAS thread count. An error at one node stops the walk once every node
-before it in that order has run, and the error raised is the earliest
-there, the one the walk on one thread meets; an interrupt stops both
-threads at once. Without the helper (one CPU, no OpenBLAS setter, no
-`sched_getaffinity`) both functions run on the caller. A forked child
-drops the parent's helper and decides afresh. Work already running on the
-helper that calls either function runs that call on the helper alone, since
-waiting for the one busy worker would hang. Evaluation never calls either
-function, so it stays on the calling thread.
+BLAS thread count. With the helper, both calls of `concurrently` run to
+their end; when both fail, the error raised is the first call's, the one a
+sequential `first(); second()` meets, and an interrupt wins over an error.
+So when both sides of a backward walk fail, the first side's error is
+raised. A failed
+`backward` leaves every `.grad` as it was. Work already running on the
+helper that calls `concurrently`, directly or through `backward`, runs
+both calls there, first then second, since waiting for the one busy worker
+would hang. Without the helper (one CPU, no OpenBLAS setter, no
+`sched_getaffinity`) both calls run on the caller, first then second. A
+forked child drops the parent's helper and decides afresh. Evaluation
+never calls `concurrently`, so it stays on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextvars
 import ctypes
-import heapq
 import math
 import os
 import threading
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -232,23 +245,26 @@ def _submit(helper: ThreadPoolExecutor, fn: Callable):
     return helper.submit(contextvars.copy_context().run, _as_helper_work, fn)
 
 
-def _first_failure(failures: list[tuple[int, BaseException]]) -> BaseException:
-    """The failure to raise: an interrupt first, then the error at the
-    earliest position in the one-thread order."""
-    return min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
-
-
 def concurrently(first: Callable, second: Callable):
     """`(first(), second())`, with `first` on the helper thread when there is one.
 
-    Both calls finish before this returns or raises. When either raises, the
-    error raised is the one a sequential `first(); second()` meets first; an
-    interrupt (a `BaseException` that is not an `Exception`) wins over an
-    error.
+    With the helper, both calls finish before this returns or raises. When
+    either raises, the error raised is the one a sequential
+    `first(); second()` meets first; an interrupt (a `BaseException` that is
+    not an `Exception`) wins over an error. On the helper itself, and
+    without one, both calls run on this thread, first then second.
+
+    A result that is a `Tensor` recording a graph comes back as a cut leaf:
+    a leaf sharing its data that `backward` walks on through the graph it
+    stands for, the two results' graphs side by side. Those graphs must
+    share no node but leaves (`ContractError`), and later code reaches
+    their nodes only through the cut leaves: `backward` over a graph that
+    also uses a side's node directly meets it spent (`ContractError`).
+    Other results come back as they are.
     """
     helper = _helper()
     if helper is None:
-        return first(), second()
+        return _cut(first(), second())
     future = _submit(helper, first)
     failures = []
     try:
@@ -260,8 +276,9 @@ def concurrently(first: Callable, second: Callable):
     except BaseException as exc:
         failures.append((0, exc))
     if failures:
-        raise _first_failure(failures)
-    return out_first, out_second
+        # an interrupt first, then the first call's error
+        raise min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
+    return _cut(out_first, out_second)
 
 
 class Tensor:
@@ -340,6 +357,39 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+
+class _CutLeaf(Tensor):
+    """A leaf of the caller's graph that stands for `root`, the graph call
+    `side` (0 for the first, 1 for the second) of one `concurrently` call
+    returned; both cut leaves of that call hold the same `pair` key."""
+
+    __slots__ = ("root", "pair", "side")
+
+    def __init__(self, root: Tensor, pair: object, side: int):
+        super().__init__(root.data, requires_grad=True)
+        self.op = "cut"
+        self.root: Tensor | None = root
+        self.pair = pair
+        self.side = side
+
+
+def _inner_nodes(root: Tensor) -> set[int]:
+    """The nodes of `root`'s graph that a walk writes to: all but plain leaves."""
+    return {id(n) for n in _toposort(root) if not _is_plain_leaf(n)}
+
+
+def _cut(*outs):
+    """`outs`, each `Tensor` that records a graph replaced by a cut leaf."""
+    graphs = [isinstance(out, Tensor) and out._vjp is not None for out in outs]
+    if all(graphs) and _inner_nodes(outs[0]) & _inner_nodes(outs[1]):
+        raise ContractError(
+            "the two calls of concurrently returned graphs that share a node; "
+            "each call must build its own graph"
+        )
+    pair = object()
+    return tuple(_CutLeaf(out, pair, side) if graph else out
+                 for side, (out, graph) in enumerate(zip(outs, graphs)))
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -893,109 +943,56 @@ def _run_vjp(node: Tensor, g: Array) -> list[Array | None]:
     return _send(node, node._vjp(g))
 
 
-class _Walk:
-    """The backward walk, on the caller alone or with the helper thread.
+def _is_plain_leaf(node: Tensor) -> bool:
+    """A parameter or input: a node of an unspent graph without a VJP that is not cut."""
+    return node._vjp is None and not isinstance(node, _CutLeaf)
 
-    Nodes are numbered by their position in the reverse topological order,
-    the one-thread walk. A node's inbox has one slot per (consumer, operand)
-    edge, in walk order; a node is ready once every slot is filled, and then
-    folds its slots in that order into the gradient its VJP gets (a leaf
-    keeps it as `.grad`). Ready nodes run lowest position first, so on one
-    thread the walk visits the nodes in order, and on two every tensor still
-    gets the same sums.
+
+def _walk(root: Tensor | None, g: Array | None) -> list[tuple[Tensor, Array]]:
+    """Walk `root`'s graph on this thread, from `g` as root's gradient.
+
+    Every node runs in reverse topological order and folds its incoming
+    gradients in that order, then drops its gradient, its VJP closure and
+    its operand links. Returns the gradients sent to plain leaves, one per
+    edge in walk order, followed by those of the walks of every cut pair it
+    reached, in the order reached, each pair's two sides through
+    `concurrently`. It writes no leaf's `.grad`.
     """
-
-    def __init__(self, order: list[Tensor]):
-        self.nodes = order[::-1]
-        position = {id(node): i for i, node in enumerate(self.nodes)}
-        self.inbox: list[list] = [[] for _ in self.nodes]
-        # routes[i]: for each operand of node i, (its position, its slot) or None
-        self.routes: list[list] = []
-        for node in self.nodes:
-            routes = []
-            for parent in node._parents:
-                if parent.requires_grad:
-                    j = position[id(parent)]
-                    routes.append((j, len(self.inbox[j])))
-                    self.inbox[j].append(None)
+    if g is None:
+        return []
+    order = _toposort(root)
+    if _is_plain_leaf(root):
+        return [(root, g)]
+    root.grad = g
+    leaf_grads: list[tuple[Tensor, Array]] = []
+    # cut pair -> (root, gradient) per side, in the order reached
+    sides: dict[object, list] = {}
+    while order:
+        node = order.pop()
+        if _is_plain_leaf(node):
+            continue
+        g, node.grad = node.grad, None
+        if isinstance(node, _CutLeaf):
+            walks = sides.setdefault(node.pair, [(None, None), (None, None)])
+            walks[node.side] = node.root, g
+            node.root = node._parents = None
+            continue
+        if g is not None:
+            for parent, pg in zip(node._parents, _run_vjp(node, g)):
+                if pg is None:
+                    continue
+                if _is_plain_leaf(parent):
+                    leaf_grads.append((parent, pg))
                 else:
-                    routes.append(None)
-            self.routes.append(routes)
-        self.waiting = [len(slots) for slots in self.inbox]
-        self.ready = [i for i, n in enumerate(self.waiting) if n == 0]
-        self.done = [False] * len(self.nodes)
-        # every node below `low` has run; none at or past `bound` is needed
-        self.low = 0
-        self.bound = len(self.nodes)
-        self.interrupted = False
-        self.failures: list[tuple[int, BaseException]] = []
-        self.cond = threading.Condition(threading.Lock())
-
-    def _run(self, i: int) -> list[Array | None]:
-        node = self.nodes[i]
-        self.nodes[i] = None
-        g = node.grad
-        for pg in self.inbox[i]:
-            if pg is not None:
-                g = pg if g is None else g + pg
-        self.inbox[i] = None
-        if node._vjp is None:  # a leaf keeps its gradient
-            node.grad = g
-            return [None] * len(self.routes[i])
-        sent = [None] * len(self.routes[i]) if g is None else _run_vjp(node, g)
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
         # The VJP has used what the node saved; once nothing else holds the
         # node, it and its forward arrays are freed.
-        node.grad = node._vjp = None
+        node._vjp = None
         node._parents = None
-        return sent
-
-    def work(self) -> None:
-        """Run ready nodes until every node below `bound` has run.
-
-        An error at position p lowers `bound` to p: the nodes below p still
-        run, as the one-thread walk runs them before p, so the earliest error
-        in that walk is among the failures. An interrupt stops the walk at
-        once. A failure is recorded with the position of the node that
-        raised it; one outside any node's run sorts after every node.
-        """
-        cond, n = self.cond, len(self.nodes)
-        i = n
-        try:
-            while True:
-                with cond:
-                    while not (self.interrupted or self.low >= self.bound
-                               or (self.ready and self.ready[0] < self.bound)):
-                        cond.wait()
-                    if self.interrupted or self.low >= self.bound:
-                        return
-                    i = heapq.heappop(self.ready)
-                sent = self._run(i)
-                with cond:
-                    woke = False
-                    for route, pg in zip(self.routes[i], sent):
-                        if route is not None:
-                            j, slot = route
-                            self.inbox[j][slot] = pg
-                            self.waiting[j] -= 1
-                            if not self.waiting[j]:
-                                heapq.heappush(self.ready, j)
-                                woke = True
-                    self.done[i] = True
-                    while self.low < n and self.done[self.low]:
-                        self.low += 1
-                    if self.low >= self.bound:
-                        cond.notify_all()
-                    elif woke:
-                        cond.notify()
-                i = n
-        except BaseException as exc:
-            with cond:
-                self.failures.append((i, exc))
-                if isinstance(exc, Exception):
-                    self.bound = min(self.bound, i)
-                else:
-                    self.interrupted = True
-                cond.notify_all()
+    for first, second in sides.values():
+        for walked in concurrently(partial(_walk, *first), partial(_walk, *second)):
+            leaf_grads += walked
+    return leaf_grads
 
 
 def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
@@ -1004,8 +1001,15 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
     Leaves are the tensors without a VJP: parameters and inputs. `loss`
     must be a scalar. Parameters listed in `params` that the graph never
     reaches get an explicit zero gradient. Adds to gradients left by earlier
-    calls; call `zero_grads` between steps. With the helper thread the walk
-    runs on two threads and gives the one-thread walk's bits.
+    calls; call `zero_grads` between steps.
+
+    The loss graph is walked on this thread. The graphs behind each pair of
+    cut leaves (see `concurrently`) are walked through `concurrently`, the
+    first call's on the helper thread when there is one, and nested cuts
+    the same way. Once every walk is done, each leaf gradient is added to
+    `.grad` in a fixed order: the loss walk's, then the first side's, then
+    the second side's. When both sides fail, the first side's error is
+    raised; a raise leaves every `.grad` as it was.
 
     The walk frees every other node's gradient, VJP and operand links as
     soon as its VJP has returned, so the graph is spent afterwards: calling
@@ -1016,25 +1020,9 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
         raise NumericError("non-finite loss value")
-    if not loss.requires_grad:
-        for p in params:
-            if p.requires_grad and p.grad is None:
-                p.grad = np.zeros_like(p.data)
-        return
-
-    walk = _Walk(_toposort(loss))
-    seed = np.ones_like(loss.data)
-    loss.grad = seed if loss.grad is None else loss.grad + seed
-    helper = _helper()
-    future = None if helper is None else _submit(helper, walk.work)
-    try:
-        walk.work()
-    finally:
-        if future is not None:
-            future.result()
-    if walk.failures:
-        raise _first_failure(walk.failures)
-
+    if loss.requires_grad:
+        for leaf, g in _walk(loss, np.ones_like(loss.data)):
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
     for p in params:
         if p.requires_grad and p.grad is None:
             p.grad = np.zeros_like(p.data)

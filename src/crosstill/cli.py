@@ -100,12 +100,10 @@ def _override_key(node, part: str, dotted: str):
         return part
     if not isinstance(node, list):
         raise ConfigError(f"override {dotted!r} reaches into {node!r}, which is not a section")
-    try:
-        index = int(part)
-        node[index]
-    except (ValueError, IndexError):
+    # only plain digits: int() also takes "-1", "+1" and " 1"
+    if not (part.isascii() and part.isdigit() and int(part) < len(node)):
         raise ConfigError(f"bad list index {part!r} in override {dotted!r}")
-    return index
+    return int(part)
 
 
 def _load_config(path: str, extras: list[str]) -> PipelineConfig:

@@ -220,7 +220,8 @@ class MetricsLog:
     def read(cls, path) -> "MetricsLog":
         """Load an existing log without modifying its file.
 
-        A malformed line, or a NaN or infinite loss, raises ParseError.
+        A malformed line, or a NaN or infinite number anywhere in a record,
+        raises ParseError: the records `append` refuses to write.
         """
         log = cls.__new__(cls)
         log._start(path)
@@ -236,8 +237,10 @@ class MetricsLog:
                     and type(record.get("loss")) in (int, float)):
                 raise ParseError("not a UTF-8 JSON object with a string or integer stage, "
                                  "an integer epoch and a numeric loss", line_no, path)
-            if isinstance(record["loss"], float) and not np.isfinite(record["loss"]):
-                raise ParseError(f"non-finite loss {record['loss']}", line_no, path)
+            try:
+                json.dumps(record, allow_nan=False)
+            except ValueError:
+                raise ParseError("non-finite number in the record", line_no, path)
             log._admit(record)
         return log
 

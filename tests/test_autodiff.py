@@ -15,6 +15,7 @@ import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,14 @@ from scipy.special import erf
 
 import crosstill
 from crosstill import autodiff as ad
+from crosstill import pipeline
 from crosstill.autodiff import Tensor, backward, zero_grads
 from crosstill.corpus import OracleSemantics, ParallelBatch, VocabSpec, frame_rows
 from crosstill.encoder import SentenceEncoder
 from crosstill.errors import ContractError, NumericError
 from crosstill.gradcheck import finite_diff_check
-from crosstill.pipeline import _stage4_loss, toy_config
+from crosstill.losses import STAGE4_VARIANTS
+from crosstill.pipeline import _anchor_loss, _embedding_loss, _imitation_loss, _stage4_loss, toy_config
 from crosstill.rng import stream
 
 TOL = 1e-6
@@ -741,9 +744,15 @@ def two_threads(monkeypatch):
     helper.shutdown(wait=False)
 
 
+def uncut(first, second):
+    """`concurrently` without the helper and without the cut: one whole graph."""
+    return first(), second()
+
+
 def reference_backward(loss: Tensor) -> None:
-    """The one-thread walk: every node in reverse topological order, each
-    gradient added to its operand's `.grad` as it comes."""
+    """The one-thread walk over an uncut graph: every node in reverse
+    topological order, each gradient added to its operand's `.grad` as it
+    comes."""
     loss.grad = np.ones_like(loss.data)
     for node in reversed(ad._toposort(loss)):
         if node._vjp is None or node.grad is None:
@@ -753,9 +762,27 @@ def reference_backward(loss: Tensor) -> None:
                 parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
-def toy_stage4(variant: str, dtype):
-    """The toy student and its two-sided stage-4 loss on one 32-pair batch."""
-    cfg = replace(toy_config("corpus", "out"), variant=variant)
+def reference_grads(params, build, monkeypatch) -> list:
+    """The reference gradients of the loss `build()` makes with the pipeline's
+    `concurrently` uncut, each unreached parameter's as zeros."""
+    zero_grads(params)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "concurrently", uncut)
+        loss = build()
+    reference_backward(loss)
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    zero_grads(params)
+    return grads
+
+
+ROW_LOSSES = {"stage1": _anchor_loss, "stage2": _embedding_loss, "stage3": _imitation_loss}
+
+
+def toy_row(loss: str, dtype):
+    """A toy model and its two-sided row loss on one 32-pair batch: the stage
+    1-3 rows by name, else the stage-4 loss of that variant. Stage 1 trains
+    the assistant; the others train the student against it, frozen."""
+    cfg = replace(toy_config("corpus", "out"), variant=loss if loss in STAGE4_VARIANTS else "mcl")
     vocab = VocabSpec.create(tokens_per_language=512, seed=0)
     rng = stream(5, "two-sided-batch")
     sentences = [vocab.lang1_start + rng.integers(0, 512, size=n)
@@ -764,36 +791,42 @@ def toy_stage4(variant: str, dtype):
     target_ids, _ = frame_rows([vocab.cipher_ids(s) for s in sentences], cfg.max_seq_len)
     batch = ParallelBatch(source_ids, target_ids, mask, mask)
     oracle = OracleSemantics.create(vocab, dim=cfg.assistant.hidden, seed=0)
-    student = SentenceEncoder.init(cfg.student, seed=0, dtype=dtype)
-    return student, lambda: _stage4_loss(student, None, batch, oracle, cfg).value
+    assistant = SentenceEncoder.init(cfg.assistant, seed=1, dtype=dtype)
+    if loss == "stage1":
+        model, reference = assistant, None
+    else:
+        model, reference = SentenceEncoder.init(cfg.student, seed=0, dtype=dtype), assistant.freeze()
+    row = ROW_LOSSES.get(loss, _stage4_loss)
+    return model, lambda: row(model, reference, batch, oracle, cfg).value
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("variant", ["mcl", "none"])
+@pytest.mark.parametrize("loss", [*STAGE4_VARIANTS, *ROW_LOSSES])
 @pytest.mark.parametrize("threads", [2, 1])
-def test_backward_gives_the_reference_bits(two_threads, monkeypatch, threads, variant, dtype):
+def test_backward_gives_the_reference_bits(two_threads, monkeypatch, threads, loss, dtype):
     if threads == 1:
         monkeypatch.setattr(ad, "_HELPER", False)
-    student, loss_fn = toy_stage4(variant, dtype)
-    params = list(student.params.values())
+    model, loss_fn = toy_row(loss, dtype)
+    params = list(model.params.values())
     backward(loss_fn(), params=params)
-    threaded = {name: p.grad for name, p in student.params.items()}
-    zero_grads(params)
-    reference_backward(loss_fn())
-    for name, p in student.params.items():
-        assert threaded[name].dtype == dtype
-        assert np.array_equal(threaded[name], p.grad), name
+    walked = [p.grad for p in params]
+    expected = reference_grads(params, loss_fn, monkeypatch)
+    for name, got, want in zip(model.params, walked, expected):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want), name
 
 
-def test_two_thread_backward_adds_to_earlier_gradients_in_order(two_threads):
-    student, loss_fn = toy_stage4("mcl", np.float32)
+def test_two_thread_backward_adds_to_earlier_gradients_in_order(two_threads, monkeypatch):
+    student, loss_fn = toy_row("mcl", np.float32)
     params = list(student.params.values())
     for _ in range(2):
         backward(loss_fn(), params=params)
     threaded = {name: p.grad for name, p in student.params.items()}
     zero_grads(params)
-    for _ in range(2):
-        reference_backward(loss_fn())
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "concurrently", uncut)
+        for _ in range(2):
+            reference_backward(loss_fn())
     assert all(np.array_equal(threaded[n], p.grad) for n, p in student.params.items())
 
 
@@ -811,15 +844,27 @@ def test_backward_on_a_leaf_loss_adds_to_its_gradient(two_threads, monkeypatch, 
         assert leaf_loss.grad == through_a_node.grad == 2.0
 
 
+def every_node(loss: Tensor) -> list[Tensor]:
+    """The nodes of `loss`'s graph and of every graph its cut leaves stand for."""
+    nodes, roots = [], [loss]
+    while roots:
+        for node in ad._toposort(roots.pop()):
+            nodes.append(node)
+            if isinstance(node, ad._CutLeaf):
+                roots.append(node.root)
+    return nodes
+
+
 @pytest.mark.parametrize("threads", [2, 1])
 def test_backward_frees_every_node_it_walks(two_threads, monkeypatch, threads):
     if threads == 1:
         monkeypatch.setattr(ad, "_HELPER", False)
-    student, loss_fn = toy_stage4("mcl", np.float32)
+    student, loss_fn = toy_row("mcl", np.float32)
     loss = loss_fn()
-    order = ad._toposort(loss)
-    walked = [weakref.ref(node) for node in order if node._vjp is not None and node is not loss]
-    del order
+    nodes = every_node(loss)
+    walked = [weakref.ref(node) for node in nodes
+              if not ad._is_plain_leaf(node) and node is not loss]
+    del nodes
     backward(loss, params=list(student.params.values()))
     assert len(walked) > 50 and all(ref() is None for ref in walked)
     assert loss.grad is None and loss._vjp is None and loss._parents is None
@@ -857,25 +902,62 @@ def test_backward_over_a_spent_graph_raises(two_threads, monkeypatch, threads):
     assert a.grad is None
 
 
-def _wide_graph(seed: int):
-    """Leaves and a loss over 60 random nodes that reuse earlier nodes and
-    leaves, so tensors gather gradients from many consumers."""
+def test_a_spent_cut_leaf_raises_and_its_partner_is_walked_later(two_threads):
+    a = Tensor(np.arange(3.0), requires_grad=True)
+    first, second = ad.concurrently(lambda: ad.tsum(a * a), lambda: ad.tsum(a * 3.0))
+    backward(first)
+    np.testing.assert_array_equal(a.grad, [0.0, 2.0, 4.0])
+    with pytest.raises(ContractError, match="spent graph: its 'cut' node"):
+        backward(first * 1.0)
+    backward(second)
+    np.testing.assert_array_equal(a.grad, [3.0, 5.0, 7.0])
+
+
+def test_a_graph_without_cuts_is_walked_on_the_caller(two_threads):
+    threads = set()
+
+    def record(g):
+        threads.add(threading.get_ident())
+        return (g,)
+
+    a = Tensor(np.ones(3), requires_grad=True)
+    backward(ad.tsum(_pass_through(a * 2.0, record) + _pass_through(a * 3.0, record)))
+    assert threads == {threading.get_ident()}
+    np.testing.assert_array_equal(a.grad, [5.0, 5.0, 5.0])
+
+
+def _wide_graph(seed: int, split=ad.concurrently):
+    """Leaves and a loss over three sides of 20 random nodes each: the first
+    two split from inside the first of the two outer calls, all through
+    `split`. A side reuses its earlier nodes and the shared leaves, so
+    tensors gather gradients from many consumers."""
     rng = stream(seed, "wide-graph")
     leaves = [Tensor(rng.standard_normal((6, 6)), requires_grad=True) for _ in range(5)]
     scale, shift = (Tensor(rng.standard_normal(6), requires_grad=True) for _ in range(2))
-    nodes = list(leaves)
-    for kind in rng.integers(0, 3, size=60):
-        a, b = (nodes[k] for k in rng.integers(0, len(nodes), size=2))
-        if kind == 0:
-            nodes.append(ad.add_layer_norm(a, b, scale, shift, 1e-5))
-        elif kind == 1:
-            nodes.append(ad.softmax_last(a) @ b)
-        else:
-            nodes.append(ad.gelu(a) * ad.softmax_last(b))
-    loss = ad.tsum(nodes[-1])
-    for node in nodes[-12:-1]:
-        loss = loss + ad.tmean(node)
-    return leaves + [scale, shift], loss
+    plans = [[(rng.integers(0, 3), *rng.integers(0, len(leaves) + k, size=2)) for k in range(20)]
+             for _ in range(3)]
+
+    def side(plan):
+        nodes = list(leaves)
+        for kind, i, j in plan:
+            a, b = nodes[i], nodes[j]
+            if kind == 0:
+                nodes.append(ad.add_layer_norm(a, b, scale, shift, 1e-5))
+            elif kind == 1:
+                nodes.append(ad.softmax_last(a) @ b)
+            else:
+                nodes.append(ad.gelu(a) * ad.softmax_last(b))
+        out = ad.tsum(nodes[-1])
+        for node in nodes[-6:-1]:
+            out = out + ad.tmean(node)
+        return out
+
+    def nested():
+        first, second = split(partial(side, plans[0]), partial(side, plans[1]))
+        return first * second
+
+    first, second = split(nested, partial(side, plans[2]))
+    return leaves + [scale, shift], first + second
 
 
 def test_two_thread_walks_from_several_callers_under_fast_switching(two_threads):
@@ -886,7 +968,7 @@ def test_two_thread_walks_from_several_callers_under_fast_switching(two_threads)
             leaves, loss = _wide_graph(seed)
             backward(loss)
             threaded = [p.grad for p in leaves]
-            leaves, loss = _wide_graph(seed)
+            leaves, loss = _wide_graph(seed, split=uncut)
             reference_backward(loss)
             mismatches.extend(seed for g, p in zip(threaded, leaves) if not np.array_equal(g, p.grad))
         finished.append(index)
@@ -911,6 +993,31 @@ def test_concurrently_runs_first_on_the_helper(two_threads):
     assert on_second == caller and on_first != caller
 
 
+def test_concurrently_cuts_only_results_that_record_a_graph(two_threads):
+    a = Tensor(np.ones(3), requires_grad=True)
+    frozen = Tensor(np.ones(3))
+    graph, plain = ad.concurrently(lambda: a * 2.0, lambda: frozen * 2.0)
+    assert isinstance(graph, ad._CutLeaf) and ad._is_plain_leaf(graph.root) is False
+    assert graph.data is graph.root.data and graph.requires_grad and graph._vjp is None
+    assert graph.side == 0
+    assert type(plain) is Tensor and not plain.requires_grad
+    assert ad.concurrently(lambda: a, lambda: 7) == (a, 7)
+
+
+def test_concurrently_rejects_results_that_share_a_node(two_threads):
+    a = Tensor(np.ones(3), requires_grad=True)
+    shared = a * 2.0
+    with pytest.raises(ContractError, match="share a node"):
+        ad.concurrently(lambda: ad.gelu(shared), lambda: ad.tsum(shared))
+    with pytest.raises(ContractError, match="share a node"):
+        ad.concurrently(lambda: shared, lambda: shared)
+    # the caller's graph using a side's node directly meets it spent
+    first, _ = ad.concurrently(lambda: ad.gelu(shared), lambda: None)
+    with pytest.raises(ContractError, match="spent graph: its 'mul' node"):
+        backward(ad.tsum(first) + ad.tsum(shared))
+    assert a.grad is None
+
+
 @pytest.mark.parametrize("delay_first", [0.0, 0.2])
 def test_concurrently_raises_firsts_error_when_both_fail(two_threads, delay_first):
     def fail(exc, delay=0.0):
@@ -931,18 +1038,27 @@ def _pass_through(x: Tensor, vjp) -> Tensor:
 
 
 def _branches(leaf: Tensor, make) -> Tensor:
-    """A loss over two independent branches of `leaf`, each through `make`."""
-    return ad.tsum(ad.gelu(make(leaf * 2.0)) + ad.gelu(make(leaf * 3.0)))
+    """A loss over two sides built from `leaf` through `concurrently`, each
+    through `make(x, name)`, named "left" (the first call) and "right"."""
+    left, right = ad.concurrently(lambda: ad.gelu(make(leaf * 2.0, "left")),
+                                  lambda: ad.gelu(make(leaf * 3.0, "right")))
+    return ad.tsum(left + right)
 
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_non_finite_gradient_in_one_side_names_the_primitive(two_threads, side):
     a = Tensor(np.ones((4, 3)), requires_grad=True)
-    sides = [ad.tsum(ad.gelu(a * 2.0)), ad.tsum(ad.gelu(a * 3.0))]
-    # sqrt's VJP at 0 sends an infinite gradient into the mul below it
-    sides[side] = ad.tsum(ad.tsqrt(a * np.zeros((4, 3))))
+
+    def build(k):
+        if k == side:
+            # sqrt's VJP at 0 sends an infinite gradient into the mul below it
+            return ad.tsum(ad.tsqrt(a * np.zeros((4, 3))))
+        return ad.tsum(ad.gelu(a * (2.0 + k)))
+
+    first, second = ad.concurrently(partial(build, 0), partial(build, 1))
     with np.errstate(divide="ignore"), pytest.raises(NumericError, match="'mul'"):
-        backward(sides[0] + sides[1])
+        backward(first + second)
+    assert a.grad is None
 
 
 class Boom(Exception):
@@ -952,7 +1068,7 @@ class Boom(Exception):
 def test_raising_vjp_on_the_caller_releases_the_helper(two_threads):
     caller, failed = threading.get_ident(), threading.Event()
 
-    def make(x):
+    def make(x, name):
         def vjp(g):
             if threading.get_ident() == caller:
                 failed.set()
@@ -975,7 +1091,7 @@ def test_raising_vjp_on_the_caller_releases_the_helper(two_threads):
 def test_interrupt_on_the_helper_is_raised_in_the_caller(two_threads):
     caller, interrupted = threading.get_ident(), threading.Event()
 
-    def make(x):
+    def make(x, name):
         def vjp(g):
             if threading.get_ident() != caller:
                 interrupted.set()
@@ -996,11 +1112,8 @@ def test_interrupt_on_the_helper_is_raised_in_the_caller(two_threads):
 def test_two_failures_raise_the_one_thread_walks_first(two_threads, monkeypatch, slow):
     def loss_with_two_failures(parties):
         barrier = threading.Barrier(parties, timeout=30)
-        names = iter(("left", "right"))
 
-        def make(x):
-            name = next(names)
-
+        def make(x, name):
             def vjp(g):
                 barrier.wait()  # with two parties, both fail at once on both threads
                 if name == slow:
@@ -1016,17 +1129,18 @@ def test_two_failures_raise_the_one_thread_walks_first(two_threads, monkeypatch,
     monkeypatch.setattr(ad, "_HELPER", False)
     with pytest.raises(Boom) as sequential:
         backward(loss_with_two_failures(1))
-    assert str(threaded.value) == str(sequential.value)
+    assert str(threaded.value) == str(sequential.value) == "left"
 
 
 @pytest.mark.parametrize("threads", [2, 1])
 def test_a_later_failure_first_does_not_hide_the_one_thread_walks_error(two_threads, monkeypatch, threads):
-    """The later node q fails while the earlier node p is still waiting for
-    its consumer; the walk must still reach p and raise p's error."""
+    """The second side's node q fails while the first side's node p is still
+    waiting for its consumer; the first side must still reach p, and p's
+    error is raised."""
     if threads == 1:
         monkeypatch.setattr(ad, "_HELPER", False)
     a = Tensor(np.ones(3), requires_grad=True)
-    q_failed, roles = threading.Event(), {}
+    q_failed, roles, built = threading.Event(), {}, {}
 
     def make(x):
         def vjp(g):
@@ -1043,12 +1157,14 @@ def test_a_later_failure_first_does_not_hide_the_one_thread_walks_error(two_thre
         node = _pass_through(x, vjp)
         return node
 
-    inner = [make(a * 2.0), make(a * 3.0)]
-    outer = [make(x) for x in inner]
-    loss = ad.tsum(outer[0] + outer[1])
-    position = {id(node): k for k, node in enumerate(reversed(ad._toposort(loss)))}
-    first = min((0, 1), key=lambda k: position[id(inner[k])])
-    roles.update({id(inner[first]): "p", id(outer[first]): "hold", id(inner[1 - first]): "q"})
+    def side(k, scale):
+        inner = make(a * scale)
+        built[k] = inner, make(inner)
+        return built[k][1]
+
+    first, second = ad.concurrently(partial(side, 0, 2.0), partial(side, 1, 3.0))
+    loss = ad.tsum(first + second)
+    roles.update({id(built[0][0]): "p", id(built[0][1]): "hold", id(built[1][0]): "q"})
     with pytest.raises(Boom, match="^p$"):
         backward(loss)
     assert q_failed.is_set() == (threads == 2)
@@ -1153,7 +1269,7 @@ def test_helper_needs_two_cpus_and_an_openblas_setter(monkeypatch):
 
 
 def test_forked_child_trains_after_the_parent_used_the_helper(two_threads):
-    student, loss_fn = toy_stage4("mcl", np.float32)
+    student, loss_fn = toy_row("mcl", np.float32)
     params = list(student.params.values())
     backward(loss_fn(), params=params)
     expected = {name: p.grad for name, p in student.params.items()}

@@ -7,6 +7,7 @@ entry point end to end.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,13 @@ class TestOverrides:
     def test_bad_list_index_rejected(self):
         with pytest.raises(ConfigError, match="list index"):
             apply_overrides({"stages": [{}]}, ["--stages.9.epochs", "1"])
+
+    @pytest.mark.parametrize("index", ["-1", "+0", " 0", "0x0"])
+    def test_list_index_must_be_plain_digits(self, index):
+        raw = {"stages": [{"epochs": 1}, {"epochs": 2}]}
+        with pytest.raises(ConfigError, match=re.escape(f"list index {index!r} in override 'stages.{index}.epochs'")):
+            apply_overrides(raw, [f"--stages.{index}.epochs", "9"])
+        assert raw == {"stages": [{"epochs": 1}, {"epochs": 2}]}
 
     def test_path_through_a_scalar_rejected(self):
         with pytest.raises(ConfigError, match="not a section"):

@@ -384,6 +384,18 @@ class TestMetricsLog:
         assert info.value.line == 2
         assert str(info.value).startswith(f"{path}: line 2: ")
 
+    @pytest.mark.parametrize("line", [
+        '{"stage": 1, "epoch": 2, "loss": 0.5, "loss_components": {"source": NaN}}',
+        '{"stage": 1, "epoch": 2, "loss": 0.5, "eval": {"spearman": -Infinity}}',
+        '{"stage": 1, "epoch": 2, "loss": 0.5, "eval": {"retrieval_acc": 1e999}}',
+    ], ids=["nan-component", "infinite-eval", "overflowing-eval"])
+    def test_non_finite_number_anywhere_raises_parse_error(self, tmp_path, line):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"stage": 1, "epoch": 1, "loss": 0.5}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="non-finite") as info:
+            MetricsLog.read(path)
+        assert info.value.line == 2
+
     @pytest.mark.parametrize("record", [
         dict(loss=float("nan")),
         dict(loss=0.5, loss_components={"source": float("inf")}),
