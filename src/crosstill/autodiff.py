@@ -43,9 +43,11 @@ about zero. The setting applies to the whole process that imports
 `crosstill`; elsewhere than glibc nothing is changed.
 
 Thread policy (process-wide): training uses a second core for the second
-language side. The first call to `concurrently` decides, once per process,
-whether one helper thread starts. It starts only when the process may run
-on at least 2 CPUs (`os.sched_getaffinity`) and a loaded OpenBLAS exports a
+language side, and a large forward-only encode for its second row half
+(`SentenceEncoder.encode`). The first call to `concurrently` or
+`second_thread_free` decides, once per process, whether one helper thread
+starts. It starts only when the process may run on at least 2 CPUs
+(`os.sched_getaffinity`) and a loaded OpenBLAS exports a
 `set_num_threads` symbol; every such OpenBLAS is then set to one thread
 through it, for the rest of the process and over any
 `OPENBLAS_NUM_THREADS`, since two threads each asking BLAS for two more
@@ -74,13 +76,20 @@ their end; when both fail, the error raised is the first call's, the one a
 sequential `first(); second()` meets, and an interrupt wins over an error.
 So when both sides of a backward walk fail, the first side's error is
 raised. A failed
-`backward` leaves every `.grad` as it was. Work already running on the
-helper that calls `concurrently`, directly or through `backward`, runs
-both calls there, first then second, since waiting for the one busy worker
-would hang. Without the helper (one CPU, no OpenBLAS setter, no
-`sched_getaffinity`) both calls run on the caller, first then second. A
-forked child drops the parent's helper and decides afresh. Evaluation
-never calls `concurrently`, so it stays on the calling thread.
+`backward` leaves every `.grad` as it was. A thread already running either
+call of a `concurrently` that uses the helper (the helper running `first`,
+or the caller running `second`) runs a nested `concurrently`, directly or
+through `backward`, inline: both calls there, first then second. On the
+helper, waiting for its one busy worker would hang; on the caller, it
+would wait behind `first`. Without the helper (one CPU, no OpenBLAS
+setter, no `sched_getaffinity`) both calls run on the caller, first then
+second. A forked child drops the parent's helper and decides afresh.
+Evaluation reaches `concurrently` only through `SentenceEncoder.encode`,
+which runs a forward-only batch of at least `encoder.SPLIT_MIN_TOKENS`
+tokens as two row halves when `second_thread_free()`; so an
+evaluation-only process starts the helper, and pins OpenBLAS to one
+thread, on its first such batch. Smaller batches, and encodes inside a
+`concurrently` call, stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -198,21 +207,24 @@ def _pin_openblas_to_one_thread(maps: str = "/proc/self/maps") -> bool:
 # The helper thread: None until the first `_helper()` call decides, then an
 # executor with one worker, or False where the walk stays sequential.
 _HELPER: ThreadPoolExecutor | bool | None = None
-# `on_helper` is True on a thread while it runs work handed to the helper.
+# `in_call` is True on a thread while it runs either call of a `concurrently`
+# that handed its first call to the helper.
 _THREAD = threading.local()
 
 
 def _helper() -> ThreadPoolExecutor | None:
     """The executor to hand work to, or None to run it on the caller alone:
-    also on the helper itself, whose one worker a nested call would wait on
-    forever."""
+    also inside either call of a `concurrently` that uses the helper, since
+    its one worker is busy with the first call and a nested call would wait
+    behind it, or on the helper itself forever."""
     global _HELPER
-    if getattr(_THREAD, "on_helper", False):
+    if getattr(_THREAD, "in_call", False):
         return None
     if _HELPER is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         if cpus >= 2 and _pin_openblas_to_one_thread():
-            # imported here, so a process that never trains does not load it
+            # imported here, so a process that never asks for a second
+            # thread does not load it
             from concurrent.futures import ThreadPoolExecutor
 
             _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="crosstill-side")
@@ -232,17 +244,24 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helper)
 
 
-def _as_helper_work(fn: Callable):
-    _THREAD.on_helper = True
+def second_thread_free() -> bool:
+    """Whether a `concurrently` called here would run its first call on the
+    helper thread. The first ask decides whether the helper starts."""
+    return _helper() is not None
+
+
+def _in_call(fn: Callable):
+    """`fn()`, with nested `concurrently` calls run inline on this thread."""
+    _THREAD.in_call = True
     try:
         return fn()
     finally:
-        _THREAD.on_helper = False
+        _THREAD.in_call = False
 
 
 def _submit(helper: ThreadPoolExecutor, fn: Callable):
     """Run `fn` on the helper in a copy of the caller's context."""
-    return helper.submit(contextvars.copy_context().run, _as_helper_work, fn)
+    return helper.submit(contextvars.copy_context().run, _in_call, fn)
 
 
 def concurrently(first: Callable, second: Callable):
@@ -251,8 +270,10 @@ def concurrently(first: Callable, second: Callable):
     With the helper, both calls finish before this returns or raises. When
     either raises, the error raised is the one a sequential
     `first(); second()` meets first; an interrupt (a `BaseException` that is
-    not an `Exception`) wins over an error. On the helper itself, and
-    without one, both calls run on this thread, first then second.
+    not an `Exception`) wins over an error. Without the helper, and inside
+    either call of a `concurrently` that uses it (on the helper, or on the
+    caller while it runs `second`), both calls run on this thread, first
+    then second.
 
     A result that is a `Tensor` recording a graph comes back as a cut leaf:
     a leaf sharing its data that `backward` walks on through the graph it
@@ -268,7 +289,7 @@ def concurrently(first: Callable, second: Callable):
     future = _submit(helper, first)
     failures = []
     try:
-        out_second = second()
+        out_second = _in_call(second)
     except BaseException as exc:
         failures.append((1, exc))
     try:
@@ -809,8 +830,8 @@ def attention(
     1/sqrt(H/heads), `key_bias` is added and a max-shifted softmax over the
     keys weights the values; the heads' context goes through the output
     projection. `key_bias` is a plain array broadcasting to N×heads×L×L in
-    x's width (e.g. N×1×1×L, large and negative at masked keys); it gets no
-    gradient.
+    x's width (e.g. N×heads×L×L, large and negative at masked keys); it gets
+    no gradient.
     """
     weights, biases = (wq, wk, wv, wo), (bq, bk, bv, bo)
     _check_same_dtype(x, *weights, *biases, where="attention")

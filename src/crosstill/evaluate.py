@@ -145,7 +145,8 @@ def retrieval_accuracy(encoder, pairs: list[ParallelPair], block_size: int = RET
 
     For each block of `block_size` pairs, each source row retrieves its
     nearest target row by cosine; the score is the fraction retrieving their
-    own translation. Trailing pairs short of a full block are dropped.
+    own translation. Trailing pairs short of a full block are dropped
+    unembedded.
     """
     if block_size < 1:
         raise ContractError(f"retrieval block_size must be at least 1, got {block_size}")
@@ -153,9 +154,10 @@ def retrieval_accuracy(encoder, pairs: list[ParallelPair], block_size: int = RET
         raise ContractError(
             f"retrieval needs at least one full block of {block_size}, got {len(pairs)}"
         )
-    src = embed_sentences(encoder, [p.source_ids for p in pairs]).astype(np.float64)
-    tgt = embed_sentences(encoder, [p.target_ids for p in pairs]).astype(np.float64)
     n_blocks = len(pairs) // block_size
+    scored = pairs[:n_blocks * block_size]
+    src = embed_sentences(encoder, [p.source_ids for p in scored]).astype(np.float64)
+    tgt = embed_sentences(encoder, [p.target_ids for p in scored]).astype(np.float64)
     hits = 0
     for b in range(n_blocks):
         lo, hi = b * block_size, (b + 1) * block_size

@@ -13,16 +13,13 @@ import threading
 import time
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-import crosstill
 from crosstill import autodiff as ad
 from crosstill import pipeline
 from crosstill.autodiff import Tensor, backward, zero_grads
@@ -735,15 +732,6 @@ class TestChainedGraph:
 # -- the two-thread walk -----------------------------------------------------
 
 
-@pytest.fixture
-def two_threads(monkeypatch):
-    """A helper thread for `concurrently` and `backward`, whatever the machine."""
-    helper = ThreadPoolExecutor(max_workers=1)
-    monkeypatch.setattr(ad, "_HELPER", helper)
-    yield helper
-    helper.shutdown(wait=False)
-
-
 def uncut(first, second):
     """`concurrently` without the helper and without the cut: one whole graph."""
     return first(), second()
@@ -993,6 +981,19 @@ def test_concurrently_runs_first_on_the_helper(two_threads):
     assert on_second == caller and on_first != caller
 
 
+def test_a_call_nested_in_either_call_runs_inline(two_threads):
+    caller = threading.get_ident()
+
+    def nested():
+        return ad.second_thread_free(), ad.concurrently(threading.get_ident, threading.get_ident)
+
+    (free_first, (helper, helper_too)), (free_second, inner) = ad.concurrently(nested, nested)
+    # the caller, running `second`, does not wait behind the busy helper
+    assert inner == (caller, caller)
+    assert helper == helper_too != caller
+    assert not free_first and not free_second and ad.second_thread_free()
+
+
 def test_concurrently_cuts_only_results_that_record_a_graph(two_threads):
     a = Tensor(np.ones(3), requires_grad=True)
     frozen = Tensor(np.ones(3))
@@ -1216,9 +1217,7 @@ print("ok")
 
 @pytest.mark.parametrize("call", ["concurrently", "backward"])
 def test_a_call_nested_on_the_helper_runs_there_alone(call):
-    src = str(Path(crosstill.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     try:
         result = subprocess.run([sys.executable, "-c", NESTED_SCRIPT, call], capture_output=True,
                                 text=True, env=env, timeout=120)
@@ -1326,9 +1325,7 @@ DEFAULT_POLICY_FAULTS = 68_500
 
 @pytest.mark.skipif(not _on_glibc(), reason="the heap policy is set only on glibc")
 def test_encodes_reuse_freed_memory_without_page_faults():
-    src = str(Path(crosstill.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     result = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], capture_output=True,
                             text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr
@@ -1371,9 +1368,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(not _on_glibc(), reason="the heap policy is set only on glibc")
 def test_two_sided_steps_reuse_freed_memory_without_page_faults():
-    src = str(Path(crosstill.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     result = subprocess.run([sys.executable, "-c", TWO_SIDED_FAULT_SCRIPT], capture_output=True,
                             text=True, env=env, timeout=300)
     assert result.returncode == 0, result.stderr

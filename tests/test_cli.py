@@ -211,6 +211,27 @@ class TestGenerators:
         assert not (tmp_path / "sts.tsv").exists()
 
 
+# One 64 × 16 batch embedded by a frozen toy student; argv[1] "off" turns
+# the helper thread off. Prints the embeddings' sha256.
+EMBED_SCRIPT = """
+import hashlib
+import sys
+import numpy as np
+import crosstill.autodiff as ad
+from crosstill.encoder import SentenceEncoder
+from crosstill.pipeline import toy_config
+
+if sys.argv[1] == "off":
+    ad._HELPER = False
+model = SentenceEncoder.init(toy_config("corpus", "out").student, seed=5).freeze()
+rng = np.random.default_rng(5)
+ids = rng.integers(4, model.config.vocab_size, size=(64, 16))
+mask = np.arange(16) < rng.integers(3, 17, size=(64, 1))
+mask[0] = True
+print(hashlib.sha256(model.encode(ids, mask).data.tobytes()).hexdigest())
+"""
+
+
 class TestTrain:
     def test_full_run_reports_digest(self, config_path, capsys):
         code = run_cli("train", "--config", str(config_path))
@@ -251,6 +272,27 @@ class TestTrain:
             )
             assert result.returncode == 0, result.stderr
             digests.append(json.loads(result.stdout.splitlines()[-1])["checkpoint_sha256"])
+        assert len(set(digests)) == 1, digests
+
+    def test_embeddings_are_equal_across_processes_and_blas_threads(self):
+        # One 64 × 16 batch is 1024 tokens, so the default process embeds it
+        # as two row halves on two threads wherever the machine has two CPUs.
+        # The second turns the helper off, so on two CPUs it embeds the batch
+        # whole with two BLAS threads; the third allows one BLAS thread; the
+        # fourth may run on one CPU only, so it has no helper.
+        one_cpu = lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # noqa: E731
+        runs = [("on", {}, None), ("off", {"OPENBLAS_NUM_THREADS": "2"}, None),
+                ("on", {"OPENBLAS_NUM_THREADS": "1"}, None)]
+        if hasattr(os, "sched_setaffinity"):
+            runs.append(("on", {}, one_cpu))
+        digests = []
+        for helper, env, preexec in runs:
+            result = subprocess.run(
+                [sys.executable, "-c", EMBED_SCRIPT, helper], capture_output=True, text=True,
+                preexec_fn=preexec, env={**os.environ, **env},
+            )
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.strip())
         assert len(set(digests)) == 1, digests
 
     def test_seed_flag_equals_config_seed(self, config_path, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crosstill import autodiff as ad
+from crosstill import encoder as encoder_module
 from crosstill.autodiff import backward, zero_grads
 from crosstill.encoder import (
     EncoderConfig, SentenceEncoder, expected_param_shapes,
@@ -13,6 +14,7 @@ from crosstill.encoder import (
 )
 from crosstill.errors import ConfigError, ContractError
 from crosstill.gradcheck import finite_diff_check
+from crosstill.pipeline import toy_config
 from crosstill.rng import stream
 
 
@@ -169,6 +171,70 @@ class TestForward:
         enc = SentenceEncoder.init(cfg, seed=2)
         ids, mask = batch(stream(2, "bn"), cfg)
         assert enc.encode(ids, mask).shape == (3, cfg.hidden)
+
+
+def toy_student(dtype=np.float32, frozen=True):
+    student = SentenceEncoder.init(toy_config("corpus", "out").student, seed=3, dtype=dtype)
+    return student.freeze() if frozen else student
+
+
+def padded_batch(cfg, rows, width, seed=0):
+    """Rows of 1 to `width` framed tokens, PAD (0) after each row's end."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(4, cfg.vocab_size, size=(rows, width))
+    mask = np.arange(width) < rng.integers(1, width + 1, size=(rows, 1))
+    mask[0] = True  # one full row, so the batch is `width` wide
+    ids[~mask] = 0
+    return ids, mask.astype(np.uint8)
+
+
+class TestSplitForward:
+    """A large forward-only batch runs as two row halves on two threads."""
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "no-helper"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_output_is_bitwise_one_forward(self, request, monkeypatch, helper, dtype):
+        if helper:
+            request.getfixturevalue("two_threads")
+        else:
+            monkeypatch.setattr(ad, "_HELPER", False)
+        # every batch of the grid splits when a second thread is free
+        monkeypatch.setattr(encoder_module, "SPLIT_MIN_TOKENS", 1)
+        student = toy_student(dtype)
+        for rows in (48, 64, 96, 128):
+            for width in range(5, 17):
+                ids, mask = padded_batch(student.config, rows, width, seed=rows * width)
+                whole = student._forward(ids, mask.astype(dtype)).data
+                split = student.encode(ids, mask).data
+                assert split.dtype == dtype
+                assert np.array_equal(split, whole), (rows, width)
+
+    @pytest.mark.parametrize("frozen, rows, width, inside, submits", [
+        (False, 64, 16, False, 0),
+        (True, 64, 10, False, 0),
+        (True, 64, 16, False, 1),
+        (True, 64, 16, True, 0),
+    ], ids=["trainable", "frozen-640-tokens", "frozen-1024-tokens", "inside-concurrently"])
+    def test_splits_only_when_all_three_conditions_hold(
+        self, two_threads, monkeypatch, frozen, rows, width, inside, submits
+    ):
+        student = toy_student(frozen=frozen)
+        ids, mask = padded_batch(student.config, rows, width)
+        calls = []
+        submit = ad._submit
+
+        def counted(helper, fn):
+            calls.append(fn)
+            return submit(helper, fn)
+
+        monkeypatch.setattr(ad, "_submit", counted)
+        if inside:
+            # the encode is the second call of a `concurrently` that uses the helper
+            _, out = ad.concurrently(lambda: None, lambda: student.encode(ids, mask))
+        else:
+            out = student.encode(ids, mask)
+        assert len(calls) == submits + inside  # the outer call's first call, when inside
+        assert np.array_equal(out.data, student._forward(ids, mask.astype(np.float32)).data)
 
 
 class TestStudentInit:

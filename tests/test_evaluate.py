@@ -290,6 +290,22 @@ class TestRetrievalAccuracy:
         acc = retrieval_accuracy(self._embedder(vocab), pairs, block_size=64)
         assert acc == 1.0
 
+    def test_trailing_pairs_are_not_embedded(self, small_world):
+        vocab, _ = small_world
+        cfg = EncoderConfig(
+            vocab_size=vocab.vocab_size, hidden=16, ffn_size=32, heads=2,
+            distinct_layers=1, max_positions=12,
+        )
+        model = SentenceEncoder.init(cfg, seed=5)
+        pairs = _first_token_pairs(vocab, 64)
+        # a token id past the vocabulary: embedding this pair would raise
+        unknown = np.array([vocab.vocab_size])
+        trailing = ParallelPair(source_ids=unknown, target_ids=unknown)
+        with pytest.raises(ContractError, match="outside vocabulary"):
+            embed_sentences(model, [trailing.source_ids])
+        assert (retrieval_accuracy(model, pairs + [trailing], block_size=64)
+                == retrieval_accuracy(model, pairs, block_size=64))
+
     def test_scale_invariance(self, small_world):
         vocab, _ = small_world
         pairs = _first_token_pairs(vocab, 64)
