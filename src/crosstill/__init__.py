@@ -44,6 +44,7 @@ from .errors import (
 from .evaluate import (
     EvalReport,
     retrieval_accuracy,
+    retrieval_report,
     spearman,
     sts_evaluate,
 )
@@ -60,7 +61,6 @@ from .losses import (
 )
 from .optim import AdamW
 from .pipeline import (
-    DepthPoint,
     MetricsLog,
     PipelineConfig,
     PipelineResult,
@@ -85,7 +85,6 @@ __all__ = [
     "ConfigError",
     "ContractError",
     "CrosstillError",
-    "DepthPoint",
     "EncoderConfig",
     "EvalReport",
     "FormatError",
@@ -126,6 +125,7 @@ __all__ = [
     "oracle_embed_batch",
     "resume_stage",
     "retrieval_accuracy",
+    "retrieval_report",
     "run_pipeline",
     "run_single_stage",
     "run_stage",

@@ -74,22 +74,21 @@ the helper runs or not, and digests do not depend on the CPU count or the
 BLAS thread count. With the helper, both calls of `concurrently` run to
 their end; when both fail, the error raised is the first call's, the one a
 sequential `first(); second()` meets, and an interrupt wins over an error.
-So when both sides of a backward walk fail, the first side's error is
-raised. A failed
-`backward` leaves every `.grad` as it was. A thread already running either
-call of a `concurrently` that uses the helper (the helper running `first`,
-or the caller running `second`) runs a nested `concurrently`, directly or
-through `backward`, inline: both calls there, first then second. On the
-helper, waiting for its one busy worker would hang; on the caller, it
-would wait behind `first`. Without the helper (one CPU, no OpenBLAS
-setter, no `sched_getaffinity`) both calls run on the caller, first then
-second. A forked child drops the parent's helper and decides afresh.
-Evaluation reaches `concurrently` only through `SentenceEncoder.encode`,
-which runs a forward-only batch of at least `encoder.SPLIT_MIN_TOKENS`
-tokens as two row halves when `second_thread_free()`; so an
-evaluation-only process starts the helper, and pins OpenBLAS to one
-thread, on its first such batch. Smaller batches, and encodes inside a
-`concurrently` call, stay on the calling thread.
+A failed `backward` leaves every `.grad` as it was. A thread already
+running either call of a `concurrently` that uses the helper (the helper
+running `first`, or the caller running `second`) runs a nested
+`concurrently`, directly or through `backward`, inline: both calls
+there, first then second. On the helper, waiting for its one busy worker
+would hang; on the caller, it would wait behind `first`. Without the
+helper (one CPU, no OpenBLAS setter, no `sched_getaffinity`) both calls
+run on the caller, first then second. A forked child drops the parent's
+helper and decides afresh. Evaluation reaches `concurrently` only
+through `SentenceEncoder.encode`, which runs a forward-only batch of at
+least `encoder.SPLIT_MIN_TOKENS` tokens as two row halves when
+`second_thread_free()`; so an evaluation-only process starts the helper,
+and pins OpenBLAS to one thread, on its first such batch. Smaller
+batches, and encodes inside a `concurrently` call, stay on the calling
+thread.
 """
 
 from __future__ import annotations

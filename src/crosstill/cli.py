@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,9 @@ from .checkpoint import load_checkpoint
 from .corpus import VocabSpec, gen_parallel_corpus, gen_sts_set, load_sts_tsv, read_parallel_tsv
 from .encoder import EncoderConfig, SentenceEncoder
 from .errors import ConfigError, CrosstillError, FormatError, ParseError
-from .evaluate import RETRIEVAL_BLOCK, EvalReport, retrieval_accuracy, sts_evaluate
+from .evaluate import RETRIEVAL_BLOCK, retrieval_report, sts_evaluate
 from .gradcheck import finite_diff_check
 from .losses import (
-    CeLossConfig,
     loss_anchor_align,
     loss_bool,
     loss_ce,
@@ -100,10 +100,14 @@ def _override_key(node, part: str, dotted: str):
         return part
     if not isinstance(node, list):
         raise ConfigError(f"override {dotted!r} reaches into {node!r}, which is not a section")
-    # only plain digits: int() also takes "-1", "+1" and " 1"
-    if not (part.isascii() and part.isdigit() and int(part) < len(node)):
+    if not (_plain_digits(part) and int(part) < len(node)):
         raise ConfigError(f"bad list index {part!r} in override {dotted!r}")
     return int(part)
+
+
+def _plain_digits(text: str) -> bool:
+    # int() also takes "-1", "+1", " 1", "1_0" and non-ASCII digits such as "١"
+    return text.isascii() and text.isdigit()
 
 
 def _load_config(path: str, extras: list[str]) -> PipelineConfig:
@@ -148,6 +152,17 @@ def _cmd_gen_sts(args, extras) -> int:
     return 0
 
 
+def _scores(result) -> dict:
+    """The held-out scores of a trained student, as `train` and `sweep-depth` print them."""
+    return {
+        "sts_rho": None if result.sts_report is None else result.sts_report.spearman_rho,
+        "retrieval_acc": (
+            None if result.retrieval_report is None
+            else result.retrieval_report.retrieval_accuracy
+        ),
+    }
+
+
 def _cmd_train(args, extras) -> int:
     cfg = _load_config(args.config, extras)
     stage = args.stage
@@ -163,11 +178,7 @@ def _cmd_train(args, extras) -> int:
         "checkpoint_sha256": hashlib.sha256(result.checkpoint_path.read_bytes()).hexdigest(),
         "metrics": str(result.log.path),
         "records": len(result.log.records),
-        "sts_rho": None if result.sts_report is None else result.sts_report.spearman_rho,
-        "retrieval_acc": (
-            None if result.retrieval_report is None
-            else result.retrieval_report.retrieval_accuracy
-        ),
+        **_scores(result),
     })
     return 0
 
@@ -182,12 +193,9 @@ def _cmd_eval(args, extras) -> int:
         )
     pairs = read_parallel_tsv(corpus_dir / f"{args.split}.tsv", vocab)
     reports = []
-    if len(pairs) >= args.block_size:
-        acc = retrieval_accuracy(encoder, pairs, block_size=args.block_size)
-        reports.append(EvalReport(
-            task="retrieval", n_examples=len(pairs), retrieval_accuracy=acc,
-            config=encoder.config.to_dict(),
-        ))
+    retrieval = retrieval_report(encoder, pairs, args.block_size)
+    if retrieval is not None:
+        reports.append(retrieval)
     else:
         _say(f"skipping retrieval: {len(pairs)} pairs < one block of {args.block_size}")
     if args.sts is not None:
@@ -233,43 +241,28 @@ def _preset_encoder_config(preset):
     )
 
 
+# each loss's checked inputs, in the order they are drawn, and the loss over them
+_GRAD_CHECK_TABLE = {
+    "anchor": (("anchor", "out_src", "out_tgt"), loss_anchor_align),
+    "pairwise": (("ref_src", "out_src", "ref_tgt", "out_tgt"), loss_pairwise_align),
+    "mcl": (("teacher", "student_src", "student_tgt"), loss_mcl),
+    "bool": (("student_src", "student_tgt"), partial(loss_bool, None)),
+    "ce": (("teacher", "student_src", "student_tgt"), loss_ce),
+    "stage4": (("teacher", "student_src", "student_tgt"), loss_stage4),
+}
+GRAD_CHECK_LOSSES = tuple(_GRAD_CHECK_TABLE)
+
+
 def _grad_check_cases(name: str, n: int, dim: int, seed: int, dtype):
     """Loss closures over fresh random inputs; every tensor is a checked input."""
+    if name not in _GRAD_CHECK_TABLE:
+        raise ConfigError(f"unknown loss {name!r}")
+    names, loss = _GRAD_CHECK_TABLE[name]
     rng = stream(seed, f"grad-check-{name}")
-
-    def tensor():
-        return Tensor(rng.normal(size=(n, dim)).astype(dtype), requires_grad=True)
-
-    if name == "anchor":
-        anchor, out_src, out_tgt = tensor(), tensor(), tensor()
-        params = {"anchor": anchor, "out_src": out_src, "out_tgt": out_tgt}
-        return lambda: loss_anchor_align(anchor, out_src, out_tgt).value, params
-    if name == "pairwise":
-        ref_src, out_src, ref_tgt, out_tgt = tensor(), tensor(), tensor(), tensor()
-        params = {"ref_src": ref_src, "out_src": out_src,
-                  "ref_tgt": ref_tgt, "out_tgt": out_tgt}
-        return lambda: loss_pairwise_align(ref_src, out_src, ref_tgt, out_tgt).value, params
-    if name == "mcl":
-        teacher, stu_src, stu_tgt = tensor(), tensor(), tensor()
-        params = {"teacher": teacher, "student_src": stu_src, "student_tgt": stu_tgt}
-        return lambda: loss_mcl(teacher, stu_src, stu_tgt).value, params
-    if name == "bool":
-        stu_src, stu_tgt = tensor(), tensor()
-        params = {"student_src": stu_src, "student_tgt": stu_tgt}
-        return lambda: loss_bool(None, stu_src, stu_tgt).value, params
-    if name == "ce":
-        teacher, stu_src, stu_tgt = tensor(), tensor(), tensor()
-        params = {"teacher": teacher, "student_src": stu_src, "student_tgt": stu_tgt}
-        cfg = CeLossConfig()
-        return lambda: loss_ce(teacher, stu_src, stu_tgt, cfg).value, params
-    if name == "stage4":
-        teacher, stu_src, stu_tgt = tensor(), tensor(), tensor()
-        params = {"teacher": teacher, "student_src": stu_src, "student_tgt": stu_tgt}
-        return lambda: loss_stage4(teacher, stu_src, stu_tgt).value, params
-    raise ConfigError(f"unknown loss {name!r}")
-
-
-GRAD_CHECK_LOSSES = ("anchor", "pairwise", "mcl", "bool", "ce", "stage4")
+    params = {
+        key: Tensor(rng.normal(size=(n, dim)).astype(dtype), requires_grad=True) for key in names
+    }
+    return lambda: loss(*params.values()).value, params
 
 
 def _cmd_grad_check(args, extras) -> int:
@@ -295,19 +288,12 @@ def _cmd_grad_check(args, extras) -> int:
 
 def _cmd_sweep_depth(args, extras) -> int:
     cfg = _load_config(args.config, extras)
-    try:
-        depths = [int(d) for d in args.depths.split(",") if d.strip()]
-    except ValueError:
-        raise ConfigError(f"depths must be comma-separated integers, got {args.depths!r}")
-    points = depth_sweep(cfg, depths)
-    for point in points:
-        _emit({
-            "depth": point.depth,
-            "sts_rho": None if point.sts is None else point.sts.spearman_rho,
-            "retrieval_acc": (
-                None if point.retrieval is None else point.retrieval.retrieval_accuracy
-            ),
-        })
+    parts = args.depths.split(",")
+    if not all(_plain_digits(d) for d in parts):
+        raise ConfigError(f"depths must be comma-separated ASCII digits, got {args.depths!r}")
+    depths = [int(d) for d in parts]
+    for depth, result in zip(depths, depth_sweep(cfg, depths)):
+        _emit({"depth": depth, **_scores(result)})
     return 0
 
 

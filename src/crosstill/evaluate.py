@@ -19,6 +19,8 @@ from .errors import ContractError
 
 # pairs per retrieval block: each source row picks its translation among this many
 RETRIEVAL_BLOCK = 64
+# sentences per encode call; `encoder.SPLIT_MIN_TOKENS` is sized for chunks of 64 rows
+EMBED_CHUNK = 64
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -94,25 +96,23 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def embed_sentences(encoder, sentences: list[np.ndarray], batch_size: int = 64) -> np.ndarray:
+def embed_sentences(encoder, sentences: list[np.ndarray]) -> np.ndarray:
     """Stack embeddings for content-id sentences; batches transformer encoders.
 
-    A transformer encoder runs through a view of its parameters that shares
-    their arrays but needs no gradient, so the forward records no graph and
-    each intermediate array is freed once the next operation has read it.
-    The encoder itself is not changed.
+    A transformer encoder encodes `EMBED_CHUNK` sentences per call, through
+    a view of its parameters that shares their arrays but needs no gradient,
+    so the forward records no graph and each intermediate array is freed
+    once the next operation has read it. The encoder itself is not changed.
     """
     if not sentences:
         raise ContractError("no sentences to embed")
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
     if isinstance(encoder, SentenceEncoder):
         view = SentenceEncoder(
             encoder.config, {name: Tensor(p.data) for name, p in encoder.params.items()}
         )
         rows = []
-        for start in range(0, len(sentences), batch_size):
-            chunk = sentences[start:start + batch_size]
+        for start in range(0, len(sentences), EMBED_CHUNK):
+            chunk = sentences[start:start + EMBED_CHUNK]
             ids, mask = frame_rows(chunk, encoder.config.max_positions)
             rows.append(view.encode(ids, mask).data)
         return np.concatenate(rows, axis=0)
@@ -125,18 +125,21 @@ def _row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=-1) / (na * nb)
 
 
-def sts_evaluate(encoder, examples: list[StsExample], batch_size: int = 64) -> EvalReport:
+def _config_of(encoder) -> dict:
+    return encoder.config.to_dict() if isinstance(encoder, SentenceEncoder) else {}
+
+
+def sts_evaluate(encoder, examples: list[StsExample]) -> EvalReport:
     """Spearman correlation between embedding cosines and gold scores."""
     if len(examples) < 2:
         raise ContractError("sts_evaluate needs at least 2 examples")
-    va = embed_sentences(encoder, [e.sentence_a for e in examples], batch_size)
-    vb = embed_sentences(encoder, [e.sentence_b for e in examples], batch_size)
+    va = embed_sentences(encoder, [e.sentence_a for e in examples])
+    vb = embed_sentences(encoder, [e.sentence_b for e in examples])
     predicted = _row_cosine(va.astype(np.float64), vb.astype(np.float64))
     gold = np.array([e.gold_score for e in examples], dtype=np.float64)
     rho = spearman(predicted, gold)
-    config = encoder.config.to_dict() if isinstance(encoder, SentenceEncoder) else {}
     return EvalReport(
-        task="sts", n_examples=len(examples), spearman_rho=rho, config=config,
+        task="sts", n_examples=len(examples), spearman_rho=rho, config=_config_of(encoder),
     )
 
 
@@ -166,3 +169,21 @@ def retrieval_accuracy(encoder, pairs: list[ParallelPair], block_size: int = RET
         grid = s @ t.T
         hits += int((grid.argmax(axis=1) == np.arange(block_size)).sum())
     return hits / (n_blocks * block_size)
+
+
+def retrieval_report(
+    encoder, pairs: list[ParallelPair], block_size: int = RETRIEVAL_BLOCK
+) -> EvalReport | None:
+    """`retrieval_accuracy` as a report whose `n_examples` counts the pairs
+    scored, a whole number of blocks; None when `pairs` hold no full block.
+
+    A `block_size` below 1 never counts as too few pairs, so it still
+    raises `retrieval_accuracy`'s ContractError.
+    """
+    if len(pairs) < block_size:
+        return None
+    acc = retrieval_accuracy(encoder, pairs, block_size)
+    return EvalReport(
+        task="retrieval", n_examples=len(pairs) // block_size * block_size,
+        retrieval_accuracy=acc, config=_config_of(encoder),
+    )

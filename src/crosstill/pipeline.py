@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .encoder import EncoderConfig, SentenceEncoder, config_from_dict, init_student_from_assistant
 from .errors import ConfigError, ContractError, NumericError, ParseError
-from .evaluate import RETRIEVAL_BLOCK, EvalReport, retrieval_accuracy, sts_evaluate
+from .evaluate import RETRIEVAL_BLOCK, EvalReport, retrieval_accuracy, retrieval_report, sts_evaluate
 from .losses import STAGE4_VARIANTS, CeLossConfig, loss_anchor_align, loss_pairwise_align, loss_stage4
 from .optim import AdamW
 from .rng import stream
@@ -570,12 +570,7 @@ def _run_table(
         return result
     if bundle.sts_examples:
         result.sts_report = sts_evaluate(trained, bundle.sts_examples)
-    if len(bundle.test_pairs) >= RETRIEVAL_BLOCK:
-        result.retrieval_report = EvalReport(
-            task="retrieval", n_examples=len(bundle.test_pairs),
-            retrieval_accuracy=retrieval_accuracy(trained, bundle.test_pairs),
-            config=trained.config.to_dict(),
-        )
+    result.retrieval_report = retrieval_report(trained, bundle.test_pairs)
     return result
 
 
@@ -608,34 +603,27 @@ def run_single_stage(cfg: PipelineConfig, mode: str) -> PipelineResult:
     return _run_table(cfg, table, f"metrics_{mode}.jsonl", start)
 
 
-@dataclass
-class DepthPoint:
-    """Sweep sample: one trained baseline at a given layer count."""
-
-    depth: int
-    sts: EvalReport
-    retrieval: EvalReport
-
-
-def depth_sweep(cfg: PipelineConfig, depths: list[int]) -> list[DepthPoint]:
-    """Train the direct-distillation baseline at each depth and score both tasks.
+def depth_sweep(cfg: PipelineConfig, depths: list[int]) -> list[PipelineResult]:
+    """Train the direct-distillation baseline at each depth; one result per depth.
 
     Each depth trains the `random_init` row on an otherwise identical student
     with that many distinct layers, no recurrence and no bottleneck (the
-    classic direct cross-lingual distillation shape) under `cfg.seed`, then
-    reports monolingual STS and cross-lingual retrieval. Depth d writes
-    `single_random_d{d}.xdst` and `metrics_random_init_d{d}.jsonl`.
+    classic direct cross-lingual distillation shape) under `cfg.seed`, and
+    its result holds the STS and retrieval scores. Depth d writes
+    `single_random_d{d}.xdst` and `metrics_random_init_d{d}.jsonl`, so each
+    depth may appear once.
     """
     if not depths:
         raise ContractError("depth_sweep needs at least one depth")
-    points = []
-    for depth in depths:
-        flat = replace(cfg, student=replace(
-            cfg.student, distinct_layers=depth, recurrence_count=1, bottleneck_size=None,
-        ))
+    repeated = sorted({d for d in depths if depths.count(d) > 1})
+    if repeated:
+        raise ContractError(f"depth_sweep got repeated depths {repeated}")
+    # every depth's config is checked before the first one trains
+    flats = [replace(cfg, student=replace(
+        cfg.student, distinct_layers=d, recurrence_count=1, bottleneck_size=None,
+    )) for d in depths]
+    results = []
+    for depth, flat in zip(depths, flats):
         row = replace(RANDOM_INIT[0], checkpoint=f"single_random_d{depth}.xdst")
-        result = _run_table(flat, (row,), f"metrics_random_init_d{depth}.jsonl")
-        points.append(
-            DepthPoint(depth=depth, sts=result.sts_report, retrieval=result.retrieval_report)
-        )
-    return points
+        results.append(_run_table(flat, (row,), f"metrics_random_init_d{depth}.jsonl"))
+    return results

@@ -8,6 +8,7 @@ entry point end to end.
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -425,6 +426,21 @@ class TestEval:
                             length_range=(5, 5))
         assert run_cli("eval", "--checkpoint", checkpoint, "--corpus", str(other)) == 1
 
+    def test_retrieval_counts_the_pairs_it_scores(
+        self, untrained_checkpoint, cli_corpus, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(cli_corpus / "vocab.json", corpus)
+        lines = (cli_corpus / "train.tsv").read_text(encoding="utf-8").splitlines()
+        (corpus / "test.tsv").write_text("\n".join(lines[:150]) + "\n", encoding="utf-8")
+        assert run_cli("eval", "--checkpoint", str(untrained_checkpoint),
+                       "--corpus", str(corpus)) == 0
+        out, err = capsys.readouterr()
+        # two full 64-pair blocks are scored; the last 22 pairs are not
+        assert json.loads(out)["n_examples"] == 128
+        assert "task=retrieval n=128 " in err
+
     @pytest.mark.parametrize("block_size", ["0", "-5"])
     def test_block_size_below_one_exits_1(self, untrained_checkpoint, cli_corpus, block_size):
         result = subprocess.run(
@@ -555,6 +571,18 @@ class TestSweepDepth:
     def test_bad_depths_rejected(self, config_path, capsys):
         assert run_cli("sweep-depth", "--config", str(config_path),
                        "--depths", "1,two") == 1
+
+    # int() reads "1_0" as 10 and the Arabic-Indic digit one as 1
+    @pytest.mark.parametrize("depths", ["1_0", "\u0661"])
+    def test_depths_take_plain_ascii_digits_only(self, config_path, tmp_path, capsys, depths):
+        assert run_cli("sweep-depth", "--config", str(config_path), "--depths", depths) == 1
+        assert "comma-separated ASCII digits" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_depth_rejected(self, config_path, tmp_path, capsys):
+        assert run_cli("sweep-depth", "--config", str(config_path), "--depths", "1,1") == 1
+        assert "repeated depths [1]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -24,6 +24,7 @@ from crosstill.evaluate import (
     EvalReport,
     embed_sentences,
     retrieval_accuracy,
+    retrieval_report,
     spearman,
     sts_evaluate,
 )
@@ -166,7 +167,7 @@ def test_embed_sentences_records_no_graph_and_leaves_the_model_as_is(small_world
         return outputs[-1]
 
     monkeypatch.setattr(SentenceEncoder, "encode", recording_encode)
-    got = embed_sentences(model, sentences, batch_size=len(sentences))
+    got = embed_sentences(model, sentences)
     assert len(outputs) == 1 and not outputs[0].requires_grad and outputs[0]._parents == ()
     assert all(p.requires_grad and p.grad is None for p in model.params.values())
     monkeypatch.undo()
@@ -203,19 +204,26 @@ class TestStsEvaluate:
         )
         enc = SentenceEncoder.init(cfg, seed=2)
         rng = np.random.default_rng(6)
+        # more sentences per side than one 64-sentence chunk
         examples = [
             StsExample(
                 sentence_a=rng.integers(4, 4 + 64, size=int(rng.integers(3, 9))),
                 sentence_b=rng.integers(4, 4 + 64, size=int(rng.integers(3, 9))),
                 gold_score=float(rng.uniform(0, 5)),
             )
-            for _ in range(20)
+            for _ in range(70)
         ]
-        full = sts_evaluate(enc, examples, batch_size=64)
-        small = sts_evaluate(enc, examples, batch_size=3)
+        full = sts_evaluate(enc, examples)
         assert -1.0 <= full.spearman_rho <= 1.0
-        assert full.config["hidden"] == 16
-        assert small.spearman_rho == pytest.approx(full.spearman_rho, abs=1e-6)
+        assert full.n_examples == 70 and full.config["hidden"] == 16
+        # one sentence per encode call: no padding and no chunk boundary
+        one = lambda s: embed_sentences(enc, [s])[0]
+        sentences = [e.sentence_a for e in examples]
+        np.testing.assert_allclose(
+            embed_sentences(enc, sentences), np.stack([one(s) for s in sentences]), atol=1e-5
+        )
+        single = sts_evaluate(one, examples)
+        assert single.spearman_rho == pytest.approx(full.spearman_rho, abs=1e-6)
 
     def test_too_few_examples_rejected(self, small_world):
         vocab, oracle = small_world
@@ -326,6 +334,26 @@ class TestRetrievalAccuracy:
         with pytest.raises(ContractError, match="block_size must be at least 1"):
             retrieval_accuracy(self._embedder(vocab), pairs, block_size=block_size)
 
+    def test_report_counts_the_pairs_it_scores(self, small_world):
+        vocab, _ = small_world
+        pairs = _first_token_pairs(vocab, 150, tail_rotate_from=128)
+        report = retrieval_report(self._embedder(vocab), pairs, block_size=64)
+        assert (report.task, report.n_examples, report.retrieval_accuracy) == ("retrieval", 128, 1.0)
+        assert report.config == {}
+
+    def test_report_is_none_below_one_block(self, small_world):
+        vocab, _ = small_world
+        assert retrieval_report(self._embedder(vocab), _first_token_pairs(vocab, 63)) is None
+        assert retrieval_report(self._embedder(vocab), [], block_size=1) is None
+
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_report_block_size_below_one_rejected(self, small_world, block_size):
+        vocab, _ = small_world
+        # no pair list is too short for such a block size: it is rejected even when empty
+        for pairs in ([], _first_token_pairs(vocab, 64)):
+            with pytest.raises(ContractError, match="block_size must be at least 1"):
+                retrieval_report(self._embedder(vocab), pairs, block_size=block_size)
+
 
 class TestEmbedSentences:
     def test_empty_rejected(self):
@@ -336,19 +364,3 @@ class TestEmbedSentences:
         out = embed_sentences(lambda s: np.full(3, float(len(s))), [np.arange(2), np.arange(5)])
         assert out.shape == (2, 3)
         assert out[0, 0] == 2.0 and out[1, 0] == 5.0
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    @pytest.mark.parametrize("call", ["embed_sentences", "sts_evaluate"])
-    def test_batch_size_below_one_rejected(self, small_world, call, batch_size):
-        vocab, _ = small_world
-        cfg = EncoderConfig(
-            vocab_size=vocab.vocab_size, hidden=16, ffn_size=32, heads=2,
-            distinct_layers=1, max_positions=12,
-        )
-        enc = SentenceEncoder.init(cfg, seed=2)
-        examples = [StsExample(np.array([4, 5]), np.array([6, 7]), 1.0)] * 2
-        with pytest.raises(ContractError, match="batch_size must be at least 1"):
-            if call == "embed_sentences":
-                embed_sentences(enc, [e.sentence_a for e in examples], batch_size=batch_size)
-            else:
-                sts_evaluate(enc, examples, batch_size=batch_size)

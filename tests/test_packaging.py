@@ -123,3 +123,26 @@ def test_bench_bindings_resolve(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     )
     assert missing == []
+
+
+def test_every_imported_name_is_read():
+    """Each name a package module other than `__init__` imports is read in
+    that module, so a caller's leftover import shows up when code moves."""
+    unread = []
+    for path in sorted((ROOT / "src" / "crosstill").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert unread == []

@@ -542,8 +542,9 @@ class TestRunPipeline:
         assert all(np.isfinite(r["loss"]) for r in result.log.records)
         reloaded = load_checkpoint(result.checkpoint_path)
         assert reloaded.checksum() == result.student.checksum()
-        assert result.retrieval_report is not None
         assert result.sts_report is not None
+        # the 150 test pairs hold two full 64-pair blocks; only those are scored
+        assert result.retrieval_report.n_examples == 128
 
     def test_assistant_untouched_after_stage1(self, corpus_dir, tmp_path):
         cfg = micro_cfg(corpus_dir, tmp_path)
@@ -654,18 +655,22 @@ def sweep_cfg(corpus_dir, out_dir, **overrides) -> PipelineConfig:
 
 class TestDepthSweep:
     def test_sweep_returns_point_per_depth(self, corpus_dir, tmp_path):
-        points = depth_sweep(sweep_cfg(corpus_dir, tmp_path, seed=5), [1, 2])
-        assert [p.depth for p in points] == [1, 2]
-        for p in points:
-            assert p.retrieval.retrieval_accuracy is not None
-            assert p.sts.spearman_rho is not None
+        results = depth_sweep(sweep_cfg(corpus_dir, tmp_path, seed=5), [1, 2])
+        assert [r.student.config.distinct_layers for r in results] == [1, 2]
+        assert [r.checkpoint_path.name for r in results] == [
+            "single_random_d1.xdst", "single_random_d2.xdst",
+        ]
+        for r in results:
+            assert r.retrieval_report.retrieval_accuracy is not None
+            assert r.sts_report.spearman_rho is not None
 
     def test_sweep_deterministic(self, corpus_dir, tmp_path):
         cfg = sweep_cfg(corpus_dir, tmp_path)
         pa = depth_sweep(replace(cfg, seed=5, out_dir=str(tmp_path / "a")), [1])
         pb = depth_sweep(replace(cfg, seed=5, out_dir=str(tmp_path / "b")), [1])
-        assert pa[0].retrieval.retrieval_accuracy == pb[0].retrieval.retrieval_accuracy
-        assert pa[0].sts.spearman_rho == pb[0].sts.spearman_rho
+        assert (pa[0].retrieval_report.retrieval_accuracy
+                == pb[0].retrieval_report.retrieval_accuracy)
+        assert pa[0].sts_report.spearman_rho == pb[0].sts_report.spearman_rho
 
     def test_sweep_follows_config_seed(self, corpus_dir, tmp_path):
         cfg = sweep_cfg(corpus_dir, tmp_path)
@@ -693,3 +698,14 @@ class TestDepthSweep:
     def test_empty_depths_rejected(self, corpus_dir, tmp_path):
         with pytest.raises(ContractError, match="at least one depth"):
             depth_sweep(micro_cfg(corpus_dir, tmp_path), [])
+
+    def test_repeated_depth_rejected_before_training(self, corpus_dir, tmp_path):
+        # a repeat would train over the same checkpoint and metrics log twice
+        with pytest.raises(ContractError, match=r"repeated depths \[1\]"):
+            depth_sweep(sweep_cfg(corpus_dir, tmp_path), [1, 2, 1])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_invalid_depth_rejected_before_training(self, corpus_dir, tmp_path):
+        with pytest.raises(ConfigError, match="at least 1"):
+            depth_sweep(sweep_cfg(corpus_dir, tmp_path), [1, 0])
+        assert list(tmp_path.iterdir()) == []
