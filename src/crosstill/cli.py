@@ -193,11 +193,11 @@ def _cmd_eval(args, extras) -> int:
         )
     pairs = read_parallel_tsv(corpus_dir / f"{args.split}.tsv", vocab)
     reports = []
-    retrieval = retrieval_report(encoder, pairs, args.block_size)
+    retrieval = retrieval_report(encoder, pairs)
     if retrieval is not None:
         reports.append(retrieval)
     else:
-        _say(f"skipping retrieval: {len(pairs)} pairs < one block of {args.block_size}")
+        _say(f"skipping retrieval: {len(pairs)} pairs < one block of {RETRIEVAL_BLOCK}")
     if args.sts is not None:
         reports.append(sts_evaluate(encoder, load_sts_tsv(args.sts, vocab)))
     for report in reports:
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test", choices=["train", "dev", "test"],
                    help="which split to use for retrieval")
     p.add_argument("--sts", default=None, help="optional similarity TSV to score")
-    p.add_argument("--block-size", type=int, default=RETRIEVAL_BLOCK, help="retrieval block size")
     p.set_defaults(handler=_cmd_eval, allow_overrides=False)
 
     p = sub.add_parser("count-params", help="print exact and rounded parameter counts")

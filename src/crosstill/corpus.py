@@ -256,17 +256,9 @@ class OracleSemantics:
         return self.concept_vectors.shape[1]
 
 
-def oracle_embed(sentence_ids, oracle: OracleSemantics) -> np.ndarray:
-    """Mean concept vector of the content tokens, language-normalized."""
-    ids = oracle.vocab.to_lang1_ids(np.asarray(sentence_ids, dtype=np.int64).reshape(-1))
-    content = ids[ids >= N_SPECIALS]
-    if content.size == 0:
-        raise ContractError("oracle_embed: sentence has no content tokens")
-    return oracle.concept_vectors[content - N_SPECIALS].mean(axis=0)
-
-
 def oracle_embed_batch(ids: np.ndarray, mask: np.ndarray, oracle: OracleSemantics) -> np.ndarray:
-    """Row-wise oracle embeddings for a framed, padded id matrix."""
+    """The teacher: per row of a framed, padded id matrix, the mean concept
+    vector of its unmasked content tokens, language-normalized."""
     ids = np.asarray(ids, dtype=np.int64)
     flat = oracle.vocab.to_lang1_ids(ids.reshape(-1)).reshape(ids.shape)
     content = (np.asarray(mask) != 0) & (flat >= N_SPECIALS)
@@ -276,6 +268,12 @@ def oracle_embed_batch(ids: np.ndarray, mask: np.ndarray, oracle: OracleSemantic
     gathered = oracle.concept_vectors[np.where(content, flat - N_SPECIALS, 0)]
     sums = (gathered * content[:, :, None]).sum(axis=1)
     return sums / counts[:, None]
+
+
+def oracle_embed(sentence_ids, oracle: OracleSemantics) -> np.ndarray:
+    """`oracle_embed_batch` of one unmasked sentence."""
+    ids = np.asarray(sentence_ids, dtype=np.int64).reshape(1, -1)
+    return oracle_embed_batch(ids, np.ones_like(ids), oracle)[0]
 
 
 # -- generation ------------------------------------------------------------
@@ -406,16 +404,17 @@ def gen_sts_set(
         raise ContractError(f"bad length range ({lo}, {hi})")
     overlap_levels = (1.0, 0.75, 0.5, 0.25, 0.0, -1.0)  # -1 marks anti-selection
 
-    examples = []
+    a_side, b_side = [], []
     for i in range(n_examples):
         level = overlap_levels[i % len(overlap_levels)]
         length = int(rng.integers(lo, hi + 1))
         a_tokens = cdf.searchsorted(rng.random(length), side="right")
+        a_ids = N_SPECIALS + a_tokens
         if level == 1.0:
             b_tokens = rng.permutation(a_tokens)
         elif level < 0.0:
             # pick tokens whose concepts point away from A's embedding
-            a_vec = oracle.concept_vectors[a_tokens].mean(axis=0)
+            a_vec = oracle_embed(a_ids, oracle)
             pool_size = min(64, vocab.tokens_per_language)
             pool = rng.choice(vocab.tokens_per_language, size=pool_size, replace=False)
             scores = oracle.concept_vectors[pool] @ a_vec
@@ -426,11 +425,13 @@ def gen_sts_set(
             b_tokens = a_tokens.copy()
             redraw = rng.choice(length, size=length - keep, replace=False)
             b_tokens[redraw] = cdf.searchsorted(rng.random(length - keep), side="right")
-        a_ids = N_SPECIALS + a_tokens
-        b_ids = N_SPECIALS + b_tokens
-        va = oracle_embed(a_ids, oracle)
-        vb = oracle_embed(b_ids, oracle)
-        cos = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
+        a_side.append(a_ids)
+        b_side.append(N_SPECIALS + b_tokens)
+    # one teacher call per side; framing adds only specials, which it skips
+    va, vb = (oracle_embed_batch(*frame_rows(side, hi + 2), oracle) for side in (a_side, b_side))
+    examples = []
+    for a_ids, b_ids, a_vec, b_vec in zip(a_side, b_side, va, vb):
+        cos = float(a_vec @ b_vec / (np.linalg.norm(a_vec) * np.linalg.norm(b_vec)))
         score = float(np.clip(2.5 * (1.0 + cos), 0.0, 5.0))
         examples.append(StsExample(sentence_a=a_ids, sentence_b=b_ids, gold_score=score))
     return write_sts_tsv(out_path, examples, vocab)

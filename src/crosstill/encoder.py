@@ -25,6 +25,8 @@ from .rng import stream
 
 INIT_STD = 0.02
 ATTN_MASK_BIAS = -1e9
+# BERT's layer-norm epsilon (Devlin et al. 2019): the embedding norm and both norms of each layer
+LAYERNORM_EPS = 1e-12
 # Tokens (rows × framed width) from which a forward-only batch runs as two
 # row halves on two threads. Handing a half to the helper costs about 3 ms
 # of a forward whatever its size, so small batches lose. Toy models, one
@@ -57,7 +59,6 @@ class EncoderConfig:
     recurrence_count: int = 1
     bottleneck_size: int | None = None
     max_positions: int = 16
-    layernorm_eps: float = 1e-12
 
     def __post_init__(self):
         if self.vocab_size < 1 or self.hidden < 1 or self.ffn_size < 1:
@@ -72,8 +73,6 @@ class EncoderConfig:
             raise ConfigError("max_positions must be at least 3")
         if self.bottleneck_size is not None and self.bottleneck_size < 1:
             raise ConfigError("bottleneck_size must be positive, or null for no bottleneck")
-        if self.layernorm_eps <= 0:
-            raise ConfigError("layernorm_eps must be positive")
 
     @property
     def bottleneck_enabled(self) -> bool:
@@ -94,7 +93,6 @@ class EncoderConfig:
 
 _JSON_TYPES = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "None": lambda v: v is None,
 }
@@ -105,11 +103,11 @@ def config_from_dict(cls, raw, where: str = "", nested=None, kind: str = "config
 
     The dataclass fields are the schema. Fields named in `nested` are
     sections, each parsed by `nested[name](value, path)`; every other field
-    must hold a finite JSON scalar of its annotated type (an int passes as a
-    float, a bool never passes as an int). A non-object, an unknown or
-    missing field, a mistyped or non-finite scalar, or a TypeError/ValueError
-    from `__post_init__` raises ConfigError naming the section path `where`
-    ("" for the root).
+    must hold a JSON scalar of its annotated type (a bool never passes as an
+    int). A non-object, an unknown or missing field, a mistyped scalar, a
+    NaN or infinity in any field, or a TypeError/ValueError from
+    `__post_init__` raises ConfigError naming the section path `where` ("" for
+    the root).
     """
     nested = nested or {}
     label = where or "config"
@@ -272,7 +270,7 @@ class SentenceEncoder:
             pos,
             self.params["embedding.ln.scale"],
             self.params["embedding.ln.shift"],
-            self.config.layernorm_eps,
+            LAYERNORM_EPS,
         )
 
     def _attention(self, j: int, x: Tensor, key_bias: np.ndarray) -> Tensor:
@@ -282,13 +280,12 @@ class SentenceEncoder:
         return ad.attention(x, *projections, key_bias, self.config.heads)
 
     def _layer(self, j: int, x: Tensor, key_bias: np.ndarray) -> Tensor:
-        eps = self.config.layernorm_eps
         x = ad.add_layer_norm(
             x,
             self._attention(j, x, key_bias),
             self.params[f"layer{j}.ln1.scale"],
             self.params[f"layer{j}.ln1.shift"],
-            eps,
+            LAYERNORM_EPS,
         )
         w1, b1, w2, b2 = (self.params[f"layer{j}.ffn.{n}"] for n in ("w1", "b1", "w2", "b2"))
         ffn = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
@@ -297,7 +294,7 @@ class SentenceEncoder:
             ffn,
             self.params[f"layer{j}.ln2.scale"],
             self.params[f"layer{j}.ln2.shift"],
-            eps,
+            LAYERNORM_EPS,
         )
 
     def _pool(self, x: Tensor, mask: np.ndarray) -> Tensor:
@@ -349,15 +346,8 @@ class SentenceEncoder:
         return self._pool(self._embed(ids), mask)
 
 
-def init_student_from_assistant(
-    assistant: SentenceEncoder, student_cfg: EncoderConfig, seed: int = 0
-) -> SentenceEncoder:
-    """Build a student whose distinct layers copy the assistant's first M layers.
-
-    The bottleneck tables (when enabled) start fresh; everything copied is a
-    deep copy, so later training never mutates the assistant.
-    """
-    a_cfg = assistant.config
+def check_student_fits(a_cfg: EncoderConfig, student_cfg: EncoderConfig) -> None:
+    """ConfigError unless a student of `student_cfg` can copy an assistant of `a_cfg`."""
     if student_cfg.hidden != a_cfg.hidden:
         raise ConfigError(
             f"student hidden {student_cfg.hidden} must equal assistant hidden {a_cfg.hidden}"
@@ -374,6 +364,16 @@ def init_student_from_assistant(
     if not student_cfg.bottleneck_enabled and student_cfg.vocab_size != a_cfg.vocab_size:
         raise ConfigError("sharing the word table requires equal vocab sizes")
 
+
+def init_student_from_assistant(
+    assistant: SentenceEncoder, student_cfg: EncoderConfig, seed: int = 0
+) -> SentenceEncoder:
+    """Build a student whose distinct layers copy the assistant's first M layers.
+
+    The bottleneck tables (when enabled) start fresh; everything copied is a
+    deep copy, so later training never mutates the assistant.
+    """
+    check_student_fits(assistant.config, student_cfg)
     rng = stream(seed, "student-init")
     dtype = assistant.dtype
     params: dict[str, Tensor] = {}

@@ -143,47 +143,39 @@ def sts_evaluate(encoder, examples: list[StsExample]) -> EvalReport:
     )
 
 
-def retrieval_accuracy(encoder, pairs: list[ParallelPair], block_size: int = RETRIEVAL_BLOCK) -> float:
+def retrieval_accuracy(encoder, pairs: list[ParallelPair]) -> float:
     """Within-block nearest-neighbor translation retrieval.
 
-    For each block of `block_size` pairs, each source row retrieves its
+    For each block of `RETRIEVAL_BLOCK` pairs, each source row retrieves its
     nearest target row by cosine; the score is the fraction retrieving their
     own translation. Trailing pairs short of a full block are dropped
     unembedded.
     """
-    if block_size < 1:
-        raise ContractError(f"retrieval block_size must be at least 1, got {block_size}")
-    if len(pairs) < block_size:
+    if len(pairs) < RETRIEVAL_BLOCK:
         raise ContractError(
-            f"retrieval needs at least one full block of {block_size}, got {len(pairs)}"
+            f"retrieval needs at least one full block of {RETRIEVAL_BLOCK}, got {len(pairs)}"
         )
-    n_blocks = len(pairs) // block_size
-    scored = pairs[:n_blocks * block_size]
+    n_blocks = len(pairs) // RETRIEVAL_BLOCK
+    scored = pairs[:n_blocks * RETRIEVAL_BLOCK]
     src = embed_sentences(encoder, [p.source_ids for p in scored]).astype(np.float64)
     tgt = embed_sentences(encoder, [p.target_ids for p in scored]).astype(np.float64)
     hits = 0
     for b in range(n_blocks):
-        lo, hi = b * block_size, (b + 1) * block_size
+        lo, hi = b * RETRIEVAL_BLOCK, (b + 1) * RETRIEVAL_BLOCK
         s = src[lo:hi] / np.maximum(np.linalg.norm(src[lo:hi], axis=1, keepdims=True), 1e-12)
         t = tgt[lo:hi] / np.maximum(np.linalg.norm(tgt[lo:hi], axis=1, keepdims=True), 1e-12)
         grid = s @ t.T
-        hits += int((grid.argmax(axis=1) == np.arange(block_size)).sum())
-    return hits / (n_blocks * block_size)
+        hits += int((grid.argmax(axis=1) == np.arange(RETRIEVAL_BLOCK)).sum())
+    return hits / len(scored)
 
 
-def retrieval_report(
-    encoder, pairs: list[ParallelPair], block_size: int = RETRIEVAL_BLOCK
-) -> EvalReport | None:
+def retrieval_report(encoder, pairs: list[ParallelPair]) -> EvalReport | None:
     """`retrieval_accuracy` as a report whose `n_examples` counts the pairs
-    scored, a whole number of blocks; None when `pairs` hold no full block.
-
-    A `block_size` below 1 never counts as too few pairs, so it still
-    raises `retrieval_accuracy`'s ContractError.
-    """
-    if len(pairs) < block_size:
+    scored, a whole number of blocks; None when `pairs` hold no full block."""
+    if len(pairs) < RETRIEVAL_BLOCK:
         return None
-    acc = retrieval_accuracy(encoder, pairs, block_size)
+    acc = retrieval_accuracy(encoder, pairs)
     return EvalReport(
-        task="retrieval", n_examples=len(pairs) // block_size * block_size,
+        task="retrieval", n_examples=len(pairs) // RETRIEVAL_BLOCK * RETRIEVAL_BLOCK,
         retrieval_accuracy=acc, config=_config_of(encoder),
     )

@@ -227,18 +227,14 @@ STAGE4_VARIANTS = ("mcl", "bool", "ce", "none")
 
 
 def loss_stage4(
-    teacher_src: Tensor,
-    student_src: Tensor,
-    student_tgt: Tensor,
-    variant: str = "mcl",
-    ce_cfg: CeLossConfig | None = None,
+    teacher_src: Tensor, student_src: Tensor, student_tgt: Tensor, variant: str = "mcl"
 ) -> LossValue:
     """Contrastive term plus distillation term, as an unweighted sum.
 
-    `variant` picks the contrastive half: "mcl" (default), "bool", "ce", or
-    "none" (distillation only). The distillation half always pulls both
-    student outputs toward the teacher's source embeddings, which requires
-    matching dimensions.
+    `variant` picks the contrastive half: "mcl" (default), "bool", "ce" (at
+    `CeLossConfig()`'s temperature), or "none" (distillation only). The
+    distillation half always pulls both student outputs toward the
+    teacher's source embeddings, which requires matching dimensions.
     """
     teacher_src, student_src, student_tgt = map(
         as_tensor, (teacher_src, student_src, student_tgt)
@@ -253,7 +249,7 @@ def loss_stage4(
     elif variant == "bool":
         contrastive = loss_bool(None, student_src, student_tgt).value
     elif variant == "ce":
-        contrastive = loss_ce(teacher_src, student_src, student_tgt, ce_cfg).value
+        contrastive = loss_ce(teacher_src, student_src, student_tgt).value
     elif variant == "none":
         contrastive = None
     else:

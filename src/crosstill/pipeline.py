@@ -34,10 +34,13 @@ from .corpus import (
     oracle_embed_batch,
     read_parallel_tsv,
 )
-from .encoder import EncoderConfig, SentenceEncoder, config_from_dict, init_student_from_assistant
+from .encoder import (
+    EncoderConfig, SentenceEncoder, check_student_fits, config_from_dict,
+    init_student_from_assistant,
+)
 from .errors import ConfigError, ContractError, NumericError, ParseError
 from .evaluate import RETRIEVAL_BLOCK, EvalReport, retrieval_accuracy, retrieval_report, sts_evaluate
-from .losses import STAGE4_VARIANTS, CeLossConfig, loss_anchor_align, loss_pairwise_align, loss_stage4
+from .losses import STAGE4_VARIANTS, loss_anchor_align, loss_pairwise_align, loss_stage4
 from .optim import AdamW
 from .rng import stream
 
@@ -104,7 +107,6 @@ class PipelineConfig:
     sts_path: str | None = None
     seed: int = 0
     variant: str = "mcl"
-    ce_temperature: float = 0.05
     stages: tuple[StagePlan, ...] = field(default_factory=default_stage_plans)
 
     def __post_init__(self):
@@ -115,8 +117,6 @@ class PipelineConfig:
             )
         if self.variant not in STAGE4_VARIANTS:
             raise ConfigError(f"unknown contrastive variant {self.variant!r}")
-        if self.ce_temperature <= 0:
-            raise ConfigError("ce_temperature must be positive")
         if self.student.hidden != self.assistant.hidden:
             raise ConfigError("student and assistant hidden sizes must match")
 
@@ -261,16 +261,18 @@ class CorpusBundle:
 
 def load_teacher(cfg: PipelineConfig) -> OracleSemantics:
     """The run's frozen teacher: the corpus vocabulary's concept table at the
-    assistant's width. Training and `gen-sts` both build it here."""
+    assistant's width. Training and `gen-sts` both build it here, once both
+    encoders' vocabularies are checked against the corpus."""
     manifest = Path(cfg.corpus_dir) / "vocab.json"
     if not manifest.exists():
         raise ConfigError(f"no vocabulary manifest at {manifest}")
     vocab = VocabSpec.from_manifest(manifest)
-    if vocab.vocab_size != cfg.assistant.vocab_size:
-        raise ConfigError(
-            f"corpus vocabulary has {vocab.vocab_size} ids but the assistant "
-            f"expects {cfg.assistant.vocab_size}"
-        )
+    for role in ("assistant", "student"):
+        expected = getattr(cfg, role).vocab_size
+        if vocab.vocab_size != expected:
+            raise ConfigError(
+                f"corpus vocabulary has {vocab.vocab_size} ids but the {role} expects {expected}"
+            )
     return OracleSemantics.create(vocab, dim=cfg.assistant.hidden)
 
 
@@ -338,8 +340,7 @@ def _stage4_loss(model, reference, batch, oracle, cfg):
     """Stage 4: contrastive plus distillation loss against the teacher."""
     anchor = _teacher_anchor(batch, oracle, model.dtype)
     out_src, out_tgt = _both_sides(model.encode, batch)
-    ce_cfg = CeLossConfig(temperature=cfg.ce_temperature)
-    return loss_stage4(anchor, out_src, out_tgt, variant=cfg.variant, ce_cfg=ce_cfg)
+    return loss_stage4(anchor, out_src, out_tgt, variant=cfg.variant)
 
 
 @dataclass(frozen=True)
@@ -535,8 +536,13 @@ def _run_table(
     """Train `table[start:]` in order; rows before `start` supply checkpoints.
 
     The result holds the model the last row trained, scored on the test
-    split and the similarity set when that model is the student.
+    split and the similarity set when that model is the student. Every row
+    that builds a student from the assistant has its student config checked
+    before the first row trains.
     """
+    for spec in table[start:]:
+        if spec.init == "assistant":
+            check_student_fits(cfg.assistant, getattr(cfg, spec.role))
     bundle = load_corpus(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

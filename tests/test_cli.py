@@ -8,7 +8,9 @@ entry point end to end.
 import json
 import os
 import re
+import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ from crosstill.cli import apply_overrides, build_parser, parse_and_dispatch
 from crosstill.corpus import OracleSemantics, VocabSpec, gen_parallel_corpus, gen_sts_set
 from crosstill.encoder import SentenceEncoder
 from crosstill.errors import ConfigError, FormatError
-from crosstill.pipeline import MetricsLog, PipelineConfig, default_stage_plans
+from crosstill.pipeline import MetricsLog, PipelineConfig, default_stage_plans, toy_config
 
 from test_pipeline import micro_assistant, micro_student
 
@@ -347,7 +349,11 @@ class TestTrain:
         (lambda raw: raw.update(teacher_seed=0), [], "['teacher_seed']"),
         (None, ["--stages.1.optimizer", '{"lr": 0.002}'], "stages[1]: ['optimizer']"),
         (None, ["--teacher_seed", "0"], "['teacher_seed']"),
-    ], ids=["optimizer-in-file", "teacher-seed-in-file", "optimizer-override", "teacher-seed-override"])
+        (lambda raw: raw.update(ce_temperature=0.05), [], "unknown config fields: ['ce_temperature']"),
+        (lambda raw: raw["assistant"].update(layernorm_eps=1e-12), [],
+         "unknown encoder config fields in assistant: ['layernorm_eps']"),
+    ], ids=["optimizer-in-file", "teacher-seed-in-file", "optimizer-override", "teacher-seed-override",
+            "ce-temperature-in-file", "layernorm-eps-in-file"])
     def test_removed_settings_rejected(self, config_path, capsys, edit, override, where):
         if edit is not None:
             raw = json.loads(config_path.read_text(encoding="utf-8"))
@@ -356,6 +362,24 @@ class TestTrain:
         assert run_cli("train", "--config", str(config_path), *override) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and where in err[0]
+
+    @pytest.mark.parametrize("override", [
+        ["--student.ffn_size", "64"],
+        ["--student.heads", "4"],
+        ["--student.max_positions", "20"],
+        ["--student.vocab_size", "68"],
+    ], ids=["ffn-size", "heads", "max-positions", "vocab-size"])
+    def test_unbuildable_student_fails_before_training(self, config_path, capsys, override):
+        assert run_cli("train", "--config", str(config_path), "--stage", "all", *override) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        out_dir = Path(json.loads(config_path.read_text())["out_dir"])
+        assert not list(out_dir.glob("*.xdst"))
+
+    def test_random_init_student_need_not_fit_the_assistant(self, config_path, capsys):
+        # the baseline's student starts fresh, so it may differ from the assistant
+        assert run_cli("train", "--config", str(config_path), "--stage", "random_init",
+                       "--student.ffn_size", "64", "--student.heads", "4") == 0
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("train", "--config", str(tmp_path / "nope.json")) == 2
@@ -441,17 +465,27 @@ class TestEval:
         assert json.loads(out)["n_examples"] == 128
         assert "task=retrieval n=128 " in err
 
-    @pytest.mark.parametrize("block_size", ["0", "-5"])
-    def test_block_size_below_one_exits_1(self, untrained_checkpoint, cli_corpus, block_size):
-        result = subprocess.run(
-            [sys.executable, "-m", "crosstill", "eval", "--checkpoint", str(untrained_checkpoint),
-             "--corpus", str(cli_corpus), "--block-size", block_size],
-            capture_output=True, text=True,
+    def test_block_size_flag_is_unknown(self, untrained_checkpoint, cli_corpus, capsys):
+        assert run_cli("eval", "--checkpoint", str(untrained_checkpoint),
+                       "--corpus", str(cli_corpus), "--block-size", "64") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: unknown flag '--block-size'"]
+
+    def test_checkpoint_holding_layernorm_eps_exits_2(self, untrained_checkpoint, cli_corpus, capsys):
+        """A file written while `layernorm_eps` was a config field fails the schema."""
+        blob = untrained_checkpoint.read_bytes()
+        cfg_len = struct.unpack("<Q", blob[9:17])[0]
+        old_cfg = {**json.loads(blob[17:17 + cfg_len]), "layernorm_eps": 1e-12}
+        new_cfg = json.dumps(old_cfg, sort_keys=True).encode("utf-8")
+        untrained_checkpoint.write_bytes(
+            blob[:9] + struct.pack("<Q", len(new_cfg)) + new_cfg + blob[17 + cfg_len:]
         )
-        assert result.returncode == 1
-        err = result.stderr.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:"), result.stderr
-        assert f"block_size must be at least 1, got {block_size}" in err[0]
+        assert run_cli("eval", "--checkpoint", str(untrained_checkpoint),
+                       "--corpus", str(cli_corpus)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid config blob: unknown encoder config fields: ['layernorm_eps'] "
+            "(at byte offset 17)"
+        ]
 
 
 class TestMalformedCorpusFiles:
@@ -594,6 +628,29 @@ def test_module_entry_point(tmp_path):
     assert result.stdout.startswith("toy-assistant\t")
 
 
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every `python3 -m crosstill` line in the README's sh
+    blocks, with backslash continuations joined and `#` comments dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("python3 -m crosstill "):
+                commands.append(shlex.split(line, comments=True)[3:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {words[0] for words in commands} == EXPECTED_COMMANDS
+    for words in commands:
+        args, extras = build_parser().parse_known_args(words)
+        if extras:
+            assert args.allow_overrides, f"{words}: unknown flags {extras}"
+            raw = apply_overrides(toy_config("data", "run").to_dict(), extras)
+            PipelineConfig.from_dict(raw)
+
+
 def _int_flags() -> list[tuple[str, str]]:
     sub = build_parser()._subparsers._group_actions[0]
     return [
@@ -604,9 +661,11 @@ def _int_flags() -> list[tuple[str, str]]:
 
 
 # every integer flag of every subcommand, plus train's `--seed` override,
-# sweep-depth's integer list and gen-sts's retired `--dim`, now an unknown field
+# sweep-depth's integer list, gen-sts's retired `--dim`, now an unknown field,
+# and eval's retired `--block-size`, now an unknown flag
 NUMERIC_FLAGS = _int_flags() + [
     ("train", "--seed"), ("sweep-depth", "--depths"), ("gen-sts", "--dim"),
+    ("eval", "--block-size"),
 ]
 ZERO_EPOCHS = [arg for k in range(4) for arg in (f"--stages.{k}.epochs", "0")]
 

@@ -304,7 +304,7 @@ class TestRecurrence:
         assert flat.n_params() == enc.n_params()
 
     def test_unroll_param_count(self):
-        cfg = small_cfg(distinct_layers=2, recurrence_count=3, layernorm_eps=1e-6)
+        cfg = small_cfg(distinct_layers=2, recurrence_count=3, bottleneck_size=4)
         enc = SentenceEncoder.init(cfg, seed=5)
         flat = unroll(enc)
         # every other field carries over unchanged

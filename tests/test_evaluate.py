@@ -272,7 +272,7 @@ class TestRetrievalAccuracy:
         for _ in range(64):
             s = rng.integers(vocab.lang1_start, vocab.lang1_start + 64, size=5)
             pairs.append(ParallelPair(source_ids=s, target_ids=vocab.cipher_ids(s)))
-        acc = retrieval_accuracy(lambda x: oracle_embed(x, oracle), pairs, block_size=64)
+        acc = retrieval_accuracy(lambda x: oracle_embed(x, oracle), pairs)
         assert acc == 1.0
 
     def test_random_embeddings_score_near_chance(self, small_world):
@@ -287,7 +287,7 @@ class TestRetrievalAccuracy:
                 table[key] = rng.normal(size=32)
             return table[key]
 
-        acc = retrieval_accuracy(noise_embed, pairs, block_size=64)
+        acc = retrieval_accuracy(noise_embed, pairs)
         assert acc < 0.2
 
     def test_trailing_partial_block_dropped(self, small_world):
@@ -295,7 +295,7 @@ class TestRetrievalAccuracy:
         # pairs beyond the last full block are deliberately mismatched; a perfect
         # score proves they never entered the measurement
         pairs = _first_token_pairs(vocab, 150, tail_rotate_from=128)
-        acc = retrieval_accuracy(self._embedder(vocab), pairs, block_size=64)
+        acc = retrieval_accuracy(self._embedder(vocab), pairs)
         assert acc == 1.0
 
     def test_trailing_pairs_are_not_embedded(self, small_world):
@@ -311,48 +311,33 @@ class TestRetrievalAccuracy:
         trailing = ParallelPair(source_ids=unknown, target_ids=unknown)
         with pytest.raises(ContractError, match="outside vocabulary"):
             embed_sentences(model, [trailing.source_ids])
-        assert (retrieval_accuracy(model, pairs + [trailing], block_size=64)
-                == retrieval_accuracy(model, pairs, block_size=64))
+        assert (retrieval_accuracy(model, pairs + [trailing])
+                == retrieval_accuracy(model, pairs))
 
     def test_scale_invariance(self, small_world):
         vocab, _ = small_world
         pairs = _first_token_pairs(vocab, 64)
         base = self._embedder(vocab)
         scaled = lambda ids: 37.5 * base(ids)
-        assert retrieval_accuracy(scaled, pairs, block_size=64) == 1.0
+        assert retrieval_accuracy(scaled, pairs) == 1.0
 
     def test_too_few_pairs_rejected(self, small_world):
         vocab, _ = small_world
         pairs = _first_token_pairs(vocab, 63)
         with pytest.raises(ContractError, match="full block"):
-            retrieval_accuracy(self._embedder(vocab), pairs, block_size=64)
-
-    @pytest.mark.parametrize("block_size", [0, -5])
-    def test_block_size_below_one_rejected(self, small_world, block_size):
-        vocab, _ = small_world
-        pairs = _first_token_pairs(vocab, 64)
-        with pytest.raises(ContractError, match="block_size must be at least 1"):
-            retrieval_accuracy(self._embedder(vocab), pairs, block_size=block_size)
+            retrieval_accuracy(self._embedder(vocab), pairs)
 
     def test_report_counts_the_pairs_it_scores(self, small_world):
         vocab, _ = small_world
         pairs = _first_token_pairs(vocab, 150, tail_rotate_from=128)
-        report = retrieval_report(self._embedder(vocab), pairs, block_size=64)
+        report = retrieval_report(self._embedder(vocab), pairs)
         assert (report.task, report.n_examples, report.retrieval_accuracy) == ("retrieval", 128, 1.0)
         assert report.config == {}
 
     def test_report_is_none_below_one_block(self, small_world):
         vocab, _ = small_world
         assert retrieval_report(self._embedder(vocab), _first_token_pairs(vocab, 63)) is None
-        assert retrieval_report(self._embedder(vocab), [], block_size=1) is None
-
-    @pytest.mark.parametrize("block_size", [0, -5])
-    def test_report_block_size_below_one_rejected(self, small_world, block_size):
-        vocab, _ = small_world
-        # no pair list is too short for such a block size: it is rejected even when empty
-        for pairs in ([], _first_token_pairs(vocab, 64)):
-            with pytest.raises(ContractError, match="block_size must be at least 1"):
-                retrieval_report(self._embedder(vocab), pairs, block_size=block_size)
+        assert retrieval_report(self._embedder(vocab), []) is None
 
 
 class TestEmbedSentences:
