@@ -33,7 +33,6 @@ from .encoder import (
     unroll,
 )
 from .errors import (
-    AuditError,
     ConfigError,
     ContractError,
     CrosstillError,
@@ -74,13 +73,12 @@ from .pipeline import (
     toy_config,
 )
 from .rng import stream
-from .sizes import PRESETS, SizePreset, SizeReport, audit_registry, model_report
+from .sizes import PRESETS, SizePreset, SizeReport, model_report
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdamW",
-    "AuditError",
     "CeLossConfig",
     "ConfigError",
     "ContractError",
@@ -105,7 +103,6 @@ __all__ = [
     "StsExample",
     "Tensor",
     "VocabSpec",
-    "audit_registry",
     "backward",
     "default_stage_plans",
     "depth_sweep",

@@ -26,7 +26,6 @@ import numpy as np
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint
 from .corpus import VocabSpec, gen_parallel_corpus, gen_sts_set, load_sts_tsv, read_parallel_tsv
-from .encoder import EncoderConfig, SentenceEncoder
 from .errors import ConfigError, CrosstillError, FormatError, ParseError
 from .evaluate import RETRIEVAL_BLOCK, retrieval_report, sts_evaluate
 from .gradcheck import finite_diff_check
@@ -216,29 +215,8 @@ def _cmd_count_params(args, extras) -> int:
     else:
         names = list(PRESETS)
     for name in names:
-        preset = PRESETS[name]
-        encoder = None
-        if args.audit:
-            approx = 8 * preset.vocab_size * preset.hidden
-            if approx > 200_000_000:
-                raise ConfigError(
-                    f"preset {name!r} is too large to instantiate for an audit; "
-                    "use a toy preset"
-                )
-            cfg = _preset_encoder_config(preset)
-            encoder = SentenceEncoder.init(cfg, seed=0)
-        report = model_report(preset, encoder=encoder)
-        print(report.tsv_row())
+        print(model_report(PRESETS[name]).tsv_row())
     return 0
-
-
-def _preset_encoder_config(preset):
-    return EncoderConfig(
-        vocab_size=preset.vocab_size, hidden=preset.hidden,
-        ffn_size=preset.ffn_size, heads=max(1, preset.hidden // 64),
-        distinct_layers=preset.layers, recurrence_count=1,
-        bottleneck_size=preset.bottleneck, max_positions=preset.max_positions,
-    )
 
 
 # each loss's checked inputs, in the order they are drawn, and the loss over them
@@ -344,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-params", help="print exact and rounded parameter counts")
     p.add_argument("--preset", default=None, help="one preset name (default: all presets)")
-    p.add_argument("--audit", action="store_true",
-                   help="instantiate the model and verify the formula against real tensors")
     p.set_defaults(handler=_cmd_count_params, allow_overrides=False)
 
     p = sub.add_parser("grad-check", help="verify loss gradients by central differences")

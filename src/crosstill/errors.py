@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: ContractError and ConfigError are caller
-mistakes (exit 1); ParseError, FormatError and OSError are I/O or file-format
-problems (exit 2).
+Exit-code mapping used by the CLI: ParseError, FormatError and OSError are
+I/O or file-format problems (exit 2); every other CrosstillError, that is a
+ContractError, ConfigError or NumericError, exits 1.
 """
 
 
@@ -42,7 +42,3 @@ class FormatError(CrosstillError):
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class AuditError(CrosstillError):
-    """A live parameter registry disagrees with the closed-form count."""

@@ -586,9 +586,14 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
 
 def resume_stage(cfg: PipelineConfig, stage: int) -> PipelineResult:
-    """Run one numbered stage, loading its prerequisites from earlier checkpoints."""
+    """Run one numbered stage, loading its prerequisites from earlier checkpoints.
+
+    The student must fit the assistant at every stage, so a run that stops
+    after stage 1 never writes an assistant that stage 2 cannot copy.
+    """
     if stage not in (1, 2, 3, 4):
         raise ConfigError(f"stage must be 1..4, got {stage}")
+    check_student_fits(cfg.assistant, cfg.student)
     return _run_table(cfg, STAGES[:stage], STAGE_LOG.format(stage), start=stage - 1)
 
 

@@ -6,6 +6,10 @@ encoder column (42,527,232 prints as 42.52M, not 42.53M). Presets differ in
 which embedding-side terms they count, again following the tables: the wide
 models include positional, token-type and layer-norm parameters, the narrow
 bottleneck presets count only the factorized lookup and projection.
+
+`encoder_size` and `embedding_size` are the only counting code; no encoder is
+built. The tests hold them to a live encoder's `n_params()`, including the two
+toy presets, which describe the models `pipeline.toy_config` trains.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
 
-from .encoder import EncoderConfig, SentenceEncoder
-from .errors import AuditError, ContractError
+from .errors import ContractError
 
 
 @dataclass(frozen=True)
@@ -79,83 +82,23 @@ def encoder_size(hidden: int, ffn_size: int, distinct_layers: int) -> int:
     return distinct_layers * per_layer
 
 
-def _embedding_terms(preset: SizePreset) -> dict[str, int]:
-    h = preset.hidden
-    terms: dict[str, int] = {}
-    if preset.bottleneck is not None:
-        terms["embedding.factor"] = preset.vocab_size * preset.bottleneck
-        terms["embedding.proj"] = preset.bottleneck * h
-    else:
-        terms["embedding.word"] = preset.vocab_size * h
-    if preset.include_embedding_extras:
-        terms["embedding.position"] = preset.max_positions * h
-        terms["embedding.token_type"] = preset.token_type_count * h
-        terms["embedding.ln.scale"] = h
-        terms["embedding.ln.shift"] = h
-    return terms
-
-
 def embedding_size(preset: SizePreset) -> int:
-    """Embedding-side parameters under the preset's counting flag."""
-    return sum(_embedding_terms(preset).values())
+    """Embedding-side parameters under the preset's counting flag.
+
+    V·B + B·H with a bottleneck of width B (ALBERT's factorized lookup and
+    projection), V·H without one; plus (P + T + 2)·H for the positional and
+    token-type tables and the layer-norm scale and shift when the preset
+    counts the extras.
+    """
+    v, h, b = preset.vocab_size, preset.hidden, preset.bottleneck
+    lookup = v * h if b is None else v * b + b * h
+    if not preset.include_embedding_extras:
+        return lookup
+    return lookup + (preset.max_positions + preset.token_type_count + 2) * h
 
 
-def _layer_terms(preset: SizePreset) -> dict[str, int]:
-    h, f = preset.hidden, preset.ffn_size
-    terms: dict[str, int] = {}
-    for j in range(1, preset.layers + 1):
-        for proj in ("q", "k", "v", "o"):
-            terms[f"layer{j}.attn.{proj}.w"] = h * h
-            terms[f"layer{j}.attn.{proj}.b"] = h
-        terms[f"layer{j}.ln1.scale"] = h
-        terms[f"layer{j}.ln1.shift"] = h
-        terms[f"layer{j}.ffn.w1"] = h * f
-        terms[f"layer{j}.ffn.b1"] = f
-        terms[f"layer{j}.ffn.w2"] = f * h
-        terms[f"layer{j}.ffn.b2"] = h
-        terms[f"layer{j}.ln2.scale"] = h
-        terms[f"layer{j}.ln2.shift"] = h
-    return terms
-
-
-def preset_from_config(cfg: EncoderConfig, name: str = "live") -> SizePreset:
-    """Counting preset matching a live encoder's registry exactly."""
-    return SizePreset(
-        name=name,
-        vocab_size=cfg.vocab_size,
-        hidden=cfg.hidden,
-        ffn_size=cfg.ffn_size,
-        max_positions=cfg.max_positions,
-        token_type_count=0,
-        layers=cfg.distinct_layers,
-        bottleneck=cfg.bottleneck_size,
-    )
-
-
-def audit_registry(encoder: SentenceEncoder, preset: SizePreset | None = None) -> None:
-    """Check a live registry tensor-by-tensor against the formula decomposition."""
-    preset = preset or preset_from_config(encoder.config)
-    expected = {**_embedding_terms(preset), **_layer_terms(preset)}
-    expected = {k: v for k, v in expected.items() if v > 0}
-    actual = {name: p.size for name, p in encoder.params.items()}
-    offenders = []
-    for name in sorted(set(expected) | set(actual)):
-        want = expected.get(name)
-        have = actual.get(name)
-        if want != have:
-            offenders.append(f"{name} (formula {want}, registry {have})")
-    if offenders:
-        raise AuditError(
-            "registry disagrees with size formulas: " + "; ".join(offenders)
-        )
-
-
-def model_report(
-    preset: SizePreset, encoder: SentenceEncoder | None = None
-) -> SizeReport:
-    """Formula counts for a preset; audits the live registry when one is given."""
-    if encoder is not None:
-        audit_registry(encoder, preset)
+def model_report(preset: SizePreset) -> SizeReport:
+    """Formula counts for a preset, with the rendered millions strings."""
     emb = embedding_size(preset)
     enc = encoder_size(preset.hidden, preset.ffn_size, preset.layers)
     return SizeReport(

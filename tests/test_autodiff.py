@@ -667,11 +667,6 @@ class TestBackwardContract:
         with pytest.raises(NumericError):
             backward(loss)
 
-    def test_detach_blocks_gradient(self):
-        a = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
-        backward(ad.tsum(a.detach() * a))
-        np.testing.assert_array_equal(a.grad, np.ones(3))
-
     def test_no_graph_when_inputs_frozen(self):
         a = Tensor(np.ones(3, dtype=np.float64))
         out = ad.tsum(a * a)

@@ -363,14 +363,15 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and where in err[0]
 
-    @pytest.mark.parametrize("override", [
-        ["--student.ffn_size", "64"],
-        ["--student.heads", "4"],
-        ["--student.max_positions", "20"],
-        ["--student.vocab_size", "68"],
-    ], ids=["ffn-size", "heads", "max-positions", "vocab-size"])
-    def test_unbuildable_student_fails_before_training(self, config_path, capsys, override):
-        assert run_cli("train", "--config", str(config_path), "--stage", "all", *override) == 1
+    @pytest.mark.parametrize("stage, override", [
+        ("all", ["--student.ffn_size", "64"]),
+        ("all", ["--student.heads", "4"]),
+        ("all", ["--student.max_positions", "20"]),
+        ("all", ["--student.vocab_size", "68"]),
+        ("1", ["--student.ffn_size", "64"]),
+    ], ids=["ffn-size", "heads", "max-positions", "vocab-size", "stage1-ffn-size"])
+    def test_unbuildable_student_fails_before_training(self, config_path, capsys, stage, override):
+        assert run_cli("train", "--config", str(config_path), "--stage", stage, *override) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         out_dir = Path(json.loads(config_path.read_text())["out_dir"])
@@ -553,12 +554,12 @@ class TestCountParams:
     def test_unknown_preset(self, capsys):
         assert run_cli("count-params", "--preset", "mystery") == 1
 
-    def test_audit_on_toy_preset(self, capsys):
-        assert run_cli("count-params", "--preset", "toy-student", "--audit") == 0
-
-    def test_audit_refuses_huge_preset(self, capsys):
-        assert run_cli("count-params", "--preset", "xlmr-full-ru12", "--audit") == 1
-        assert "too large" in capsys.readouterr().err
+    def test_retired_audit_flag_is_unknown(self, capsys):
+        assert run_cli("count-params", "--preset", "toy-student", "--audit") == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error:") and "--audit" in err[0], err
 
 
 class TestGradCheck:
