@@ -110,8 +110,6 @@ if TYPE_CHECKING:
 
 Array = np.ndarray
 
-_ALLOWED_DTYPES = (np.float32, np.float64)
-
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -453,59 +451,36 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # -- elementwise arithmetic ------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _arith(a, b, forward, grad_a, grad_b, op: str) -> Tensor:
+    """The broadcasting node `forward(a, b)` of two tensors or a tensor and a scalar;
+    `grad_a(g, a, b)` and `grad_b` give each operand's gradient before unbroadcasting."""
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
     _check_same_dtype(a, b)
 
     def vjp(g: Array):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None
         # two parents never share one gradient array
         return ga, (gb.copy() if gb is not None and gb is ga else gb)
 
-    return _node(a.data + b.data, (a, b), vjp, "add")
+    return _node(forward(a.data, b.data), (a, b), vjp, op)
+
+
+def add(a, b) -> Tensor:
+    return _arith(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g, "add")
 
 
 def sub(a, b) -> Tensor:
-    a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, like=a)
-    _check_same_dtype(a, b)
-
-    def vjp(g: Array):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _node(a.data - b.data, (a, b), vjp, "sub")
+    return _arith(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g, "sub")
 
 
 def mul(a, b) -> Tensor:
-    a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, like=a)
-    _check_same_dtype(a, b)
-
-    def vjp(g: Array):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _node(a.data * b.data, (a, b), vjp, "mul")
+    return _arith(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
 
 
 def div(a, b) -> Tensor:
-    a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, like=a)
-    _check_same_dtype(a, b)
-
-    def vjp(g: Array):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = (
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
-        )
-        return ga, gb
-
-    return _node(a.data / b.data, (a, b), vjp, "div")
+    return _arith(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), "div")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -527,13 +502,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(a.data.reshape(shape), (a,), vjp, "reshape")
 
 
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(np.argsort(axes))
-
+def transpose(a: Tensor) -> Tensor:
+    """`a.T`: a's axes reversed, the transpose of a matrix."""
     def vjp(g: Array):
-        return (g.transpose(inverse),)
+        return (g.T,)
 
-    return _node(a.data.transpose(axes), (a,), vjp, "transpose")
+    return _node(a.data.T, (a,), vjp, "transpose")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -594,29 +568,23 @@ def gather_rows(table: Tensor, ids: Array) -> Tensor:
 # -- reductions ------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def _reduction(a: Tensor, out: Array, axis, keepdims: bool, op: str, count=None) -> Tensor:
+    """A sum over `axis` (every axis when None); a mean when `count` is the number summed."""
     def vjp(g: Array):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        g = g if count is None else g / count
+        g = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp, "sum")
+    return _node(out, (a,), vjp, op)
+
+
+def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    return _reduction(a, a.data.sum(axis=axis, keepdims=keepdims), axis, keepdims, "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        count = a.shape[axis]
-
-    def vjp(g: Array):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, a.shape).copy(),)
-
-    return _node(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp, "mean")
+    count = a.size if axis is None else a.shape[axis]
+    return _reduction(a, a.data.mean(axis=axis, keepdims=keepdims), axis, keepdims, "mean", count)
 
 
 # -- nonlinearities --------------------------------------------------------

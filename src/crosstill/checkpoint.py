@@ -89,7 +89,8 @@ class _Reader:
 
 
 def load_checkpoint(path) -> SentenceEncoder:
-    """Parse and validate a checkpoint; any malformation raises with the offset."""
+    """Parse and validate a checkpoint; any malformation, a non-finite weight
+    included, raises with the offset."""
     reader = _Reader(Path(path).read_bytes())
 
     magic_offset = reader.pos
@@ -139,8 +140,16 @@ def load_checkpoint(path) -> SentenceEncoder:
                 offset=header_offset,
             )
         n_elems = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        payload_offset = reader.pos
         payload = reader.take(4 * n_elems, f"payload of {name!r}")
         data = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        finite = np.isfinite(data).reshape(-1)
+        if not finite.all():
+            first = int(finite.argmin())
+            raise FormatError(
+                f"tensor {name!r} holds a non-finite value at element {first}",
+                offset=payload_offset + 4 * first,
+            )
         params[name] = Tensor(data, requires_grad=True)
 
     if reader.pos != len(reader.blob):

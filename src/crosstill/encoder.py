@@ -199,21 +199,10 @@ class SentenceEncoder:
 
     # -- construction ------------------------------------------------------
 
-    @classmethod
-    def init(cls, config: EncoderConfig, seed: int = 0, dtype=np.float32) -> "SentenceEncoder":
+    @staticmethod
+    def init(config: EncoderConfig, seed: int = 0, dtype=np.float32) -> "SentenceEncoder":
         rng = stream(seed, "encoder-init")
-        params = {
-            name: Tensor(_init_value(name, shape, rng, dtype), requires_grad=True)
-            for name, shape in expected_param_shapes(config).items()
-        }
-        return cls(config, params)
-
-    def copy(self) -> "SentenceEncoder":
-        params = {
-            name: Tensor(p.data.copy(), requires_grad=p.requires_grad)
-            for name, p in self.params.items()
-        }
-        return SentenceEncoder(self.config, params)
+        return _build(config, lambda name, shape: _init_value(name, shape, rng, dtype))
 
     # -- parameter management ---------------------------------------------
 
@@ -246,6 +235,8 @@ class SentenceEncoder:
             raise ContractError(
                 f"ids and mask must be equal-shape N×L matrices, got {ids.shape} and {mask.shape}"
             )
+        if ids.size == 0:
+            raise ContractError(f"empty batch: ids of shape {ids.shape}")
         if ids.shape[1] > self.config.max_positions:
             raise ContractError(
                 f"sequence length {ids.shape[1]} exceeds max_positions "
@@ -346,6 +337,16 @@ class SentenceEncoder:
         return self._pool(self._embed(ids), mask)
 
 
+def _build(config: EncoderConfig, value) -> SentenceEncoder:
+    """An encoder of `config` whose parameters, trainable, are `value(name, shape)`
+    for each registry entry, in registry order."""
+    params = {
+        name: Tensor(value(name, shape), requires_grad=True)
+        for name, shape in expected_param_shapes(config).items()
+    }
+    return SentenceEncoder(config, params)
+
+
 def check_student_fits(a_cfg: EncoderConfig, student_cfg: EncoderConfig) -> None:
     """ConfigError unless a student of `student_cfg` can copy an assistant of `a_cfg`."""
     if student_cfg.hidden != a_cfg.hidden:
@@ -375,37 +376,31 @@ def init_student_from_assistant(
     """
     check_student_fits(assistant.config, student_cfg)
     rng = stream(seed, "student-init")
-    dtype = assistant.dtype
-    params: dict[str, Tensor] = {}
-    for name, shape in expected_param_shapes(student_cfg).items():
+
+    def value(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name in ("embedding.factor", "embedding.proj"):
-            value = _init_value(name, shape, rng, dtype)
-        elif name == "embedding.position":
-            value = assistant.params[name].data[: shape[0]].copy()
-        else:
-            value = assistant.params[name].data.copy()
-        params[name] = Tensor(value, requires_grad=True)
-    return SentenceEncoder(student_cfg, params)
+            return _init_value(name, shape, rng, assistant.dtype)
+        # the position table keeps the assistant's first rows; every other
+        # copied tensor has the assistant's shape
+        return assistant.params[name].data[: shape[0]].copy()
+
+    return _build(student_cfg, value)
 
 
 def unroll(encoder: SentenceEncoder) -> SentenceEncoder:
-    """Physically distinct copy with recurrence flattened into M·r layers.
+    """Physically distinct, trainable copy with recurrence flattened into M·r layers.
 
     Forward arithmetic is identical order, so outputs match the recurrent
     encoder bitwise at equal width.
     """
     cfg = encoder.config
-    if cfg.recurrence_count == 1:
-        return encoder.copy()
-    flat_cfg = replace(cfg, distinct_layers=cfg.effective_depth, recurrence_count=1)
-    params: dict[str, Tensor] = {}
-    for name, shape in expected_param_shapes(flat_cfg).items():
+
+    def value(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name.startswith("layer"):
             head, rest = name.split(".", 1)
-            flat_index = int(head[len("layer"):])
-            source_index = (flat_index - 1) % cfg.distinct_layers + 1
-            source = encoder.params[f"layer{source_index}.{rest}"]
-        else:
-            source = encoder.params[name]
-        params[name] = Tensor(source.data.copy(), requires_grad=True)
-    return SentenceEncoder(flat_cfg, params)
+            source_index = (int(head[len("layer"):]) - 1) % cfg.distinct_layers + 1
+            name = f"layer{source_index}.{rest}"
+        return encoder.params[name].data.copy()
+
+    flat_cfg = replace(cfg, distinct_layers=cfg.effective_depth, recurrence_count=1)
+    return _build(flat_cfg, value)

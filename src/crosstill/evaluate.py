@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import Tensor
 from .corpus import ParallelPair, StsExample, frame_rows
 from .encoder import SentenceEncoder
-from .errors import ContractError
+from .errors import ContractError, NumericError
 
 # pairs per retrieval block: each source row picks its translation among this many
 RETRIEVAL_BLOCK = 64
@@ -103,6 +103,8 @@ def embed_sentences(encoder, sentences: list[np.ndarray]) -> np.ndarray:
     a view of its parameters that shares their arrays but needs no gradient,
     so the forward records no graph and each intermediate array is freed
     once the next operation has read it. The encoder itself is not changed.
+    A non-finite embedding raises NumericError: ranks and nearest
+    neighbours would otherwise score NaN as a number.
     """
     if not sentences:
         raise ContractError("no sentences to embed")
@@ -115,8 +117,12 @@ def embed_sentences(encoder, sentences: list[np.ndarray]) -> np.ndarray:
             chunk = sentences[start:start + EMBED_CHUNK]
             ids, mask = frame_rows(chunk, encoder.config.max_positions)
             rows.append(view.encode(ids, mask).data)
-        return np.concatenate(rows, axis=0)
-    return np.stack([np.asarray(encoder(s), dtype=np.float64) for s in sentences])
+        out = np.concatenate(rows, axis=0)
+    else:
+        out = np.stack([np.asarray(encoder(s), dtype=np.float64) for s in sentences])
+    if not np.isfinite(out).all():
+        raise NumericError("non-finite sentence embedding")
+    return out
 
 
 def _row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -88,7 +88,7 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
         raise ContractError(
             f"cosine_matrix dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-    return _row_normalize(a) @ ad.transpose(_row_normalize(b), (1, 0))
+    return _row_normalize(a) @ ad.transpose(_row_normalize(b))
 
 
 def cosine_self_matrix(x: Tensor) -> Tensor:
@@ -101,7 +101,7 @@ def cosine_self_matrix(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise ContractError("cosine_self_matrix expects a 2-D input")
     xn = _row_normalize(x)
-    grid = xn @ ad.transpose(xn, (1, 0))
+    grid = xn @ ad.transpose(xn)
     eye = np.eye(x.shape[0], dtype=x.data.dtype)
     return grid * Tensor(1.0 - eye) + Tensor(eye)
 

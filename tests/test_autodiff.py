@@ -99,7 +99,7 @@ class TestShapes:
         rng = stream(0, "transpose")
         a = leaf(rng, 2, 3, 4)
         b = leaf(rng, 4, 3, 2)
-        check(lambda: ad.tsum(ad.transpose(a, (2, 1, 0)) * b), {"a": a, "b": b})
+        check(lambda: ad.tsum(ad.transpose(a) * b), {"a": a, "b": b})
 
     def test_matmul_2d(self):
         rng = stream(0, "matmul2")
@@ -388,6 +388,14 @@ def _batched_matmul(a, b):
     return ad._node(a.data @ b.data, (a, b), vjp, "batched_matmul")
 
 
+def _permute(a, axes):
+    """`a` with its axes in the order `axes`, as one node."""
+    def vjp(g):
+        return (g.transpose(tuple(np.argsort(axes))),)
+
+    return ad._node(a.data.transpose(axes), (a,), vjp, "permute")
+
+
 def unfused_attention(x, p, key_bias, heads):
     """The chain of primitives `ad.attention` replaces."""
     n, length, h = x.shape
@@ -395,12 +403,12 @@ def unfused_attention(x, p, key_bias, heads):
 
     def split(name):
         proj = ad.linear(x, p[f"w{name}"], p[f"b{name}"])
-        return ad.transpose(ad.reshape(proj, (n, length, heads, dh)), (0, 2, 1, 3))
+        return _permute(ad.reshape(proj, (n, length, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = split("q"), split("k"), split("v")
-    scores = _batched_matmul(q, ad.transpose(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(dh))
+    scores = _batched_matmul(q, _permute(k, (0, 1, 3, 2))) * float(1.0 / np.sqrt(dh))
     weights = ad.softmax_last(scores + Tensor(key_bias))
-    ctx = ad.reshape(ad.transpose(_batched_matmul(weights, v), (0, 2, 1, 3)), (n, length, h))
+    ctx = ad.reshape(_permute(_batched_matmul(weights, v), (0, 2, 1, 3)), (n, length, h))
     return ad.linear(ctx, p["wo"], p["bo"])
 
 
@@ -634,13 +642,16 @@ class TestBackwardContract:
         backward(ad.tsum(ad.add(a, a)))
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
 
-    def test_add_gives_each_operand_its_own_gradient(self):
+    @pytest.mark.parametrize("op, b_grad", [
+        (ad.add, 1.0), (ad.sub, -1.0), (ad.mul, 1.0), (ad.div, -1.0),
+    ], ids=["add", "sub", "mul", "div"])
+    def test_add_gives_each_operand_its_own_gradient(self, op, b_grad):
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        backward(ad.tsum(ad.add(a, b)))
+        backward(ad.tsum(op(a, b)))
         assert a.grad is not b.grad
         np.testing.assert_array_equal(a.grad, np.ones(3))
-        np.testing.assert_array_equal(b.grad, np.ones(3))
+        np.testing.assert_array_equal(b.grad, np.full(3, b_grad))
 
     @pytest.mark.parametrize("bad", [
         lambda g: g.astype(np.float32),

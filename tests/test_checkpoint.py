@@ -191,6 +191,20 @@ class TestValidation:
         assert "unknown encoder config fields: ['bottleneck_enabled']" in str(info.value)
         assert info.value.offset == 17
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_reports_tensor_and_element_offset(self, tmp_path, bad):
+        enc = make_encoder()
+        weight = enc.params["layer1.ffn.w1"].data
+        weight[2, 5] = 12345.678  # a value whose four bytes occur once in the file
+        path = tmp_path / "enc.xdst"
+        save_checkpoint(enc, path)
+        element_at = path.read_bytes().index(np.float32(12345.678).tobytes())
+        weight[2, 5] = bad
+        save_checkpoint(enc, path)
+        with pytest.raises(FormatError, match="'layer1.ffn.w1'.*non-finite.*element 37") as info:
+            load_checkpoint(path)
+        assert info.value.offset == element_at
+
     def test_undecodable_tensor_name_reports_header_offset(self, tmp_path):
         path, blob = self.write_good(tmp_path)
         cfg_len = struct.unpack("<Q", blob[9:17])[0]

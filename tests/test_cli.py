@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crosstill.checkpoint import load_checkpoint, save_checkpoint
@@ -487,6 +488,26 @@ class TestEval:
             "error: invalid config blob: unknown encoder config fields: ['layernorm_eps'] "
             "(at byte offset 17)"
         ]
+
+    def test_non_finite_weight_exits_2_naming_the_tensor(self, untrained_checkpoint, cli_corpus, capsys):
+        encoder = load_checkpoint(untrained_checkpoint)
+        encoder.params["layer1.ffn.w1"].data[0, 0] = np.nan
+        save_checkpoint(encoder, untrained_checkpoint)
+        assert run_cli("eval", "--checkpoint", str(untrained_checkpoint),
+                       "--corpus", str(cli_corpus)) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: tensor 'layer1.ffn.w1' holds a non-finite value at element 0")
+        assert "(at byte offset " in line
+
+    def test_overflowing_forward_exits_1(self, untrained_checkpoint, cli_corpus, capsys):
+        encoder = load_checkpoint(untrained_checkpoint)
+        encoder.params["layer1.ffn.w1"].data[...] = 3e38
+        save_checkpoint(encoder, untrained_checkpoint)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("eval", "--checkpoint", str(untrained_checkpoint),
+                           "--corpus", str(cli_corpus))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: non-finite sentence embedding"]
 
 
 class TestMalformedCorpusFiles:

@@ -166,6 +166,13 @@ class TestForward:
         with pytest.raises(ContractError, match="vocabulary"):
             enc.encode(np.array([[4, 999]]), np.ones((1, 2)))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0)], ids=["no-rows", "no-columns"])
+    @pytest.mark.parametrize("method", ["encode", "embedding_output"])
+    def test_empty_batch_rejected(self, shape, method):
+        enc = SentenceEncoder.init(small_cfg(), seed=1)
+        with pytest.raises(ContractError, match="empty batch"):
+            getattr(enc, method)(np.zeros(shape, dtype=np.int64), np.ones(shape))
+
     def test_bottleneck_forward_shape(self):
         cfg = small_cfg(bottleneck_size=8)
         enc = SentenceEncoder.init(cfg, seed=2)

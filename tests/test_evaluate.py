@@ -19,7 +19,7 @@ from crosstill.corpus import (
     oracle_embed,
 )
 from crosstill.encoder import EncoderConfig, SentenceEncoder
-from crosstill.errors import ContractError
+from crosstill.errors import ContractError, NumericError
 from crosstill.evaluate import (
     EvalReport,
     embed_sentences,
@@ -344,6 +344,21 @@ class TestEmbedSentences:
     def test_empty_rejected(self):
         with pytest.raises(ContractError, match="no sentences"):
             embed_sentences(lambda s: np.zeros(4), [])
+
+    def test_non_finite_embedding_raises(self, small_world):
+        """Finite weights near the float32 maximum overflow the forward."""
+        vocab, _ = small_world
+        cfg = EncoderConfig(
+            vocab_size=vocab.vocab_size, hidden=16, ffn_size=32, heads=2,
+            distinct_layers=1, max_positions=12,
+        )
+        model = SentenceEncoder.init(cfg, seed=3)
+        model.params["layer1.ffn.w1"].data[...] = 3e38
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite"):
+                embed_sentences(model, [np.arange(4, 9)])
+        with pytest.raises(NumericError, match="non-finite"):
+            embed_sentences(lambda s: np.array([1.0, np.nan]), [np.arange(2)])
 
     def test_callable_path_stacks(self):
         out = embed_sentences(lambda s: np.full(3, float(len(s))), [np.arange(2), np.arange(5)])

@@ -146,3 +146,37 @@ def test_every_imported_name_is_read():
                 continue
             unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def test_every_private_module_name_is_read():
+    """Each module-level name with one leading underscore in a package module
+    is read somewhere: by name in its own module, or as an attribute or a
+    `from` import in the package or its tests."""
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "crosstill").glob("*.py"))}
+    others = modules | {path: ast.parse(path.read_text(encoding="utf-8"))
+                        for path in sorted((ROOT / "tests").glob("*.py"))}
+    read_elsewhere = set()
+    for tree in others.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read_elsewhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read_elsewhere.update(alias.name for alias in node.names)
+    unread = []
+    for path, tree in modules.items():
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+        read_here = {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [
+            f"{path.stem}.{name}" for name in defined
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read_here and name not in read_elsewhere
+        ]
+    assert unread == []
