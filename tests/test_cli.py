@@ -509,6 +509,19 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == ["error: non-finite sentence embedding"]
 
+    def test_overflowing_forward_writes_only_the_error_line(self, untrained_checkpoint, cli_corpus):
+        """numpy's overflow warnings stay off stderr, on the helper thread too."""
+        encoder = load_checkpoint(untrained_checkpoint)
+        encoder.params["layer1.ffn.w1"].data[...] = 3e38
+        save_checkpoint(encoder, untrained_checkpoint)
+        done = subprocess.run(
+            [sys.executable, "-m", "crosstill", "eval", "--checkpoint", str(untrained_checkpoint),
+             "--corpus", str(cli_corpus)],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == ["error: non-finite sentence embedding"]
+
 
 class TestMalformedCorpusFiles:
     """`eval` on a broken split or manifest: exit 2, one `error:` line, no traceback."""

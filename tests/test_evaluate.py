@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import crosstill.evaluate as evaluate
 from crosstill.corpus import (
     OracleSemantics,
     ParallelPair,
@@ -21,6 +22,7 @@ from crosstill.corpus import (
 from crosstill.encoder import EncoderConfig, SentenceEncoder
 from crosstill.errors import ContractError, NumericError
 from crosstill.evaluate import (
+    EMBED_CHUNK,
     EvalReport,
     embed_sentences,
     retrieval_accuracy,
@@ -114,6 +116,13 @@ class TestSpearman:
         with pytest.raises(ContractError, match="constant"):
             spearman([1.0, 2.0, 3.0], [7.0, 7.0, 7.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            spearman([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(ContractError, match="finite"):
+            spearman([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
 
 class TestEvalReport:
     def test_rho_x100_and_summary(self):
@@ -204,18 +213,18 @@ class TestStsEvaluate:
         )
         enc = SentenceEncoder.init(cfg, seed=2)
         rng = np.random.default_rng(6)
-        # more sentences per side than one 64-sentence chunk
+        # more sentences per side than one chunk
         examples = [
             StsExample(
                 sentence_a=rng.integers(4, 4 + 64, size=int(rng.integers(3, 9))),
                 sentence_b=rng.integers(4, 4 + 64, size=int(rng.integers(3, 9))),
                 gold_score=float(rng.uniform(0, 5)),
             )
-            for _ in range(70)
+            for _ in range(EMBED_CHUNK + 6)
         ]
         full = sts_evaluate(enc, examples)
         assert -1.0 <= full.spearman_rho <= 1.0
-        assert full.n_examples == 70 and full.config["hidden"] == 16
+        assert full.n_examples == len(examples) and full.config["hidden"] == 16
         # one sentence per encode call: no padding and no chunk boundary
         one = lambda s: embed_sentences(enc, [s])[0]
         sentences = [e.sentence_a for e in examples]
@@ -340,6 +349,28 @@ class TestRetrievalAccuracy:
         assert retrieval_report(self._embedder(vocab), []) is None
 
 
+def test_each_scorer_embeds_in_one_call(small_world, monkeypatch):
+    vocab, oracle = small_world
+    calls = []
+    embed = evaluate.embed_sentences
+
+    def counting_embed(encoder, sentences):
+        calls.append(len(sentences))
+        return embed(encoder, sentences)
+
+    monkeypatch.setattr(evaluate, "embed_sentences", counting_embed)
+    embed_oracle = lambda s: oracle_embed(s, oracle)
+    pairs = _first_token_pairs(vocab, 150)
+    retrieval_accuracy(embed_oracle, pairs)  # scores two 64-pair blocks
+    assert calls == [2 * 128]
+    examples = [
+        StsExample(sentence_a=p.source_ids, sentence_b=p.target_ids, gold_score=float(i % 5))
+        for i, p in enumerate(pairs[:10])
+    ]
+    sts_evaluate(embed_oracle, examples)
+    assert calls == [2 * 128, 2 * 10]
+
+
 class TestEmbedSentences:
     def test_empty_rejected(self):
         with pytest.raises(ContractError, match="no sentences"):
@@ -359,6 +390,35 @@ class TestEmbedSentences:
                 embed_sentences(model, [np.arange(4, 9)])
         with pytest.raises(NumericError, match="non-finite"):
             embed_sentences(lambda s: np.array([1.0, np.nan]), [np.arange(2)])
+
+    def test_chunks_are_framed_in_length_order(self, small_world, monkeypatch):
+        vocab, _ = small_world
+        cfg = EncoderConfig(
+            vocab_size=vocab.vocab_size, hidden=16, ffn_size=32, heads=2,
+            distinct_layers=1, max_positions=12,
+        )
+        model = SentenceEncoder.init(cfg, seed=4)
+        rng = np.random.default_rng(12)
+        # lengths 1-14, some past the 10 content tokens a row can hold
+        sentences = [
+            rng.integers(4, 4 + 64, size=int(rng.integers(1, 15)))
+            for _ in range(EMBED_CHUNK + 40)
+        ]
+        framed = []
+        encode = SentenceEncoder.encode
+
+        def recording_encode(self, ids, mask):
+            framed.append(mask.sum(axis=1))
+            return encode(self, ids, mask)
+
+        monkeypatch.setattr(SentenceEncoder, "encode", recording_encode)
+        got = embed_sentences(model, sentences)
+        assert len(framed) == 2 and all(len(rows) <= EMBED_CHUNK for rows in framed)
+        widths = np.concatenate(framed)
+        assert (widths[:-1] <= widths[1:]).all()
+        monkeypatch.undo()
+        one = np.concatenate([embed_sentences(model, [s]) for s in sentences])
+        np.testing.assert_allclose(got, one, atol=1e-5)
 
     def test_callable_path_stacks(self):
         out = embed_sentences(lambda s: np.full(3, float(len(s))), [np.arange(2), np.arange(5)])
