@@ -264,29 +264,11 @@ class SentenceEncoder:
             LAYERNORM_EPS,
         )
 
-    def _attention(self, j: int, x: Tensor, key_bias: np.ndarray) -> Tensor:
-        projections = (
-            self.params[f"layer{j}.attn.{name}.{part}"] for name in "qkvo" for part in "wb"
-        )
-        return ad.attention(x, *projections, key_bias, self.config.heads)
-
     def _layer(self, j: int, x: Tensor, key_bias: np.ndarray) -> Tensor:
-        x = ad.add_layer_norm(
-            x,
-            self._attention(j, x, key_bias),
-            self.params[f"layer{j}.ln1.scale"],
-            self.params[f"layer{j}.ln1.shift"],
-            LAYERNORM_EPS,
-        )
-        w1, b1, w2, b2 = (self.params[f"layer{j}.ffn.{n}"] for n in ("w1", "b1", "w2", "b2"))
-        ffn = ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
-        return ad.add_layer_norm(
-            x,
-            ffn,
-            self.params[f"layer{j}.ln2.scale"],
-            self.params[f"layer{j}.ln2.shift"],
-            LAYERNORM_EPS,
-        )
+        # the registry lists a layer's tensors in the order encoder_layer takes them
+        prefix = f"layer{j}."
+        params = [p for name, p in self.params.items() if name.startswith(prefix)]
+        return ad.encoder_layer(x, params, key_bias, self.config.heads, LAYERNORM_EPS)
 
     def _pool(self, x: Tensor, mask: np.ndarray) -> Tensor:
         weights = Tensor(mask[:, :, None])

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -24,7 +25,7 @@ from crosstill import autodiff as ad
 from crosstill import pipeline
 from crosstill.autodiff import Tensor, backward, zero_grads
 from crosstill.corpus import OracleSemantics, ParallelBatch, VocabSpec, frame_rows
-from crosstill.encoder import SentenceEncoder
+from crosstill.encoder import LAYERNORM_EPS, SentenceEncoder
 from crosstill.errors import ContractError, NumericError
 from crosstill.gradcheck import finite_diff_check
 from crosstill.losses import STAGE4_VARIANTS
@@ -416,6 +417,25 @@ def fused_attention(x, p, key_bias, heads):
     return ad.attention(x, *p.values(), key_bias, heads)
 
 
+def block_params(rng, h, f, dtype=np.float64):
+    """One block's 16 tensors in the order `ad.encoder_layer` takes them."""
+    def param(data):
+        return Tensor(data.astype(dtype), requires_grad=True)
+
+    return [*attention_params(rng, h, dtype).values(),
+            param(0.5 + rng.random(h)), param(rng.standard_normal(h) * 0.1),
+            param(rng.standard_normal((h, f)) * 0.4), param(rng.standard_normal(f) * 0.1),
+            param(rng.standard_normal((f, h)) * 0.4), param(rng.standard_normal(h) * 0.1),
+            param(0.5 + rng.random(h)), param(rng.standard_normal(h) * 0.1)]
+
+
+def unfused_layer(x, p, key_bias, heads, eps):
+    """The chain of nodes `ad.encoder_layer` replaces."""
+    x = ad.add_layer_norm(x, ad.attention(x, *p[:8], key_bias, heads), p[8], p[9], eps)
+    ffn = ad.linear(ad.gelu(ad.linear(x, p[10], p[11])), p[12], p[13])
+    return ad.add_layer_norm(x, ffn, p[14], p[15], eps)
+
+
 class TestFusedNodes:
     MASK = np.array([[1, 1, 1, 1, 0], [1, 1, 0, 0, 0], [1, 1, 1, 1, 1]], dtype=np.float64)
 
@@ -551,6 +571,143 @@ class TestFusedNodes:
             scale = Tensor(np.ones(5), requires_grad=True)
         with pytest.raises(ContractError, match="add_layer_norm"):
             ad.add_layer_norm(x, y, scale, shift, eps=1e-5)
+
+    def block_case(self, dtype=np.float64, masked=True, heads=2, h=8, f=12):
+        rng = stream(0, "encoder_layer")
+        x = Tensor(rng.standard_normal((3, 5, h)).astype(dtype), requires_grad=True)
+        weight = Tensor(rng.standard_normal((3, 5, h)).astype(dtype))
+        mask = self.MASK if masked else np.ones_like(self.MASK)
+        return x, block_params(rng, h, f, dtype), key_bias_for(mask, dtype), weight
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_encoder_layer_gradient(self, heads):
+        x, p, key_bias, weight = self.block_case(heads=heads)
+        # bk gets a zero gradient, as in the attention check
+        probed = {f"p{i}": t for i, t in enumerate(p) if i != 3}
+        check(lambda: ad.tsum(ad.encoder_layer(x, p, key_bias, heads, 1e-5) * weight),
+              {"x": x, **probed})
+        np.testing.assert_allclose(p[3].grad, 0.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("repeats", [1, 2, 3])
+    def test_encoder_layer_matches_unfused_composition_bitwise(self, dtype, masked, repeats):
+        # repeats > 1 applies the same tensors again, as a recurrent student does
+        x, p, key_bias, weight = self.block_case(dtype, masked)
+        results = []
+        for fn in (ad.encoder_layer, unfused_layer):
+            zero_grads([x, *p])
+            out = x
+            for _ in range(repeats):
+                out = fn(out, p, key_bias, 2, 1e-12)
+            backward(ad.tsum(out * weight))
+            results.append((out.data, x.grad, *(t.grad for t in p)))
+        assert len(results[0]) == 18
+        for fused, unfused in zip(*results):
+            assert fused.dtype == dtype and np.array_equal(fused, unfused)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encoder_layer_forward_only_matches_unfused_and_records_nothing(self, dtype):
+        x, p, key_bias, _ = self.block_case(dtype)
+        frozen = [Tensor(t.data) for t in (x, *p)]
+        fused = ad.encoder_layer(frozen[0], frozen[1:], key_bias, 2, 1e-12)
+        assert not fused.requires_grad and fused._vjp is None and fused._parents == ()
+        unfused = unfused_layer(frozen[0], frozen[1:], key_bias, 2, 1e-12)
+        assert np.array_equal(fused.data, unfused.data)
+
+    def test_non_finite_gradient_inside_a_block_raises_and_keeps_grads(self):
+        x, p, key_bias, weight = self.block_case(np.float32)
+        tensors = [x, *p]
+        backward(ad.tsum(ad.encoder_layer(x, p, key_bias, 2, 1e-12) * weight))
+        before = [t.grad.copy() for t in tensors]
+        out = ad.encoder_layer(x, p, key_bias, 2, 1e-12)
+        # a finite incoming gradient whose norm VJP overflows float32
+        huge = ad._node(np.zeros((), np.float32), (out,),
+                        lambda g: (np.full(out.shape, 1e38, np.float32),), "huge")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="'linear' of primitive 'encoder_layer'"):
+                backward(huge)
+        assert all(np.array_equal(t.grad, b) for t, b in zip(tensors, before))
+
+    @pytest.mark.parametrize("breakage", ["count", "width", "ffn-shape", "norm-shape", "heads"])
+    def test_encoder_layer_contract_names_primitive(self, breakage):
+        x, p, key_bias, _ = self.block_case()
+        heads = 2
+        if breakage == "count":
+            p = p[:15]
+        elif breakage == "width":
+            p[12] = Tensor(p[12].data.astype(np.float32), requires_grad=True)
+        elif breakage == "ffn-shape":
+            p[12] = Tensor(np.ones((11, 8)), requires_grad=True)
+        elif breakage == "norm-shape":
+            p[14] = Tensor(np.ones(6), requires_grad=True)
+        else:
+            heads = 3
+        with pytest.raises(ContractError, match="encoder_layer"):
+            ad.encoder_layer(x, p, key_bias, heads, 1e-12)
+
+
+def kept_bytes(build):
+    """`build()` and the bytes it allocated that are still held when it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def saved_arrays(node: Tensor) -> list[np.ndarray]:
+    """The arrays `node`'s VJP holds, through the closures and lists it holds,
+    each with the arrays it views, other than its operands' data."""
+    operands = {id(t.data) for t in node._parents}
+    found, stack = {}, [node._vjp]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            while item is not None and id(item) not in operands:
+                found[id(item)] = item
+                item = item.base
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif callable(item) and getattr(item, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in item.__closure__)
+    return list(found.values())
+
+
+def test_encoder_layer_keeps_only_what_its_backward_reads():
+    """One toy-student block on a 64×10 float32 batch: it keeps at most 3/4
+    of what the unfused composition keeps, nothing but the arrays its VJP
+    holds and its output, and a forward-only call keeps only its output;
+    backward frees every array the block saved."""
+    cfg = toy_config("corpus", "out").student
+    params = [p for name, p in SentenceEncoder.init(cfg, seed=0).params.items()
+              if name.startswith("layer1.")]
+    rng = stream(0, "block-memory")
+    x = Tensor(rng.standard_normal((64, 10, cfg.hidden)).astype(np.float32), requires_grad=True)
+    mask = (np.arange(10) < rng.integers(3, 11, size=(64, 1))).astype(np.float32)
+    key_bias = np.broadcast_to(key_bias_for(mask, np.float32), (64, cfg.heads, 10, 10)).copy()
+
+    def layer(fn, x, params):
+        return kept_bytes(lambda: fn(x, params, key_bias, cfg.heads, LAYERNORM_EPS))
+
+    # room for Python objects and numpy's small caches, far below one
+    # 64×10×64 activation (160 KiB)
+    slack = 16 * 1024
+    out, fused = layer(ad.encoder_layer, x, params)
+    _, unfused = layer(unfused_layer, x, params)
+    assert fused <= 0.75 * unfused
+    saved = saved_arrays(out)
+    assert fused - out.data.nbytes - sum(a.nbytes for a in saved) < slack
+
+    frozen, forward_only = layer(ad.encoder_layer, Tensor(x.data), [Tensor(p.data) for p in params])
+    assert forward_only - frozen.data.nbytes < slack
+
+    refs = [weakref.ref(a) for a in saved]
+    del saved
+    backward(ad.tsum(out * Tensor(rng.standard_normal(out.shape).astype(np.float32))))
+    assert refs and all(ref() is None for ref in refs)
 
 
 def at_offset(data: np.ndarray, offset: int) -> np.ndarray:
@@ -858,9 +1015,12 @@ def test_backward_frees_every_node_it_walks(two_threads, monkeypatch, threads):
     nodes = every_node(loss)
     walked = [weakref.ref(node) for node in nodes
               if not ad._is_plain_leaf(node) and node is not loss]
+    blocks = sum(node.op == "encoder_layer" for node in nodes)
     del nodes
     backward(loss, params=list(student.params.values()))
-    assert len(walked) > 50 and all(ref() is None for ref in walked)
+    # at least one block node per layer application on each side
+    assert blocks >= 2 * student.config.effective_depth
+    assert all(ref() is None for ref in walked)
     assert loss.grad is None and loss._vjp is None and loss._parents is None
     # leaves keep their gradients
     assert all(p.grad is not None for p in student.params.values())
