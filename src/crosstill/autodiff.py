@@ -22,15 +22,15 @@ promotion.
 Besides the elementwise, shape, reduction and nonlinearity primitives, one
 node carries a whole post-norm transformer block: `encoder_layer`
 (multi-head self-attention, a residual sum and layer norm, the GELU
-feed-forward network, a second residual sum and layer norm). For backward
-it keeps q, k and v, the attention probabilities, both norms' normalised
-activations, the first norm's output, the GELU output and GELU's
-derivative, and it recomputes the attention context from the first two
-(selective recomputation, Korthikanti et al. 2022). On one toy-student
-block over a 64×10 float32 batch that is 1.83 MiB, where the six nodes it
-replaced kept 2.66 MiB. `attention`, `add_layer_norm`, `linear` and `gelu`
-are single nodes over the same kernels, and the block's output and
-gradients are bitwise those of their composition.
+feed-forward network, a second residual sum and layer norm), the only way
+to build one. It runs the kernels `_attend`, `_normalize`, `_affine` and
+`_gelu` in turn, and its output and gradients are bitwise those of a chain
+of one node per sublayer over the same kernels. For backward it keeps q, k
+and v, the attention probabilities, both norms' normalised activations, the
+first norm's output, the GELU output and GELU's derivative, and it
+recomputes the attention context from the first two (selective
+recomputation, Korthikanti et al. 2022). On one toy-student block over a
+64×10 float32 batch that is 1.83 MiB, where that chain keeps 2.66 MiB.
 
 VJP contract: a node's VJP takes the gradient of its output and returns one
 gradient per parent (or None), each in that parent's shape and width.
@@ -364,9 +364,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -530,24 +527,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"got {a.shape}, {b.shape}"
         )
     _check_same_dtype(a, b)
-    return _dense(a, b, None, "matmul")
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """`x @ w + b` for a 2-D weight and a bias over its columns, as one node."""
-    if x.ndim < 2 or w.ndim != 2 or b.shape != w.shape[1:]:
-        raise ContractError(
-            f"linear expects x of rank >= 2, a 2-D weight and a bias over its columns, "
-            f"got {x.shape}, {w.shape}, {b.shape}"
-        )
-    _check_same_dtype(x, w, b)
-    return _dense(x, w, b, "linear")
-
-
-def _dense(x: Tensor, w: Tensor, b: Tensor | None, op: str) -> Tensor:
-    parents = (x, w) if b is None else (x, w, b)
-    out, vjp = _affine(x.data, w.data, None if b is None else b.data, _needs_grad(parents))
-    return _node(out, parents, vjp, op)
+    out, vjp = _affine(a.data, b.data, None, _needs_grad((a, b)))
+    return _node(out, (a, b), vjp, "matmul")
 
 
 def _affine(x: Array, w: Array, b: Array | None, keep: bool):
@@ -820,62 +801,6 @@ def add_layer_norm(x: Tensor, y: Tensor, scale: Tensor, shift: Tensor, eps: floa
     return _node(out, parents, vjp, "add_layer_norm")
 
 
-def _check_attention(x: Tensor, projections: Sequence[Tensor], key_bias, heads: int,
-                     op: str) -> Array:
-    """ContractError, naming `op`, unless `x` is N×L×H, `projections` are the
-    q, k, v and o weights (H×H) and biases (H), each weight before its bias,
-    `heads` divides H and `key_bias` is an array of x's width broadcasting to
-    N×heads×L×L; returns `key_bias` as an array."""
-    weights, biases = projections[0::2], projections[1::2]
-    key_bias = np.asarray(key_bias)
-    if x.ndim != 3:
-        raise ContractError(f"{op} expects x of shape N×L×H, got {x.shape}")
-    n, length, h = x.shape
-    if (
-        any(w.shape != (h, h) for w in weights)
-        or any(b.shape != (h,) for b in biases)
-        or heads < 1
-        or h % heads
-    ):
-        raise ContractError(
-            f"{op} expects {h}×{h} weights, length-{h} biases and heads dividing {h}, "
-            f"got {[w.shape for w in weights]}, {[b.shape for b in biases]}, heads={heads}"
-        )
-    scores_shape = (n, heads, length, length)
-    if not _broadcasts_to(key_bias.shape, scores_shape) or key_bias.dtype != x.dtype:
-        raise ContractError(
-            f"{op} expects a {x.dtype} key_bias broadcasting to {scores_shape}, "
-            f"got {key_bias.dtype} {key_bias.shape}"
-        )
-    return key_bias
-
-
-def attention(
-    x: Tensor,
-    wq: Tensor, bq: Tensor,
-    wk: Tensor, bk: Tensor,
-    wv: Tensor, bv: Tensor,
-    wo: Tensor, bo: Tensor,
-    key_bias: Array,
-    heads: int,
-) -> Tensor:
-    """Multi-head scaled dot-product self-attention over x's rows, as one node.
-
-    `x` is N×L×H. The q, k and v projections run as one GEMM against the
-    weights concatenated column-wise; per head, the scores are scaled by
-    1/sqrt(H/heads), `key_bias` is added and a max-shifted softmax over the
-    keys weights the values; the heads' context goes through the output
-    projection. `key_bias` is a plain array broadcasting to N×heads×L×L in
-    x's width (e.g. N×heads×L×L, large and negative at masked keys); it gets
-    no gradient.
-    """
-    parents = (x, wq, bq, wk, bk, wv, bv, wo, bo)
-    _check_same_dtype(*parents, where="attention")
-    key_bias = _check_attention(x, parents[1:], key_bias, heads, "attention")
-    out, vjp = _attend(*(t.data for t in parents), key_bias, heads, _needs_grad(parents))
-    return _node(out, parents, vjp, "attention")
-
-
 def _context(probs: Array, v: Array) -> Array:
     """The heads' context `probs @ v` (N×heads×L×dh each), written straight
     into N·L rows of H with no copy."""
@@ -887,11 +812,17 @@ def _context(probs: Array, v: Array) -> Array:
 
 def _attend(x: Array, wq: Array, bq: Array, wk: Array, bk: Array, wv: Array, bv: Array,
             wo: Array, bo: Array, key_bias: Array, heads: int, keep: bool):
-    """`attention` over arrays: the output and, when `keep`, its VJP (else None).
+    """Multi-head scaled dot-product self-attention over the rows of the
+    N×L×H array `x`: the output and, when `keep`, its VJP (else None).
 
-    The VJP keeps q, k, v and the attention probabilities, recomputes the
-    context from them, and maps the output's gradient to the gradients of
-    `x` and the eight projections, in the order they are given.
+    The q, k and v projections run as one GEMM against the weights
+    concatenated column-wise; per head, the scores are scaled by
+    1/sqrt(H/heads), `key_bias` (broadcasting to N×heads×L×L, large and
+    negative at masked keys) is added and a max-shifted softmax over the
+    keys weights the values; the heads' context goes through the output
+    projection. The VJP keeps q, k, v and the attention probabilities,
+    recomputes the context from them, and maps the output's gradient to the
+    gradients of `x` and the eight projections, in the order they are given.
     """
     n, length, h = x.shape
     dh = h // heads
@@ -949,14 +880,16 @@ def encoder_layer(x: Tensor, params: Sequence[Tensor], key_bias: Array, heads: i
                   eps: float) -> Tensor:
     """One post-norm transformer block over x's rows, as one node.
 
-    `attention` (with `key_bias` and `heads`), then `add_layer_norm` of x and
-    its output, then the GELU feed-forward network `linear`, `gelu`,
-    `linear`, then `add_layer_norm` of the first norm's output and the
-    network's. `params` are the block's 16 tensors in that order: the q, k,
-    v and o projections (each weight, then its bias), the first norm's
-    scale and shift, the network's w1 (H×F), b1, w2 (F×H) and b2, and the
-    second norm's scale and shift. Output and gradients are bitwise those of
-    that composition of nodes.
+    Multi-head self-attention over the N×L×H `x` (`_attend`, with
+    `key_bias` and `heads`), then layer norm of x plus its output, then the
+    GELU feed-forward network (`_affine`, `_gelu`, `_affine`), then layer
+    norm of the first norm's output plus the network's. `params` are the
+    block's 16 tensors in that order: the q, k, v and o projections (each
+    H×H weight, then its length-H bias), the first norm's scale and shift,
+    the network's w1 (H×F), b1, w2 (F×H) and b2, and the second norm's scale
+    and shift. `key_bias` is a plain array in x's width broadcasting to
+    N×heads×L×L; it gets no gradient. Output and gradients are bitwise those
+    of a chain of one node per sublayer over the same kernels.
 
     For backward the node keeps q, k and v, the attention probabilities,
     both norms' normalised activations, the first norm's output, the GELU
@@ -969,15 +902,26 @@ def encoder_layer(x: Tensor, params: Sequence[Tensor], key_bias: Array, heads: i
     _check_same_dtype(*parents, where="encoder_layer")
     if len(params) != 16:
         raise ContractError(f"encoder_layer expects 16 parameter tensors, got {len(params)}")
-    key_bias = _check_attention(x, params[:8], key_bias, heads, "encoder_layer")
-    h, tail = x.shape[-1], params[8:]
-    f = tail[2].shape[-1] if tail[2].ndim == 2 else -1
-    if [t.shape for t in tail] != [(h,), (h,), (h, f), (f,), (f, h), (h,), (h,), (h,)]:
+    if x.ndim != 3:
+        raise ContractError(f"encoder_layer expects x of shape N×L×H, got {x.shape}")
+    n, length, h = x.shape
+    f = params[10].shape[-1] if params[10].ndim == 2 else -1
+    shapes = [t.shape for t in params]
+    expected = [(h, h), (h,)] * 4 + [(h,), (h,), (h, f), (f,), (f, h), (h,), (h,), (h,)]
+    if shapes != expected or heads < 1 or h % heads:
         raise ContractError(
-            f"encoder_layer expects length-{h} norm scales and shifts, an {h}×F w1, "
-            f"length-F b1, an F×{h} w2 and a length-{h} b2, got {[t.shape for t in tail]}"
+            f"encoder_layer expects {h}×{h} q, k, v and o weights, each before its length-{h} "
+            f"bias, length-{h} norm scales and shifts, an {h}×F w1, length-F b1, an F×{h} w2, "
+            f"a length-{h} b2 and heads dividing {h}, got {shapes}, heads={heads}"
         )
-    scale1, shift1, w1, b1, w2, b2, scale2, shift2 = (t.data for t in tail)
+    key_bias = np.asarray(key_bias)
+    scores_shape = (n, heads, length, length)
+    if not _broadcasts_to(key_bias.shape, scores_shape) or key_bias.dtype != x.dtype:
+        raise ContractError(
+            f"encoder_layer expects a {x.dtype} key_bias broadcasting to {scores_shape}, "
+            f"got {key_bias.dtype} {key_bias.shape}"
+        )
+    scale1, shift1, w1, b1, w2, b2, scale2, shift2 = (t.data for t in params[8:])
     keep = _needs_grad(parents)
     attended, attend_vjp = _attend(*(t.data for t in parents[:9]), key_bias, heads, keep)
     # The residual sums are written into the sublayer's own output; addition

@@ -30,9 +30,6 @@ class GradCheckReport:
     def max_rel_error(self) -> float:
         return max(self.per_param.values()) if self.per_param else 0.0
 
-    def worst_param(self) -> str:
-        return max(self.per_param, key=self.per_param.get)
-
 
 def finite_diff_check(
     loss_fn: Callable[[], Tensor],

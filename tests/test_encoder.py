@@ -379,6 +379,6 @@ class TestGradients:
         # at about 1e-5; per-primitive and per-loss checks hold 1e-6.
         report = finite_diff_check(loss_fn, enc.params, seed=2, min_coords=5)
         assert report.max_rel_error <= 2e-5, (
-            f"worst {report.worst_param()}: {report.max_rel_error:.2e}"
+            f"{report.max_rel_error:.2e}, per parameter {report.per_param}"
         )
         zero_grads(enc.params.values())

@@ -315,8 +315,8 @@ def grad_case(loss_builder, n, d, seed_label):
     }
     report = finite_diff_check(lambda: loss_builder(tensors), tensors, seed=3)
     assert report.max_rel_error <= 1e-6, (
-        f"{seed_label} n={n} d={d}: worst {report.worst_param()} "
-        f"{report.max_rel_error:.2e}"
+        f"{seed_label} n={n} d={d}: {report.max_rel_error:.2e}, "
+        f"per parameter {report.per_param}"
     )
 
 

@@ -3,6 +3,7 @@ benchmark's bindings into the package resolve."""
 
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -180,3 +181,152 @@ def test_every_private_module_name_is_read():
             and name not in read_here and name not in read_elsewhere
         ]
     assert unread == []
+
+
+# -- the census: every function under src/crosstill is reached from an entry point
+
+# Functions no command-line run enters, each with the one caller that needs it.
+NOT_ENTERED = {
+    "autodiff.gelu": "bench/instrument.py's AUTODIFF_OPS binds it",
+    "autodiff.layer_norm": "bench/instrument.py's AUTODIFF_OPS binds it",
+    "autodiff.reshape": "bench/instrument.py's AUTODIFF_OPS binds it",
+    "autodiff.softmax_last": "criterion 4 (loss_ce's softmax mode) and AUTODIFF_OPS",
+    "autodiff._drop_helper": "the fork handler, run only in a forked child",
+    "autodiff.Tensor.__repr__": "a debugging aid",
+    "encoder.unroll": "criterion 3 and bench/workloads.py",
+    "encoder.EncoderConfig.effective_depth": "criterion 3 and bench/workloads.py",
+    "encoder.SentenceEncoder.n_params": "the live count tests/test_sizes.py holds the formulas to",
+    "pipeline.MetricsLog.stage_losses": "criterion 6",
+    "pipeline.MetricsLog.read": "the one typed reader of metrics.jsonl",
+    "corpus.unknown_token_count": "bench/run.py and bench/workloads.py read it",
+    "corpus.reset_unknown_token_count": "bench/run.py and bench/workloads.py call it",
+    "losses.clamp_warning_count": "bench/run.py and bench/workloads.py read it",
+    "losses.reset_clamp_warnings": "bench/run.py and bench/workloads.py call it",
+}
+
+# Entered only on a machine where the helper thread starts: at least two CPUs
+# and an OpenBLAS whose thread count can be set.
+HELPER_ONLY = {
+    "autodiff._loaded_openblas", "autodiff._pin_openblas_to_one_thread",
+    "autodiff._in_call", "autodiff._submit",
+}
+
+# Run in a fresh process, so that the helper thread starts under the profile
+# and no earlier test's state leaks in. Its one argument is a directory
+# holding plan.json; it writes census.json there.
+CENSUS = r'''
+import importlib, json, sys, threading
+from dataclasses import replace
+from pathlib import Path
+
+entered = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(id(frame.f_code))
+
+
+threading.setprofile(profile)
+sys.setprofile(profile)
+from crosstill import default_stage_plans, toy_config
+from crosstill.cli import main
+from crosstill.encoder import EncoderConfig
+
+work = Path(sys.argv[1])
+plan = json.loads((work / "plan.json").read_text())
+# the config file, written the way README's quick start writes one
+cfg = replace(
+    toy_config(work / "corpus", work / "run", sts_path=work / "corpus" / "sts.tsv", seed=11),
+    assistant=EncoderConfig(**plan["assistant"]), student=EncoderConfig(**plan["student"]),
+    stages=default_stage_plans(epochs=(1, 1, 1, 1), batch_size=50),
+)
+(work / "config.json").write_text(json.dumps(cfg.to_dict()))
+codes = [main(argv) for argv in plan["runs"]]
+sys.setprofile(None)
+threading.setprofile(None)
+
+defined = {}
+for path in sorted(Path(sys.modules["crosstill"].__file__).parent.glob("*.py")):
+    module = importlib.import_module(f"crosstill.{path.stem}")
+    found = list(vars(module).values())
+    for cls in [v for v in found if isinstance(v, type) and v.__module__ == module.__name__]:
+        for attr in vars(cls).values():
+            attr = getattr(attr, "__func__", attr)
+            found += [attr] if not isinstance(attr, property) else [attr.fget, attr.fset]
+    for fn in found:
+        code = getattr(fn, "__code__", None)
+        # dataclass-generated methods are compiled from a string, not the file
+        if code is not None and code.co_filename == module.__file__:
+            defined[f"{path.stem}.{code.co_qualname}"] = (
+                f"src/crosstill/{path.name}:{code.co_firstlineno}", id(code) in entered
+            )
+helper = bool(sys.modules["crosstill.autodiff"]._HELPER)
+(work / "census.json").write_text(json.dumps({"codes": codes, "defined": defined, "helper": helper}))
+'''
+
+
+def test_every_src_function_is_entered_from_an_entry_point(tmp_path):
+    """Every subcommand and mode of the command line, and one malformed input
+    per parser, in one process: each function or method defined under
+    src/crosstill is entered, unless it is on NOT_ENTERED, and nothing on
+    NOT_ENTERED is."""
+    from crosstill.corpus import VocabSpec
+    from test_pipeline import K, micro_assistant, micro_student
+
+    corpus, run, config = tmp_path / "corpus", tmp_path / "run", tmp_path / "config.json"
+    # one malformed input per parser: a corpus TSV (a zero-padded token the
+    # lookup table misses, then a line with one field), a checkpoint, a
+    # config and a vocabulary manifest
+    bad_tsv, bad_vocab = tmp_path / "bad-tsv", tmp_path / "bad-vocab"
+    bad_tsv.mkdir()
+    bad_vocab.mkdir()
+    VocabSpec.create(tokens_per_language=K, seed=0).save_manifest(bad_tsv / "vocab.json")
+    (bad_tsv / "test.tsv").write_text("l1_007 l1_1\tl2_3 l2_4\nno tab here\n", encoding="utf-8")
+    (bad_vocab / "vocab.json").write_text('{"tokens_per_language": 3}', encoding="utf-8")
+    (tmp_path / "truncated.xdst").write_bytes(b"XDST1\x01\x00")
+    (tmp_path / "bad-config.json").write_text("{", encoding="utf-8")
+    train = ["train", "--config", str(config)]
+    stage4 = str(run / "stage4.xdst")
+    plan = [
+        (["gen-corpus", "--out", str(corpus), "--pairs", "450", "--tokens-per-language", str(K),
+          "--min-len", "5", "--max-len", "5", "--splits", "0.6,0.2,0.2"], 0),
+        (["gen-sts", "--config", str(config), "--out", str(corpus / "sts.tsv"),
+          "--examples", "30", "--min-len", "5", "--max-len", "5"], 0),
+        (train, 0),
+        (train + ["--stage", "3"], 0),
+        (train + ["--stage", "random_init"], 0),
+        (train + ["--stage", "pre_distill"], 0),
+        *((train + ["--stage", "4", "--variant", variant], 0) for variant in ("bool", "ce", "none")),
+        (["eval", "--checkpoint", stage4, "--corpus", str(corpus),
+          "--sts", str(corpus / "sts.tsv")], 0),
+        (["count-params"], 0),
+        (["count-params", "--preset", "toy-student"], 0),
+        (["grad-check", "--loss", "all"], 0),
+        (["sweep-depth", "--config", str(config), "--depths", "1,2"], 0),
+        (["eval", "--checkpoint", stage4, "--corpus", str(bad_tsv)], 2),
+        (["eval", "--checkpoint", str(tmp_path / "truncated.xdst"), "--corpus", str(corpus)], 2),
+        (train[:2] + [str(tmp_path / "bad-config.json")], 2),
+        (["eval", "--checkpoint", stage4, "--corpus", str(bad_vocab)], 2),
+    ]
+    (tmp_path / "plan.json").write_text(json.dumps({
+        "assistant": micro_assistant().to_dict(), "student": micro_student().to_dict(),
+        "runs": [argv for argv, _ in plan],
+    }), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-c", CENSUS, str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    census = json.loads((tmp_path / "census.json").read_text(encoding="utf-8"))
+    assert census["codes"] == [code for _, code in plan], result.stderr
+    # each malformed input fails in its own parser
+    for refusal in ("test.tsv: line 2:", "truncated checkpoint", "is not valid JSON",
+                    "vocab.json: a manifest is"):
+        assert refusal in result.stderr
+    defined = census["defined"]
+    excused = NOT_ENTERED.keys() | (set() if census["helper"] else HELPER_ONLY)
+    never = [f"{where} {name}" for name, (where, hit) in defined.items()
+             if not hit and name not in excused]
+    stale = [f"{defined[name][0]} {name}" if name in defined else f"{name} (not defined)"
+             for name in NOT_ENTERED if name not in defined or defined[name][1]]
+    assert not never, "never entered and not on NOT_ENTERED:\n" + "\n".join(never)
+    assert not stale, "on NOT_ENTERED but entered, or not defined:\n" + "\n".join(stale)
