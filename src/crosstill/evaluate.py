@@ -19,10 +19,16 @@ from .errors import ContractError, NumericError
 
 # pairs per retrieval block: each source row picks its translation among this many
 RETRIEVAL_BLOCK = 64
-# Sentences per encode call, taken in length order. A chunk of at least
-# `encoder.SPLIT_MIN_TOKENS` tokens (71 rows of 10) runs as two row halves
-# on two threads; 64 rows of 10 tokens stayed under it, on one thread.
-EMBED_CHUNK = 128
+# Tokens (rows × framed width) per encode call: sentences are taken in
+# length order, and a chunk grows while it stays within this budget, so
+# 256 rows at width 10 and 160 at width 16. A chunk of at least
+# `encoder.SPLIT_MIN_TOKENS` tokens runs as two row halves on two threads.
+# Each half's numpy calls must be large for the second thread to pay: on a
+# 2-CPU x86-64 VM one call on 40,960 float32 elements took 1.34× as long
+# beside a second thread, and on 81,920 elements 1.10×. 512 ten-token
+# sentences of the toy student embedded in 45.1 ms at 128 rows per chunk,
+# 32.7 ms at 256 and 34.9 ms at 512.
+EMBED_TOKENS = 2560
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -104,12 +110,14 @@ def embed_sentences(encoder, sentences: list[np.ndarray]) -> np.ndarray:
     """Stack embeddings for content-id sentences; batches transformer encoders.
 
     A transformer encoder takes the sentences in length order (a stable
-    sort), `EMBED_CHUNK` per encode call, so sentences of similar length
-    share a chunk and little of it is padding; the rows come back in input
-    order. The calls go through
-    a view of its parameters that shares their arrays but needs no gradient,
-    so the forward records no graph and each intermediate array is freed
-    once the next operation has read it. The encoder itself is not changed.
+    sort), as many per encode call as fit in `EMBED_TOKENS` framed tokens
+    (rows × the chunk's widest framed row) and at least one, so sentences
+    of similar length share a chunk and little of it is padding; the rows
+    come back in input order. The chunks are encoded one after another on
+    the calling thread, through a view of the encoder's parameters that
+    shares their arrays but needs no gradient, so the forward records no
+    graph and each intermediate array is freed once the next operation has
+    read it. The encoder itself is not changed.
     A non-finite embedding raises NumericError, without numpy's overflow
     warnings: ranks and nearest neighbours would otherwise score NaN as a
     number.
@@ -120,13 +128,22 @@ def embed_sentences(encoder, sentences: list[np.ndarray]) -> np.ndarray:
         view = SentenceEncoder(
             encoder.config, {name: Tensor(p.data) for name, p in encoder.params.items()}
         )
-        order = np.argsort([len(s) for s in sentences], kind="stable")
-        rows = []
+        lengths = np.array([len(s) for s in sentences])
+        order = np.argsort(lengths, kind="stable")
+        # framed widths (BOS, content, EOS, at most max_positions) never fall
+        # in length order, so a chunk's tokens grow with every row it takes,
+        # and no chunk holds more than EMBED_TOKENS rows
+        widths = np.minimum(lengths[order] + 2, encoder.config.max_positions)
+        rows, start = [], 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(order), EMBED_CHUNK):
-                chunk = [sentences[i] for i in order[start:start + EMBED_CHUNK]]
+            while start < len(order):
+                ahead = widths[start:start + EMBED_TOKENS]
+                tokens = np.arange(1, len(ahead) + 1) * ahead
+                stop = start + max(np.count_nonzero(tokens <= EMBED_TOKENS), 1)
+                chunk = [sentences[i] for i in order[start:stop]]
                 ids, mask = frame_rows(chunk, encoder.config.max_positions)
                 rows.append(view.encode(ids, mask).data)
+                start = stop
         by_length = np.concatenate(rows, axis=0)
         out = np.empty_like(by_length)
         out[order] = by_length

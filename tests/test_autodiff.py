@@ -312,6 +312,39 @@ class TestNonlinear:
             want = phi + x * (width(ad._INV_SQRT_2PI) * np.exp(-0.5 * x * x))
         assert a.grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_gelu_kernel_bits_match_its_out_of_place_form(self, dtype, keep):
+        """`_gelu` writes into its own temporaries; output and gradient are
+        bitwise those of the same ops written out of place, NaN and signed
+        zeros included, and its input is left as it was."""
+        rng = stream(0, "gelu-bits")
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan,
+                            4.5, -4.5, 40.0, -40.0, 1e30, -1e30])
+        cases = [special] + [rng.standard_normal((7, 33)) * s for s in (0.5, 3.0, 30.0)]
+        cases = [c.astype(dtype) for c in cases]
+        cases.append((rng.standard_normal((6, 40)) * 3.0).astype(dtype)[:, ::3])
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        for x in cases:
+            before = x.copy()
+            g = rng.standard_normal(x.shape).astype(dtype)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out, vjp = ad._gelu(x, keep)
+                want, want_vjp = gelu_out_of_place(x, keep)
+            assert np.array_equal(out.view(bits), want.view(bits))
+            assert (vjp is None) == (want_vjp is None) == (not keep)
+            if keep:
+                assert np.array_equal(vjp(g)[0].view(bits), want_vjp(g)[0].view(bits))
+            assert np.array_equal(x.view(bits), before.view(bits))
+
+    def test_float32_erf_leaves_its_input_and_writes_out_when_asked(self):
+        x = (stream(0, "erf-out").standard_normal((5, 9)) * 3.0).astype(np.float32)
+        before = x.copy()
+        got = ad._erf_float32(x)
+        assert got is not x and x.tobytes() == before.tobytes()
+        assert got.tobytes() == erf32_out_of_place(x).tobytes()
+        assert ad._erf_float32(x, out=x) is x and x.tobytes() == got.tobytes()
+
     def test_gelu_float64_zero_dim_and_empty(self):
         out = ad.gelu(Tensor(np.array(0.5)))
         assert out.shape == () and out.data.dtype == np.float64
@@ -357,6 +390,35 @@ class TestNonlinear:
                             * ad.layer_norm(x, scale, shift, eps=1e-5)),
             {"x": x, "scale": scale, "shift": shift},
         )
+
+
+def erf32_out_of_place(x):
+    """`ad._erf_float32`'s ops, each into a new array."""
+    z = np.clip(x, np.float32(-4.5), np.float32(4.5))
+    u = z * z
+    out = u * ad._ERF32_P[-1]
+    for c in ad._ERF32_P[-2:0:-1]:
+        out = out + c
+        out = out * u
+    out = out + ad._ERF32_P[0]
+    out = out * z
+    return np.tanh(out)
+
+
+def gelu_out_of_place(x, keep):
+    """`ad._gelu`'s ops, each into a new array: its output and, when `keep`,
+    its VJP."""
+    width = x.dtype.type
+    z = x * width(ad._INV_SQRT2)
+    phi = erf32_out_of_place(z) if x.dtype == np.float32 else ad._erf_float64(z)
+    phi = 0.5 * (phi + 1.0)
+    out = np.maximum(x, np.finfo(x.dtype).min) * phi
+    if not keep:
+        return out, None
+    near = np.clip(x, width(-40.0), width(40.0))
+    pdf = width(ad._INV_SQRT_2PI) * np.exp(-0.5 * near * near)
+    derivative = phi + near * pdf
+    return out, lambda g: (g * derivative,)
 
 
 def attention_params(rng, h, dtype=np.float64):
@@ -704,6 +766,30 @@ def test_encoder_layer_keeps_only_what_its_backward_reads():
     del saved
     backward(ad.tsum(out * Tensor(rng.standard_normal(out.shape).astype(np.float32))))
     assert refs and all(ref() is None for ref in refs)
+
+
+def test_forward_only_encoder_layer_peaks_under_3_mib():
+    """One toy-student block, forward only, on a 128×10 float32 batch (an
+    evaluation chunk's row half): its allocations peak at 3.0 MiB at most.
+    The GELU writes into its own temporaries, so at most three FFN-wide
+    arrays are live besides its input; with each GELU step allocating, the
+    block peaked at 4.06 MiB."""
+    cfg = toy_config("corpus", "out").student
+    params = [Tensor(p.data) for name, p in SentenceEncoder.init(cfg, seed=0).params.items()
+              if name.startswith("layer1.")]
+    rng = stream(0, "block-peak")
+    x = Tensor(rng.standard_normal((128, 10, cfg.hidden)).astype(np.float32))
+    mask = (np.arange(10) < rng.integers(3, 11, size=(128, 1))).astype(np.float32)
+    key_bias = np.broadcast_to(key_bias_for(mask, np.float32), (128, cfg.heads, 10, 10)).copy()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.encoder_layer(x, params, key_bias, cfg.heads, LAYERNORM_EPS)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out._vjp is None
+    assert peak <= 3.0 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def at_offset(data: np.ndarray, offset: int) -> np.ndarray:

@@ -6,6 +6,7 @@ counting smaller/equal elements and computes Pearson with explicit loops.
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from crosstill.corpus import (
 from crosstill.encoder import EncoderConfig, SentenceEncoder
 from crosstill.errors import ContractError, NumericError
 from crosstill.evaluate import (
-    EMBED_CHUNK,
+    EMBED_TOKENS,
     EvalReport,
     embed_sentences,
     retrieval_accuracy,
@@ -213,14 +214,15 @@ class TestStsEvaluate:
         )
         enc = SentenceEncoder.init(cfg, seed=2)
         rng = np.random.default_rng(6)
-        # more sentences per side than one chunk
+        # more sentences per side than one chunk: framed rows are at least 5
+        # wide, so a chunk holds at most EMBED_TOKENS / 5 of them
         examples = [
             StsExample(
                 sentence_a=rng.integers(4, 4 + 64, size=int(rng.integers(3, 9))),
                 sentence_b=rng.integers(4, 4 + 64, size=int(rng.integers(3, 9))),
                 gold_score=float(rng.uniform(0, 5)),
             )
-            for _ in range(EMBED_CHUNK + 6)
+            for _ in range(EMBED_TOKENS // 5 + 6)
         ]
         full = sts_evaluate(enc, examples)
         assert -1.0 <= full.spearman_rho <= 1.0
@@ -392,6 +394,8 @@ class TestEmbedSentences:
             embed_sentences(lambda s: np.array([1.0, np.nan]), [np.arange(2)])
 
     def test_chunks_are_framed_in_length_order(self, small_world, monkeypatch):
+        """Each encode call frames at most EMBED_TOKENS tokens, and takes the
+        next sentence in length order whenever it would still fit."""
         vocab, _ = small_world
         cfg = EncoderConfig(
             vocab_size=vocab.vocab_size, hidden=16, ffn_size=32, heads=2,
@@ -399,10 +403,11 @@ class TestEmbedSentences:
         )
         model = SentenceEncoder.init(cfg, seed=4)
         rng = np.random.default_rng(12)
-        # lengths 1-14, some past the 10 content tokens a row can hold
+        # lengths 1-14, some past the 10 content tokens a row can hold;
+        # rows frame 3 to 12 wide, so these take at least two chunks
         sentences = [
             rng.integers(4, 4 + 64, size=int(rng.integers(1, 15)))
-            for _ in range(EMBED_CHUNK + 40)
+            for _ in range(EMBED_TOKENS // 4)
         ]
         framed = []
         encode = SentenceEncoder.encode
@@ -413,12 +418,36 @@ class TestEmbedSentences:
 
         monkeypatch.setattr(SentenceEncoder, "encode", recording_encode)
         got = embed_sentences(model, sentences)
-        assert len(framed) == 2 and all(len(rows) <= EMBED_CHUNK for rows in framed)
+        assert len(framed) >= 2 and sum(len(rows) for rows in framed) == len(sentences)
+        assert all(len(rows) * rows.max() <= EMBED_TOKENS for rows in framed)
+        assert all((len(rows) + 1) * nxt[0] > EMBED_TOKENS for rows, nxt in zip(framed, framed[1:]))
         widths = np.concatenate(framed)
         assert (widths[:-1] <= widths[1:]).all()
         monkeypatch.undo()
         one = np.concatenate([embed_sentences(model, [s]) for s in sentences])
         np.testing.assert_allclose(got, one, atol=1e-5)
+
+    def test_every_encode_runs_on_the_calling_thread(self, small_world, monkeypatch):
+        """A chunk may split its rows across two threads inside `encode`, but
+        the chunks themselves are encoded one after another by the caller."""
+        vocab, _ = small_world
+        cfg = EncoderConfig(
+            vocab_size=vocab.vocab_size, hidden=16, ffn_size=32, heads=2,
+            distinct_layers=1, max_positions=12,
+        )
+        model = SentenceEncoder.init(cfg, seed=5)
+        rng = np.random.default_rng(13)
+        sentences = [rng.integers(4, 4 + 64, size=8) for _ in range(3 * EMBED_TOKENS // 10)]
+        threads = []
+        encode = SentenceEncoder.encode
+
+        def recording_encode(self, ids, mask):
+            threads.append(threading.get_ident())
+            return encode(self, ids, mask)
+
+        monkeypatch.setattr(SentenceEncoder, "encode", recording_encode)
+        embed_sentences(model, sentences)
+        assert len(threads) >= 2 and set(threads) == {threading.get_ident()}
 
     def test_callable_path_stacks(self):
         out = embed_sentences(lambda s: np.full(3, float(len(s))), [np.arange(2), np.arange(5)])
