@@ -57,57 +57,61 @@ with the thresholds raised its steady-state faults and system time are
 about zero. The setting applies to the whole process that imports
 `crosstill`; elsewhere than glibc nothing is changed.
 
-Thread policy (process-wide): training uses a second core for the second
-language side, and a large forward-only encode for its second row half
-(`SentenceEncoder.encode`). The first call to `concurrently` or
-`second_thread_free` decides, once per process, whether one helper thread
-starts. It starts only when the process may run on at least 2 CPUs
-(`os.sched_getaffinity`) and a loaded OpenBLAS exports a
+Thread policy (process-wide): a second core, where there is one, runs the
+source side of every training row in the pipeline's side worker, a process
+forked once per training run, and the second row half of a large
+forward-only encode on this module's helper thread
+(`SentenceEncoder.encode`). On a 2-core x86-64 VM the benchmark's
+`pipeline_toy` trains 8.9 % more pairs per second with the worker than
+with the source side on the helper thread (2,481 → 2,701, medians of 10
+alternating pairs). The first call to `concurrently` or
+`second_thread_free` decides, once per process, whether the helper may
+start. It may only when the process may run on at least 2
+CPUs (`os.sched_getaffinity`) and a loaded OpenBLAS exports a
 `set_num_threads` symbol; every such OpenBLAS is then set to one thread
 through it, for the rest of the process and over any
 `OPENBLAS_NUM_THREADS`, since two threads each asking BLAS for two more
 oversubscribe a 2-core machine and lose. The rule was measured only on a
-2-CPU machine. `concurrently(first, second)` is the only code that hands
-work to the helper: it runs `first` there and `second` on the caller, and
-the pipeline passes a batch's source side as `first` and its target side
-as `second`. A result that records a graph comes back cut: as a leaf that
-shares its data and stands for the graph its call built. The two calls
-must build separate graphs, sharing only leaves.
+2-CPU machine. The pipeline forks its side worker under the same rule, so
+a forked worker inherits the one-thread OpenBLAS. `concurrently(first,
+second)` is the only code that hands work to the helper: it runs `first`
+there and `second` on the caller. Inside `one_thread()` it runs both on
+the caller, and `second_thread_free()` is False; each call of a
+`concurrently` that uses the helper runs inside it, and so do the
+pipeline's two-sided training forwards, on the caller and in the worker,
+so that no third thread competes for the two cores. Without the helper (one
+CPU, no OpenBLAS setter, no `sched_getaffinity`) both calls run on the
+caller, first then second, and the pipeline starts no worker. A forked
+child drops the parent's helper and decides afresh. Evaluation reaches
+`concurrently` only through `SentenceEncoder.encode`, which runs a
+forward-only batch of at least `encoder.SPLIT_MIN_TOKENS` tokens as two row
+halves when `second_thread_free()`; so an evaluation-only process starts
+the helper, and pins OpenBLAS to one thread, on its first such batch. The
+helper's thread sits idle while the worker trains. `bench/run.py --trace 1`
+traces only the process it runs in, so the worker's time is in none of its
+spans.
 
-`backward` walks the loss graph on the calling thread, one node at a time in
-reverse topological order, each node summing its incoming gradients by
-consumer, then by operand index. For each pair of cut leaves it reaches,
-it walks the two graphs they stand for through `concurrently`, each from
-its cut leaf's gradient, and their own cuts the same way. A side walk
-writes no `.grad`: it returns its leaves' gradients in order, and
-`backward` adds them once every walk is done, one array at a time: the
-loss walk's first, then the first side's, then the second side's. In the
-pipeline's graphs each parameter gets all of its source-side gradients
-before its target-side ones in the one-thread walk over the uncut graph
-too, so every `.grad`, and every checkpoint, is bitwise the same whether
-the helper runs or not, and digests do not depend on the CPU count or the
-BLAS thread count. With the helper, both calls of `concurrently` run to
-their end; when both fail, the error raised is the first call's, the one a
-sequential `first(); second()` meets, and an interrupt wins over an error.
-A failed `backward` leaves every `.grad` as it was. A thread already
-running either call of a `concurrently` that uses the helper (the helper
-running `first`, or the caller running `second`) runs a nested
-`concurrently`, directly or through `backward`, inline: both calls
-there, first then second. On the helper, waiting for its one busy worker
-would hang; on the caller, it would wait behind `first`. Without the
-helper (one CPU, no OpenBLAS setter, no `sched_getaffinity`) both calls
-run on the caller, first then second. A forked child drops the parent's
-helper and decides afresh. Evaluation reaches `concurrently` only
-through `SentenceEncoder.encode`, which runs a forward-only batch of at
-least `encoder.SPLIT_MIN_TOKENS` tokens as two row halves when
-`second_thread_free()`; so an evaluation-only process starts the helper,
-and pins OpenBLAS to one thread, on its first such batch. Smaller
-batches, and encodes inside a `concurrently` call, stay on the calling
-thread.
+`backward` walks the loss graph on the calling thread, one node at a time
+in reverse topological order, each node summing its incoming gradients by
+consumer, then by operand index. A side worker's output comes back as one
+leaf of a `two_sides` pair, the caller's own side as the other; for each
+pair `backward` reaches, it starts the first side's walk elsewhere (the
+worker walks the graph it kept and folds each parameter's gradients in
+walk order), walks the second side's graph here meanwhile, and then adds
+the sums in a fixed order: the loss walk's leaf gradients, then the first
+side's, then the second side's. In the pipeline's graphs each parameter
+gets all of its source-side gradients before its target-side ones in the
+one-thread walk over the whole graph too, so every `.grad`, and every
+checkpoint, is bitwise the same whether the worker runs or not, and digests
+do not depend on the CPU count or the BLAS thread count. Both walks of a
+pair run to their end; when both fail, the error raised is the first
+side's, the one a one-thread walk meets, and an interrupt wins over an
+error. A failed `backward` leaves every `.grad` as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import math
@@ -138,9 +142,10 @@ _M_MMAP_THRESHOLD = -3
 # mapped and unmapped per use.
 _MMAP_THRESHOLD_BYTES = 32 << 20
 # The heap returns memory to the kernel only once this much is free at its
-# top: above a whole toy run's peak RSS (about 130 MB), so the pages one
-# batch frees are still mapped when the next batch allocates them, while a
-# process that frees far more than it will reuse still gives memory back.
+# top: above a whole toy run's peak RSS (the benchmark's `pipeline_toy`
+# reads about 64 MB), so the pages one batch frees are still mapped when the
+# next batch allocates them, while a process that frees far more than it
+# will reuse still gives memory back.
 _TRIM_THRESHOLD_BYTES = 256 << 20
 
 
@@ -217,20 +222,17 @@ def _pin_openblas_to_one_thread(maps: str = "/proc/self/maps") -> bool:
 
 
 # The helper thread: None until the first `_helper()` call decides, then an
-# executor with one worker, or False where the walk stays sequential.
+# executor with one worker, or False where every call stays on its caller.
 _HELPER: ThreadPoolExecutor | bool | None = None
-# `in_call` is True on a thread while it runs either call of a `concurrently`
-# that handed its first call to the helper.
+# `alone` is True on a thread inside `one_thread()`.
 _THREAD = threading.local()
 
 
 def _helper() -> ThreadPoolExecutor | None:
-    """The executor to hand work to, or None to run it on the caller alone:
-    also inside either call of a `concurrently` that uses the helper, since
-    its one worker is busy with the first call and a nested call would wait
-    behind it, or on the helper itself forever."""
+    """The executor to hand work to, or None to run it on the caller alone,
+    as inside `one_thread()`."""
     global _HELPER
-    if getattr(_THREAD, "in_call", False):
+    if getattr(_THREAD, "alone", False):
         return None
     if _HELPER is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -258,60 +260,79 @@ if hasattr(os, "register_at_fork"):
 
 def second_thread_free() -> bool:
     """Whether a `concurrently` called here would run its first call on the
-    helper thread. The first ask decides whether the helper starts."""
+    helper thread. The first ask decides whether the helper starts; the
+    pipeline forks its side worker only where this is True."""
     return _helper() is not None
 
 
-def _in_call(fn: Callable):
-    """`fn()`, with nested `concurrently` calls run inline on this thread."""
-    _THREAD.in_call = True
+@contextlib.contextmanager
+def one_thread():
+    """Within it, `second_thread_free()` is False on this thread and
+    `concurrently` runs both calls here: for work that runs while something
+    else holds the second core."""
+    alone, _THREAD.alone = getattr(_THREAD, "alone", False), True
     try:
-        return fn()
+        yield
     finally:
-        _THREAD.in_call = False
+        _THREAD.alone = alone
+
+
+def _alone(fn: Callable):
+    """`fn()` inside `one_thread()`."""
+    with one_thread():
+        return fn()
 
 
 def _submit(helper: ThreadPoolExecutor, fn: Callable):
-    """Run `fn` on the helper in a copy of the caller's context."""
-    return helper.submit(contextvars.copy_context().run, _in_call, fn)
+    """Run `fn` on the helper, inside `one_thread()`, in a copy of the
+    caller's context."""
+    return helper.submit(contextvars.copy_context().run, _alone, fn)
 
 
-def concurrently(first: Callable, second: Callable):
-    """`(first(), second())`, with `first` on the helper thread when there is one.
+def alongside(first: Callable[[], Callable], second: Callable):
+    """`(first()(), second())`: `first()` starts work elsewhere and returns a
+    call that waits for its result, and `second` runs on this thread in
+    between.
 
-    With the helper, both calls finish before this returns or raises. When
-    either raises, the error raised is the one a sequential
-    `first(); second()` meets first; an interrupt (a `BaseException` that is
-    not an `Exception`) wins over an error. Without the helper, and inside
-    either call of a `concurrently` that uses it (on the helper, or on the
-    caller while it runs `second`), both calls run on this thread, first
-    then second.
-
-    A result that is a `Tensor` recording a graph comes back as a cut leaf:
-    a leaf sharing its data that `backward` walks on through the graph it
-    stands for, the two results' graphs side by side. Those graphs must
-    share no node but leaves (`ContractError`), and later code reaches
-    their nodes only through the cut leaves: `backward` over a graph that
-    also uses a side's node directly meets it spent (`ContractError`).
-    Other results come back as they are.
+    Once `first()` has returned, both calls finish before this returns or
+    raises. When either raises, the error raised is the one a sequential
+    `first()(); second()` meets first; an interrupt (a `BaseException` that
+    is not an `Exception`) wins over an error.
     """
-    helper = _helper()
-    if helper is None:
-        return _cut(first(), second())
-    future = _submit(helper, first)
+    wait = first()
     failures = []
     try:
-        out_second = _in_call(second)
+        out_second = second()
     except BaseException as exc:
         failures.append((1, exc))
     try:
-        out_first = future.result()
+        out_first = wait()
     except BaseException as exc:
         failures.append((0, exc))
     if failures:
         # an interrupt first, then the first call's error
         raise min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]
-    return _cut(out_first, out_second)
+    return out_first, out_second
+
+
+def concurrently(first: Callable, second: Callable):
+    """`(first(), second())`, with `first` on the helper thread when there is
+    one, in a copy of the caller's context, and `second` on the caller.
+
+    With the helper, both calls finish before this returns or raises, and
+    errors are raised as by `alongside`; each call runs inside
+    `one_thread()`, so a `concurrently` nested in either runs inline
+    instead of waiting on the one busy helper (on the helper, forever).
+    Without the helper, and inside `one_thread()`, both calls run on this
+    thread, first then second.
+    """
+    helper = _helper()
+    if helper is None:
+        return first(), second()
+    return alongside(
+        lambda: _submit(helper, first).result,
+        partial(_alone, second),
+    )
 
 
 class Tensor:
@@ -386,37 +407,42 @@ class Tensor:
         return matmul(self, other)
 
 
-class _CutLeaf(Tensor):
-    """A leaf of the caller's graph that stands for `root`, the graph call
-    `side` (0 for the first, 1 for the second) of one `concurrently` call
-    returned; both cut leaves of that call hold the same `pair` key."""
+class _Side(Tensor):
+    """A leaf of the caller's graph that stands for one side of a
+    `two_sides` pair: side 0 a graph recorded elsewhere, walked through
+    `walk`, side 1 the graph `root` recorded here. Both sides of one pair
+    hold the same `pair` key."""
 
-    __slots__ = ("root", "pair", "side")
+    __slots__ = ("root", "walk", "pair", "side")
 
-    def __init__(self, root: Tensor, pair: object, side: int):
-        super().__init__(root.data, requires_grad=True)
-        self.op = "cut"
-        self.root: Tensor | None = root
+    def __init__(self, data: Array, root: Tensor | None, walk: Callable | None, pair: object,
+                 side: int):
+        super().__init__(data, requires_grad=True)
+        self.op = "side"
+        self.root = root
+        self.walk = walk
         self.pair = pair
         self.side = side
 
 
-def _inner_nodes(root: Tensor) -> set[int]:
-    """The nodes of `root`'s graph that a walk writes to: all but plain leaves."""
-    return {id(n) for n in _toposort(root) if not _is_plain_leaf(n)}
+def two_sides(first: Array, walk_first: Callable, second: Tensor) -> tuple[Tensor, Tensor]:
+    """The two outputs of a computation whose sides share nothing but leaves,
+    as two leaves of the caller's graph that `backward` walks on through.
 
-
-def _cut(*outs):
-    """`outs`, each `Tensor` that records a graph replaced by a cut leaf."""
-    graphs = [isinstance(out, Tensor) and out._vjp is not None for out in outs]
-    if all(graphs) and _inner_nodes(outs[0]) & _inner_nodes(outs[1]):
-        raise ContractError(
-            "the two calls of concurrently returned graphs that share a node; "
-            "each call must build its own graph"
-        )
+    `first` is the first side's output data; its graph was recorded where
+    this process cannot walk it. `walk_first(g, grads)` starts its walk from
+    `g` as its output's gradient and returns a call that waits for the walk
+    and returns the first side's leaves' new partial sums, each entry
+    {id(leaf): (leaf, sum)} of `grads` (the partial sums so far, see
+    `side_backward`) folded on with that side's gradients, or raises its
+    error. `second` is the second side's output, recorded here; it comes
+    back as it is when it records no graph.
+    """
     pair = object()
-    return tuple(_CutLeaf(out, pair, side) if graph else out
-                 for side, (out, graph) in enumerate(zip(outs, graphs)))
+    first_leaf = _Side(first, None, walk_first, pair, 0)
+    if second._vjp is None:
+        return first_leaf, second
+    return first_leaf, _Side(second.data, second, None, pair, 1)
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -1041,19 +1067,20 @@ def _run_vjp(node: Tensor, g: Array) -> list[Array | None]:
 
 
 def _is_plain_leaf(node: Tensor) -> bool:
-    """A parameter or input: a node of an unspent graph without a VJP that is not cut."""
-    return node._vjp is None and not isinstance(node, _CutLeaf)
+    """A parameter or input: a node of an unspent graph without a VJP that is
+    no side of a `two_sides` pair."""
+    return node._vjp is None and not isinstance(node, _Side)
 
 
-def _walk(root: Tensor | None, g: Array | None) -> list[tuple[Tensor, Array]]:
+def _walk(root: Tensor | None, g: Array | None, pairs: dict) -> list[tuple[Tensor, Array]]:
     """Walk `root`'s graph on this thread, from `g` as root's gradient.
 
     Every node runs in reverse topological order and folds its incoming
     gradients in that order, then drops its gradient, its VJP closure and
     its operand links. Returns the gradients sent to plain leaves, one per
-    edge in walk order, followed by those of the walks of every cut pair it
-    reached, in the order reached, each pair's two sides through
-    `concurrently`. It writes no leaf's `.grad`.
+    edge in walk order. A `two_sides` leaf it reaches is spent and left to
+    the caller: `pairs[key][side]` becomes its walk (side 0) or root (side
+    1) and its gradient. It writes no leaf's `.grad`.
     """
     if g is None:
         return []
@@ -1062,17 +1089,15 @@ def _walk(root: Tensor | None, g: Array | None) -> list[tuple[Tensor, Array]]:
         return [(root, g)]
     root.grad = g
     leaf_grads: list[tuple[Tensor, Array]] = []
-    # cut pair -> (root, gradient) per side, in the order reached
-    sides: dict[object, list] = {}
     while order:
         node = order.pop()
         if _is_plain_leaf(node):
             continue
         g, node.grad = node.grad, None
-        if isinstance(node, _CutLeaf):
-            walks = sides.setdefault(node.pair, [(None, None), (None, None)])
-            walks[node.side] = node.root, g
-            node.root = node._parents = None
+        if isinstance(node, _Side):
+            sides = pairs.setdefault(node.pair, [(None, None), (None, None)])
+            sides[node.side] = (node.walk if node.side == 0 else node.root), g
+            node.root = node.walk = node._parents = None
             continue
         if g is not None:
             for parent, pg in zip(node._parents, _run_vjp(node, g)):
@@ -1086,10 +1111,35 @@ def _walk(root: Tensor | None, g: Array | None) -> list[tuple[Tensor, Array]]:
         # node, it and its forward arrays are freed.
         node._vjp = None
         node._parents = None
-    for first, second in sides.values():
-        for walked in concurrently(partial(_walk, *first), partial(_walk, *second)):
-            leaf_grads += walked
     return leaf_grads
+
+
+def _fold(grads: dict, edges: Iterable[tuple[Tensor, Array]]) -> None:
+    """Add each leaf gradient of `edges`, in order, to that leaf's partial
+    sum in `grads`, which starts from the leaf's `.grad`."""
+    for leaf, g in edges:
+        _, total = grads.get(id(leaf), (leaf, leaf.grad))
+        grads[id(leaf)] = leaf, (g if total is None else total + g)
+
+
+def side_backward(root: Tensor, g: Array, grads: dict) -> None:
+    """Walk `root`'s graph from `g` as root's gradient, as `backward` walks a
+    loss, and add the gradient each leaf gets to its partial sum in
+    `grads`, {id(leaf): (leaf, sum)}; a leaf not yet there starts from its
+    `.grad`. Sums go in `backward`'s order. Writes no `.grad`; a side worker
+    walks the side it recorded with it.
+    """
+    pairs: dict = {}
+    _fold(grads, _walk(root, g, pairs))
+    while pairs:
+        (walk_first, g_first), (second, g_second) = pairs.pop(next(iter(pairs)))
+        walk_second = partial(_walk, second, g_second, pairs)
+        if g_first is None:
+            updated, edges = {}, walk_second()
+        else:
+            updated, edges = alongside(partial(walk_first, g_first, grads), walk_second)
+        grads.update(updated)
+        _fold(grads, edges)
 
 
 def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
@@ -1100,13 +1150,14 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
     reaches get an explicit zero gradient. Adds to gradients left by earlier
     calls; call `zero_grads` between steps.
 
-    The loss graph is walked on this thread. The graphs behind each pair of
-    cut leaves (see `concurrently`) are walked through `concurrently`, the
-    first call's on the helper thread when there is one, and nested cuts
-    the same way. Once every walk is done, each leaf gradient is added to
-    `.grad` in a fixed order: the loss walk's, then the first side's, then
-    the second side's. When both sides fail, the first side's error is
-    raised; a raise leaves every `.grad` as it was.
+    The loss graph is walked on this thread, one node at a time, each leaf
+    gradient added to the leaf's sum in walk order. For each `two_sides`
+    pair it reaches, the first side's walk is started with the sums so far,
+    the second side's graph is walked here meanwhile, and then the first
+    side's sums are taken and the second side's gradients added to them: the
+    loss walk's gradients, then the first side's, then the second side's.
+    When both sides fail, the first side's error is raised. Every `.grad` is
+    written once all walks are done, so a raise leaves each as it was.
 
     The walk frees every other node's gradient, VJP and operand links as
     soon as its VJP has returned, so the graph is spent afterwards: calling
@@ -1118,8 +1169,10 @@ def backward(loss: Tensor, params: Iterable[Tensor] = ()) -> None:
     if not np.isfinite(loss.data).all():
         raise NumericError("non-finite loss value")
     if loss.requires_grad:
-        for leaf, g in _walk(loss, np.ones_like(loss.data)):
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+        grads: dict = {}
+        side_backward(loss, np.ones_like(loss.data), grads)
+        for leaf, g in grads.values():
+            leaf.grad = g
     for p in params:
         if p.requires_grad and p.grad is None:
             p.grad = np.zeros_like(p.data)

@@ -8,12 +8,18 @@ teacher with a contrastive plus distillation objective (4). Single-stage
 baselines reuse the same machinery for comparison runs.
 
 Every random draw flows from the run seed through labeled streams, so a
-config plus seed pins the final checkpoint bytes on one platform.
+config plus seed pins the final checkpoint bytes on one platform. Where a
+second core is free, a run forks one side worker process that runs the
+source side of every training row (`_SideWorker`); the gradients, and so
+the checkpoint bytes, are those of a run on one core.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
+import signal
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -21,7 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, concurrently, zero_grads
+from .autodiff import (
+    Tensor, alongside, backward, one_thread, second_thread_free, side_backward, two_sides,
+    zero_grads,
+)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
     SPLIT_NAMES,
@@ -35,7 +44,7 @@ from .corpus import (
     read_parallel_tsv,
 )
 from .encoder import (
-    EncoderConfig, SentenceEncoder, check_student_fits, config_from_dict,
+    EncoderConfig, SentenceEncoder, check_student_fits, config_from_dict, expected_param_shapes,
     init_student_from_assistant,
 )
 from .errors import ConfigError, ContractError, NumericError, ParseError
@@ -300,46 +309,287 @@ def _teacher_anchor(batch: ParallelBatch, oracle: OracleSemantics, dtype) -> Ten
     return Tensor(vectors.astype(dtype))
 
 
-def _both_sides(forward, batch: ParallelBatch):
-    """`forward` on the source side (on the helper thread, when there is one)
-    and on the target side."""
-    return concurrently(
-        partial(forward, batch.source_ids, batch.source_mask),
-        partial(forward, batch.target_ids, batch.target_mask),
-    )
+def _both_sides(model: SentenceEncoder, method: str, batch: ParallelBatch):
+    """`model`'s forward `method` on the source side, then on the target
+    side: the two-sided forward where no side worker runs."""
+    forward = getattr(model, method)
+    return (forward(batch.source_ids, batch.source_mask),
+            forward(batch.target_ids, batch.target_mask))
+
+
+# Byte boundary each tensor's place in a side worker's shared mapping starts
+# on: a cache line, at least the alignment numpy's own allocations have.
+_SHARED_ALIGN = 64
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _SHARED_ALIGN) * _SHARED_ALIGN
+
+
+class _SideWorker:
+    """A forked process that runs the source side of a run's training rows.
+
+    It is forked before the run loads or builds a model, with one shared
+    anonymous mapping that holds a room for each role of `configs`: room
+    for that role's parameters and for their gradient sums, at float64
+    width, then one flag byte per parameter. `stage(models)` moves every
+    parameter of the models a stage has in play into its role's room
+    (`p.data` becomes a view of the mapping holding the same values) and has
+    the worker build the same models over the same memory, so it computes
+    with the values AdamW's in-place updates leave here. `both_sides` sends
+    the worker a side's ids and mask and gets back its output, while the
+    target side runs here. When that output records a graph, the two come
+    back as a `two_sides` pair, and `backward` sends the worker the
+    output's gradient: the worker walks the graph it kept, folds each
+    parameter's gradients in walk order into its gradient room (starting
+    from the sums so far, which `backward` writes there first, flagged) and
+    answers done, or with its error, which is raised here with the same
+    type and message. The worker holds one side graph, its latest. It
+    ignores interrupts; `close` kills it and waits for it.
+
+    It is forked, not spawned: an anonymous mapping is shared only with a
+    forked child, and a spawned one would import the package afresh. The
+    one other thread a run can have, `autodiff`'s helper, sits idle between
+    evaluations when a run starts, and the worker never uses the copy of
+    its executor.
+    """
+
+    def __init__(self, configs: dict):
+        self._configs = dict(configs)
+        self._rooms, size, count = {}, 0, 0
+        for role, config in self._configs.items():
+            shapes = expected_param_shapes(config).values()
+            half = sum(_aligned(8 * int(np.prod(shape))) for shape in shapes)
+            self._rooms[role] = size, half
+            size, count = size + 2 * half, count + len(shapes)
+        self._map = mmap.mmap(-1, size + count)
+        self._flags_at = size
+        self._placed: dict = {}
+        self._forwards = 0
+        # imported here, so that a process that never trains does not load it
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self._conn, worker_end = context.Pipe()
+        self._process = context.Process(target=self._serve, args=(worker_end,),
+                                        name="crosstill-side", daemon=True)
+        self._process.start()
+        worker_end.close()
+
+    def __enter__(self) -> "_SideWorker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop the worker, whatever it is doing, and reap it."""
+        self._conn.close()
+        self._process.kill()
+        self._process.join()
+
+    def _arrange(self, layout) -> None:
+        """For models laid out as `layout`, (role, config, dtype, ...) each:
+        views of their rooms, value and gradient per parameter in registry
+        order, and their flag bytes, as `_values`, `_grads` and `_summed`."""
+        self._values, self._grads = [], []
+        for role, config, dtype, *_ in layout:
+            offset, half = self._rooms[role]
+            for shape in expected_param_shapes(config).values():
+                count = int(np.prod(shape))
+                for views, at in ((self._values, offset), (self._grads, offset + half)):
+                    views.append(np.frombuffer(self._map, dtype, count, at).reshape(shape))
+                offset += _aligned(count * np.dtype(dtype).itemsize)
+        self._summed = np.frombuffer(self._map, np.uint8, len(self._values), self._flags_at)
+
+    def stage(self, models: dict):
+        """Move the parameters of `models` (role: model) into their rooms,
+        here and in the worker; the two-sided forward over them."""
+        for role, model in models.items():
+            if model.config != self._configs[role]:
+                raise ContractError(f"the side worker has no room for a {role} of another config")
+            placed = self._placed.get(role)
+            if placed is not None and placed is not model:
+                # the room is the new model's now
+                for p in placed.params.values():
+                    p.data = p.data.copy()
+            self._placed[role] = model
+        layout = [(role, model.config, model.dtype,
+                   tuple(p.requires_grad for p in model.params.values()))
+                  for role, model in models.items()]
+        self._arrange(layout)
+        self._params = [p for model in models.values() for p in model.params.values()]
+        for p, view in zip(self._params, self._values):
+            view[...] = p.data
+            p.data = view
+        self._conn.send(("stage", 0, layout))
+        self._receive()
+        self._roles = {id(model): role for role, model in models.items()}
+        return self.both_sides
+
+    def both_sides(self, model: SentenceEncoder, method: str, batch: ParallelBatch):
+        """`model`'s forward `method` on the source side in the worker and on
+        the target side here at once; `model` is one of the stage's. The
+        first side's error wins, as in `_both_sides`."""
+        self._forwards += 1
+        token = self._forwards
+        message = ("forward", token, self._roles[id(model)], method,
+                   batch.source_ids, batch.source_mask)
+
+        def start():
+            self._conn.send(message)
+            return self._receive
+
+        def target():
+            with one_thread():
+                return getattr(model, method)(batch.target_ids, batch.target_mask)
+
+        (source, graph), target_out = alongside(start, target)
+        if not graph:
+            return Tensor(source), target_out
+        return two_sides(source, partial(self._walk_source, token), target_out)
+
+    def _receive(self):
+        try:
+            failed, payload = self._conn.recv()
+        except EOFError:
+            raise RuntimeError(
+                f"the side worker exited (code {self._process.exitcode})"
+            ) from None
+        if failed:
+            raise payload
+        return payload
+
+    def _walk_source(self, token: int, g, grads: dict):
+        """Start the worker's walk of the side graph `token` names; see
+        `autodiff.two_sides`."""
+        for i, p in enumerate(self._params):
+            _, total = grads.get(id(p), (p, p.grad))
+            self._summed[i] = total is not None
+            if total is not None:
+                self._grads[i][...] = total
+        self._conn.send(("backward", token, g))
+        return self._sums
+
+    def _sums(self) -> dict:
+        self._receive()
+        return {id(p): (p, self._grads[i].copy())
+                for i, p in enumerate(self._params) if self._summed[i]}
+
+    def _serve(self, conn) -> None:
+        """The worker's loop, until the pipe closes: answer each message with
+        (failed, payload)."""
+        # an interrupt is the caller's to handle; it then stops this process
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self._conn.close()
+        graph = None
+        while True:
+            try:
+                kind, token, *args = conn.recv()
+            except (EOFError, OSError):
+                return  # the caller has closed the pipe
+            try:
+                if kind == "stage":
+                    graph = None
+                    self._build(*args)
+                    reply = False, None
+                elif kind == "forward":
+                    role, method, ids, mask = args
+                    with one_thread():
+                        out = getattr(self._models[role], method)(ids, mask)
+                    if out._vjp is not None:
+                        graph = token, out
+                    reply = False, (out.data, out._vjp is not None)
+                else:
+                    if graph is None or graph[0] != token:
+                        raise ContractError(
+                            "backward over a spent graph: the side worker no longer holds "
+                            "that side's graph; build the graph again"
+                        )
+                    (_, root), graph = graph, None
+                    self._fold_into_shared(root, *args)
+                    reply = False, None
+            except Exception as exc:
+                reply = True, exc
+            try:
+                conn.send(reply)
+            except OSError:
+                return
+            except Exception:  # an error that does not pickle
+                error = reply[1]
+                conn.send((True, ContractError(f"{type(error).__name__}: {error}")))
+
+    def _build(self, layout) -> None:
+        """In the worker: the stage's models, over the views of their rooms."""
+        self._arrange(layout)
+        self._models = {}
+        views = iter(self._values)
+        for role, config, _, trainable in layout:
+            params = {name: Tensor(next(views)) for name in expected_param_shapes(config)}
+            for p, flag in zip(params.values(), trainable):
+                p.requires_grad = flag
+            self._models[role] = SentenceEncoder(config, params)
+        self._params = [p for model in self._models.values() for p in model.params.values()]
+        self._param_index = {id(p): i for i, p in enumerate(self._params)}
+
+    def _fold_into_shared(self, root: Tensor, g) -> None:
+        """Walk `root`'s graph from `g` and leave each parameter's gradient sum
+        in its gradient room, flagged."""
+        grads = {id(p): (p, self._grads[i]) for i, p in enumerate(self._params)
+                 if self._summed[i]}
+        side_backward(root, g, grads)
+        for key, (p, total) in grads.items():
+            i = self._param_index.get(key)
+            if i is None:
+                raise ContractError("a side graph reached a leaf that is no shared parameter")
+            if total is not self._grads[i]:
+                self._grads[i][...] = total
+            self._summed[i] = 1
+
+
+@contextlib.contextmanager
+def _side_worker(cfg: PipelineConfig):
+    """A side worker for a run of `cfg`'s models where a second core is free
+    (the helper thread's rule, `autodiff.second_thread_free`), else None."""
+    if not second_thread_free():
+        yield None
+        return
+    with _SideWorker({"assistant": cfg.assistant, "student": cfg.student}) as worker:
+        yield worker
 
 
 # Row losses share one signature: the trainable model, the frozen assistant
-# (None when no other model is in play), the batch, the teacher, the config.
+# (None when no other model is in play), the batch, the teacher, the config,
+# and the two-sided forward (a side worker's, or by default `_both_sides`).
 # They look the loss functions up when called, so a patched module name takes.
 
 
-def _anchor_loss(model, reference, batch, oracle, cfg):
+def _anchor_loss(model, reference, batch, oracle, cfg, sides=_both_sides):
     """Direct teacher alignment: stage 1, and the student in the baselines."""
     anchor = _teacher_anchor(batch, oracle, model.dtype)
-    return loss_anchor_align(anchor, *_both_sides(model.encode, batch))
+    return loss_anchor_align(anchor, *sides(model, "encode", batch))
 
 
-def _imitate(reference_forward, forward, batch):
-    ref_src, ref_tgt = _both_sides(reference_forward, batch)
-    out_src, out_tgt = _both_sides(forward, batch)
+def _imitate(sides, reference, model, method: str, batch):
+    ref_src, ref_tgt = sides(reference, method, batch)
+    out_src, out_tgt = sides(model, method, batch)
     return loss_pairwise_align(ref_src, out_src, ref_tgt, out_tgt)
 
 
-def _embedding_loss(model, reference, batch, oracle, cfg):
+def _embedding_loss(model, reference, batch, oracle, cfg, sides=_both_sides):
     """Stage 2: the student's embedding layer mimics the assistant's."""
-    return _imitate(reference.embedding_output, model.embedding_output, batch)
+    return _imitate(sides, reference, model, "embedding_output", batch)
 
 
-def _imitation_loss(model, reference, batch, oracle, cfg):
+def _imitation_loss(model, reference, batch, oracle, cfg, sides=_both_sides):
     """Stage 3: the whole student imitates the assistant."""
-    return _imitate(reference.encode, model.encode, batch)
+    return _imitate(sides, reference, model, "encode", batch)
 
 
-def _stage4_loss(model, reference, batch, oracle, cfg):
+def _stage4_loss(model, reference, batch, oracle, cfg, sides=_both_sides):
     """Stage 4: contrastive plus distillation loss against the teacher."""
     anchor = _teacher_anchor(batch, oracle, model.dtype)
-    out_src, out_tgt = _both_sides(model.encode, batch)
+    out_src, out_tgt = sides(model, "encode", batch)
     return loss_stage4(anchor, out_src, out_tgt, variant=cfg.variant)
 
 
@@ -433,13 +683,15 @@ def run_stage(
     models: dict,
     bundle: CorpusBundle,
     log: MetricsLog,
+    worker: _SideWorker | None = None,
 ) -> SentenceEncoder:
     """Train one table row in place and append per-epoch records.
 
     The row's model changes; every other model in play is frozen, and every
     parameter outside the row's trainable set is verified bitwise unchanged
     afterward. The row's checkpoint is rewritten after each epoch, so on a
-    numeric abort the file still holds the last finite state.
+    numeric abort the file still holds the last finite state. With a side
+    `worker`, the row's source sides run there.
     """
     plan = spec.plan(cfg)
     trainable = models[spec.role]
@@ -464,6 +716,7 @@ def run_stage(
         n_batches = (len(bundle.train_pairs) + plan.batch_size - 1) // plan.batch_size
         optimizer = AdamW(params=subset, total_steps=plan.epochs * n_batches)
         all_params = list(trainable.params.values())
+        sides = _both_sides if worker is None else worker.stage(models)
         for epoch in range(1, plan.epochs + 1):
             shuffle_seed = derive_seed(cfg.seed, f"shuffle-{spec.label}-epoch{epoch}")
             batches = batch_pairs(
@@ -471,7 +724,7 @@ def run_stage(
             )
             total, total_components = 0.0, {}
             for batch in batches:
-                loss = spec.loss(trainable, reference, batch, bundle.oracle, cfg)
+                loss = spec.loss(trainable, reference, batch, bundle.oracle, cfg, sides)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericError(
@@ -543,31 +796,36 @@ def _run_table(
     for spec in table[start:]:
         if spec.init == "assistant":
             check_student_fits(cfg.assistant, getattr(cfg, spec.role))
-    bundle = load_corpus(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # forked before the run loads anything, so that the memory the run
+    # allocates is never shared with the worker
+    with _side_worker(cfg) as worker:
+        bundle = load_corpus(cfg)
+        out_dir = Path(cfg.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
-    models = {}
-    # each role resumes from the last checkpoint a skipped row wrote for it
-    for role, name in dict((s.role, s.checkpoint) for s in table[:start]).items():
-        path = out_dir / name
-        if not path.exists():
-            raise ConfigError(
-                f"stage {table[start].stage} needs the checkpoint {path} from the previous stage"
-            )
-        models[role] = load_checkpoint(path)
-        _check_checkpoint_config(path, role, models[role].config, getattr(cfg, role))
-    log = MetricsLog(out_dir / log_name)
-    for spec in table[start:]:
-        if spec.init == "fresh":
-            models[spec.role] = SentenceEncoder.init(
-                getattr(cfg, spec.role), seed=derive_seed(cfg.seed, spec.seed)
-            )
-        elif spec.init == "assistant":
-            models[spec.role] = init_student_from_assistant(
-                models["assistant"], getattr(cfg, spec.role), seed=derive_seed(cfg.seed, spec.seed)
-            )
-        run_stage(cfg, spec, models, bundle, log)
+        models = {}
+        # each role resumes from the last checkpoint a skipped row wrote for it
+        for role, name in dict((s.role, s.checkpoint) for s in table[:start]).items():
+            path = out_dir / name
+            if not path.exists():
+                raise ConfigError(
+                    f"stage {table[start].stage} needs the checkpoint {path} from the "
+                    "previous stage"
+                )
+            models[role] = load_checkpoint(path)
+            _check_checkpoint_config(path, role, models[role].config, getattr(cfg, role))
+        log = MetricsLog(out_dir / log_name)
+        for spec in table[start:]:
+            if spec.init == "fresh":
+                models[spec.role] = SentenceEncoder.init(
+                    getattr(cfg, spec.role), seed=derive_seed(cfg.seed, spec.seed)
+                )
+            elif spec.init == "assistant":
+                models[spec.role] = init_student_from_assistant(
+                    models["assistant"], getattr(cfg, spec.role),
+                    seed=derive_seed(cfg.seed, spec.seed),
+                )
+            run_stage(cfg, spec, models, bundle, log, worker)
 
     last = table[-1]
     trained = models[last.role]

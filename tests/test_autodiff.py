@@ -5,6 +5,8 @@ the analytic backward pass, and compares against finite differences at
 float64. A handful of cases also verify forward values against plain numpy.
 """
 
+import contextlib
+import contextvars
 import multiprocessing
 import os
 import subprocess
@@ -25,11 +27,14 @@ from crosstill import autodiff as ad
 from crosstill import pipeline
 from crosstill.autodiff import Tensor, backward, zero_grads
 from crosstill.corpus import OracleSemantics, ParallelBatch, VocabSpec, frame_rows
-from crosstill.encoder import LAYERNORM_EPS, SentenceEncoder
+from crosstill.encoder import LAYERNORM_EPS, SentenceEncoder, init_student_from_assistant
 from crosstill.errors import ContractError, NumericError
 from crosstill.gradcheck import finite_diff_check
 from crosstill.losses import STAGE4_VARIANTS
-from crosstill.pipeline import _anchor_loss, _embedding_loss, _imitation_loss, _stage4_loss, toy_config
+from crosstill.optim import AdamW
+from crosstill.pipeline import (
+    EMBEDDING_PATH_KEYS, _anchor_loss, _both_sides, _embedding_loss, _imitation_loss, _stage4_loss, toy_config,
+)
 from crosstill.rng import stream
 
 TOL = 1e-6
@@ -979,12 +984,50 @@ class TestChainedGraph:
         check(loss_fn, {"w1": w1, "b1": b1, "w2": w2, "b2": b2})
 
 
-# -- the two-thread walk -----------------------------------------------------
+# -- two-sided walks ---------------------------------------------------------
 
 
 def uncut(first, second):
-    """`concurrently` without the helper and without the cut: one whole graph."""
+    """Both calls on the caller, uncut: one whole graph."""
     return first(), second()
+
+
+def walked_on_a_thread(root: Tensor):
+    """A `two_sides` walk of `root`'s graph on a thread of its own, as the
+    pipeline's side worker walks the side it kept: the in-process stand-in
+    for that worker."""
+    def walk(g, grads):
+        sums, failed = dict(grads), []
+
+        def run():
+            try:
+                ad.side_backward(root, g, sums)
+            except BaseException as exc:
+                failed.append(exc)
+
+        thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+        thread.start()
+
+        def wait():
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "a side walk did not finish"
+            if failed:
+                raise failed[0]
+            return sums
+
+        return wait
+
+    return walk
+
+
+def elsewhere(first, second):
+    """`(first(), second())` as a `two_sides` pair whose first side is walked
+    on a thread of its own (`walked_on_a_thread`); a first result that
+    records no graph comes back with the second as they are."""
+    out_first, out_second = first(), second()
+    if not (isinstance(out_first, Tensor) and out_first._vjp is not None):
+        return out_first, out_second
+    return ad.two_sides(out_first.data, walked_on_a_thread(out_first), out_second)
 
 
 def reference_backward(loss: Tensor) -> None:
@@ -1000,14 +1043,11 @@ def reference_backward(loss: Tensor) -> None:
                 parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
-def reference_grads(params, build, monkeypatch) -> list:
-    """The reference gradients of the loss `build()` makes with the pipeline's
-    `concurrently` uncut, each unreached parameter's as zeros."""
+def reference_grads(params, build) -> list:
+    """The reference gradients of the loss `build()` makes with both sides
+    on the caller, uncut, each unreached parameter's as zeros."""
     zero_grads(params)
-    with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "concurrently", uncut)
-        loss = build()
-    reference_backward(loss)
+    reference_backward(build())
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
     zero_grads(params)
     return grads
@@ -1017,9 +1057,11 @@ ROW_LOSSES = {"stage1": _anchor_loss, "stage2": _embedding_loss, "stage3": _imit
 
 
 def toy_row(loss: str, dtype):
-    """A toy model and its two-sided row loss on one 32-pair batch: the stage
-    1-3 rows by name, else the stage-4 loss of that variant. Stage 1 trains
-    the assistant; the others train the student against it, frozen."""
+    """A toy model, the frozen assistant (None for stage 1) and the model's
+    two-sided row loss on one 32-pair batch, a call of the two-sided forward
+    (by default `_both_sides`): the stage 1-3 rows by name, else the stage-4
+    loss of that variant. Stage 1 trains the assistant; the others train
+    the student against it, frozen."""
     cfg = replace(toy_config("corpus", "out"), variant=loss if loss in STAGE4_VARIANTS else "mcl")
     vocab = VocabSpec.create(tokens_per_language=512, seed=0)
     rng = stream(5, "two-sided-batch")
@@ -1035,103 +1077,213 @@ def toy_row(loss: str, dtype):
     else:
         model, reference = SentenceEncoder.init(cfg.student, seed=0, dtype=dtype), assistant.freeze()
     row = ROW_LOSSES.get(loss, _stage4_loss)
-    return model, lambda: row(model, reference, batch, oracle, cfg).value
+    return model, reference, lambda sides=_both_sides: row(model, reference, batch, oracle, cfg,
+                                                           sides).value
+
+
+@contextlib.contextmanager
+def two_sided(cores: int, *models):
+    """The two-sided forward over `models` (None skipped): a side worker's
+    on 2 cores, `_both_sides` on 1."""
+    if cores == 1:
+        yield _both_sides
+        return
+    # pins OpenBLAS to one thread, as the pipeline does before it forks
+    ad.second_thread_free()
+    in_play = {f"role{k}": model for k, model in enumerate(models) if model is not None}
+    with pipeline._SideWorker({role: m.config for role, m in in_play.items()}) as worker:
+        yield worker.stage(in_play)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("loss", [*STAGE4_VARIANTS, *ROW_LOSSES])
-@pytest.mark.parametrize("threads", [2, 1])
-def test_backward_gives_the_reference_bits(two_threads, monkeypatch, threads, loss, dtype):
-    if threads == 1:
-        monkeypatch.setattr(ad, "_HELPER", False)
-    model, loss_fn = toy_row(loss, dtype)
+@pytest.mark.parametrize("cores", [2, 1])
+def test_backward_gives_the_reference_bits(cores, loss, dtype):
+    model, reference, loss_fn = toy_row(loss, dtype)
     params = list(model.params.values())
-    backward(loss_fn(), params=params)
+    with two_sided(cores, model, reference) as sides:
+        backward(loss_fn(sides), params=params)
     walked = [p.grad for p in params]
-    expected = reference_grads(params, loss_fn, monkeypatch)
+    expected = reference_grads(params, loss_fn)
     for name, got, want in zip(model.params, walked, expected):
         assert got.dtype == dtype
         assert np.array_equal(got, want), name
 
 
-def test_two_thread_backward_adds_to_earlier_gradients_in_order(two_threads, monkeypatch):
-    student, loss_fn = toy_row("mcl", np.float32)
+def training_row(row: str, dtype):
+    """The model a toy training row trains, the models in play, the names it
+    may move and its row loss as a call of (two-sided forward, batch), over
+    fresh models: stages 1-4 of the curriculum, or the `random_init`
+    baseline."""
+    cfg = toy_config("corpus", "out")
+    oracle = OracleSemantics.create(VocabSpec.create(tokens_per_language=512, seed=0),
+                                    dim=cfg.assistant.hidden, seed=0)
+    assistant = SentenceEncoder.init(cfg.assistant, seed=1, dtype=dtype)
+    if row in ("stage1", "random_init"):
+        model = assistant if row == "stage1" else SentenceEncoder.init(cfg.student, seed=2,
+                                                                      dtype=dtype)
+        reference, loss = None, _anchor_loss
+    else:
+        model = init_student_from_assistant(assistant.freeze(), cfg.student, seed=2)
+        reference = assistant
+        loss = {"stage2": _embedding_loss, "stage3": _imitation_loss}.get(row, _stage4_loss)
+    names = [n for n in model.params if row != "stage2" or n in EMBEDDING_PATH_KEYS]
+    return model, reference, names, lambda sides, batch: loss(model, reference, batch, oracle,
+                                                              cfg, sides).value
+
+
+def toy_batches(count: int, pairs: int = 16) -> list[ParallelBatch]:
+    """Parallel toy batches of 1-14 token sentences, source in language 1."""
+    vocab = VocabSpec.create(tokens_per_language=512, seed=0)
+    rng = stream(9, "toy-batches")
+    batches = []
+    for _ in range(count):
+        sentences = [vocab.lang1_start + rng.integers(0, 512, size=n)
+                     for n in rng.integers(1, 15, size=pairs)]
+        source_ids, mask = frame_rows(sentences, 16)
+        target_ids, _ = frame_rows([vocab.cipher_ids(x) for x in sentences], 16)
+        batches.append(ParallelBatch(source_ids, target_ids, mask, mask))
+    return batches
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("row", ["stage1", "stage2", "stage3", "stage4", "random_init"])
+def test_side_worker_trains_with_the_one_process_bits(row, dtype):
+    """20 AdamW steps of a row, with the side worker and without: every
+    step's `.grad`s are bitwise equal."""
+    batches = toy_batches(5)
+    grads = {}
+    for cores in (2, 1):
+        model, reference, names, loss_fn = training_row(row, dtype)
+        params = list(model.params.values())
+        optimizer = AdamW(params={n: model.params[n] for n in names}, total_steps=20)
+        grads[cores] = []
+        with two_sided(cores, model, reference) as sides:
+            for step in range(20):
+                backward(loss_fn(sides, batches[step % len(batches)]),
+                         params=[model.params[n] for n in names])
+                grads[cores].append([p.grad for p in params])
+                optimizer.step()
+                zero_grads(params)
+    for step, (worker, alone) in enumerate(zip(grads[2], grads[1])):
+        # stage 2's student gets no gradient outside its embedding path
+        assert all(a is b is None or (a.dtype == dtype and np.array_equal(a, b))
+                   for a, b in zip(worker, alone)), step
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_non_finite_gradient_on_either_side_names_the_primitive(monkeypatch, cores, side):
+    """A non-finite gradient in the side the worker walks raises the
+    `NumericError` the caller's own side raises, and no `.grad` changes."""
+    encode = SentenceEncoder.encode
+    lang2_start = VocabSpec.create(tokens_per_language=512, seed=0).lang2_start
+
+    def poisoned(self, ids, mask):
+        out = encode(self, ids, mask)
+        if (np.max(ids) < lang2_start) == (side == "source"):
+            # sqrt's VJP at 0 sends an infinite gradient into the mul below it
+            w = self.params["embedding.position"]
+            out = out + ad.tsum(ad.tsqrt(w * np.zeros(w.shape, w.dtype)))
+        return out
+
+    # patched before the worker forks, so it runs there too
+    monkeypatch.setattr(SentenceEncoder, "encode", poisoned)
+    student, _, loss_fn = toy_row("mcl", np.float32)
     params = list(student.params.values())
-    for _ in range(2):
-        backward(loss_fn(), params=params)
-    threaded = {name: p.grad for name, p in student.params.items()}
-    zero_grads(params)
-    with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "concurrently", uncut)
+    with np.errstate(divide="ignore"), two_sided(cores, student) as sides:
+        # twice: the worker answers the next step after its error
         for _ in range(2):
-            reference_backward(loss_fn())
-    assert all(np.array_equal(threaded[n], p.grad) for n, p in student.params.items())
+            with pytest.raises(NumericError,
+                               match="^non-finite gradient flowing into primitive 'mul'$"):
+                backward(loss_fn(sides), params=params)
+            assert all(p.grad is None for p in params)
 
 
-@pytest.mark.parametrize("threads", [2, 1])
-def test_backward_on_a_leaf_loss_adds_to_its_gradient(two_threads, monkeypatch, threads):
-    if threads == 1:
-        monkeypatch.setattr(ad, "_HELPER", False)
+def test_two_thread_backward_adds_to_earlier_gradients_in_order():
+    student, reference, loss_fn = toy_row("mcl", np.float32)
+    params = list(student.params.values())
+    with two_sided(2, student) as sides:
+        for _ in range(2):
+            backward(loss_fn(sides), params=params)
+    with_worker = {name: p.grad for name, p in student.params.items()}
+    zero_grads(params)
+    for _ in range(2):
+        reference_backward(loss_fn())
+    assert all(np.array_equal(with_worker[n], p.grad) for n, p in student.params.items())
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_backward_on_a_leaf_loss_adds_to_its_gradient(cores):
+    split = elsewhere if cores == 2 else uncut
     for dtype in (np.float32, np.float64):
         leaf_loss = Tensor(np.ones((), dtype=dtype), requires_grad=True)
         through_a_node = Tensor(np.ones((), dtype=dtype), requires_grad=True)
         for _ in range(2):
-            backward(leaf_loss)
-            backward(through_a_node * 1.0)
+            # on 2 cores, a side walked elsewhere is itself the loss
+            walked, leaf = split(lambda: through_a_node * 1.0, lambda: leaf_loss)
+            assert leaf is leaf_loss
+            backward(leaf)
+            backward(walked)
         assert leaf_loss.grad.dtype == dtype
         assert leaf_loss.grad == through_a_node.grad == 2.0
 
 
 def every_node(loss: Tensor) -> list[Tensor]:
-    """The nodes of `loss`'s graph and of every graph its cut leaves stand for."""
+    """The nodes of `loss`'s graph and of every graph recorded here that its
+    side leaves stand for."""
     nodes, roots = [], [loss]
     while roots:
         for node in ad._toposort(roots.pop()):
             nodes.append(node)
-            if isinstance(node, ad._CutLeaf):
+            if isinstance(node, ad._Side) and node.root is not None:
                 roots.append(node.root)
     return nodes
 
 
-@pytest.mark.parametrize("threads", [2, 1])
-def test_backward_frees_every_node_it_walks(two_threads, monkeypatch, threads):
-    if threads == 1:
-        monkeypatch.setattr(ad, "_HELPER", False)
-    student, loss_fn = toy_row("mcl", np.float32)
-    loss = loss_fn()
-    nodes = every_node(loss)
-    walked = [weakref.ref(node) for node in nodes
-              if not ad._is_plain_leaf(node) and node is not loss]
-    blocks = sum(node.op == "encoder_layer" for node in nodes)
-    del nodes
-    backward(loss, params=list(student.params.values()))
-    # at least one block node per layer application on each side
-    assert blocks >= 2 * student.config.effective_depth
+@pytest.mark.parametrize("cores", [2, 1])
+def test_backward_frees_every_node_it_walks(cores):
+    student, _, loss_fn = toy_row("mcl", np.float32)
+    with two_sided(cores, student) as sides:
+        loss = loss_fn(sides)
+        nodes = every_node(loss)
+        walked = [weakref.ref(node) for node in nodes
+                  if not ad._is_plain_leaf(node) and node is not loss]
+        blocks = sum(node.op == "encoder_layer" for node in nodes)
+        del nodes
+        backward(loss, params=list(student.params.values()))
+    # at least one block node per layer application on each side recorded
+    # here: the worker records the source side
+    assert blocks >= (3 - cores) * student.config.effective_depth
     assert all(ref() is None for ref in walked)
     assert loss.grad is None and loss._vjp is None and loss._parents is None
     # leaves keep their gradients
     assert all(p.grad is not None for p in student.params.values())
 
 
-@pytest.mark.parametrize("threads", [2, 1])
+@pytest.mark.parametrize("cores", [2, 1])
 @pytest.mark.parametrize("count", [1, 3])
-def test_vjp_must_return_one_gradient_per_operand(two_threads, monkeypatch, threads, count):
-    if threads == 1:
-        monkeypatch.setattr(ad, "_HELPER", False)
+def test_vjp_must_return_one_gradient_per_operand(cores, count):
     a = Tensor(np.ones(3), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
-    out = ad._node(a.data + b.data, (a, b), lambda g: (g.copy(),) * count, "miscounted")
+
+    def miscounted():
+        out = ad._node(a.data + b.data, (a, b), lambda g: (g.copy(),) * count, "miscounted")
+        return ad.tsum(out)
+
+    # on 2 cores the miscounted node is on the side walked elsewhere
+    first, second = (elsewhere if cores == 2 else uncut)(miscounted, lambda: ad.tsum(b * 1.0))
     with pytest.raises(ContractError, match=f"'miscounted' returned {count} gradients for 2"):
-        backward(ad.tsum(out))
-    assert b.grad is None
+        backward(first + second)
+    assert a.grad is None and b.grad is None
 
 
-@pytest.mark.parametrize("threads", [2, 1])
-def test_backward_over_a_spent_graph_raises(two_threads, monkeypatch, threads):
-    if threads == 1:
-        monkeypatch.setattr(ad, "_HELPER", False)
+@pytest.mark.parametrize("cores", [2, 1])
+def test_backward_over_a_spent_graph_raises(cores):
     a = Tensor(np.ones(3), requires_grad=True)
-    loss = ad.tsum(a * a)
+    first, second = (elsewhere if cores == 2 else uncut)(lambda: ad.tsum(a * a),
+                                                         lambda: ad.tsum(a * 0.0))
+    loss = first + second
     later = loss * 2.0  # shares the graph `backward(loss)` spends
     backward(loss)
     np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
@@ -1143,12 +1295,12 @@ def test_backward_over_a_spent_graph_raises(two_threads, monkeypatch, threads):
     assert a.grad is None
 
 
-def test_a_spent_cut_leaf_raises_and_its_partner_is_walked_later(two_threads):
+def test_a_spent_cut_leaf_raises_and_its_partner_is_walked_later():
     a = Tensor(np.arange(3.0), requires_grad=True)
-    first, second = ad.concurrently(lambda: ad.tsum(a * a), lambda: ad.tsum(a * 3.0))
+    first, second = elsewhere(lambda: ad.tsum(a * a), lambda: ad.tsum(a * 3.0))
     backward(first)
     np.testing.assert_array_equal(a.grad, [0.0, 2.0, 4.0])
-    with pytest.raises(ContractError, match="spent graph: its 'cut' node"):
+    with pytest.raises(ContractError, match="spent graph: its 'side' node"):
         backward(first * 1.0)
     backward(second)
     np.testing.assert_array_equal(a.grad, [3.0, 5.0, 7.0])
@@ -1167,7 +1319,7 @@ def test_a_graph_without_cuts_is_walked_on_the_caller(two_threads):
     np.testing.assert_array_equal(a.grad, [5.0, 5.0, 5.0])
 
 
-def _wide_graph(seed: int, split=ad.concurrently):
+def _wide_graph(seed: int, split=elsewhere):
     """Leaves and a loss over three sides of 20 random nodes each: the first
     two split from inside the first of the two outer calls, all through
     `split`. A side reuses its earlier nodes and the shared leaves, so
@@ -1201,7 +1353,7 @@ def _wide_graph(seed: int, split=ad.concurrently):
     return leaves + [scale, shift], first + second
 
 
-def test_two_thread_walks_from_several_callers_under_fast_switching(two_threads):
+def test_two_thread_walks_from_several_callers_under_fast_switching():
     mismatches, finished = [], []
 
     def caller(index):
@@ -1245,30 +1397,33 @@ def test_a_call_nested_in_either_call_runs_inline(two_threads):
     assert inner == (caller, caller)
     assert helper == helper_too != caller
     assert not free_first and not free_second and ad.second_thread_free()
+    with ad.one_thread():
+        assert not ad.second_thread_free()
+        assert ad.concurrently(threading.get_ident, threading.get_ident) == (caller, caller)
+        with ad.one_thread():
+            pass
+        assert not ad.second_thread_free()
+    assert ad.second_thread_free()
 
 
-def test_concurrently_cuts_only_results_that_record_a_graph(two_threads):
+def test_two_sides_cuts_only_a_second_side_that_records_a_graph(two_threads):
     a = Tensor(np.ones(3), requires_grad=True)
-    frozen = Tensor(np.ones(3))
-    graph, plain = ad.concurrently(lambda: a * 2.0, lambda: frozen * 2.0)
-    assert isinstance(graph, ad._CutLeaf) and ad._is_plain_leaf(graph.root) is False
-    assert graph.data is graph.root.data and graph.requires_grad and graph._vjp is None
-    assert graph.side == 0
-    assert type(plain) is Tensor and not plain.requires_grad
-    assert ad.concurrently(lambda: a, lambda: 7) == (a, 7)
-
-
-def test_concurrently_rejects_results_that_share_a_node(two_threads):
-    a = Tensor(np.ones(3), requires_grad=True)
-    shared = a * 2.0
-    with pytest.raises(ContractError, match="share a node"):
-        ad.concurrently(lambda: ad.gelu(shared), lambda: ad.tsum(shared))
-    with pytest.raises(ContractError, match="share a node"):
-        ad.concurrently(lambda: shared, lambda: shared)
+    graph = a * 2.0
+    first, second = ad.two_sides(np.zeros(3), walked_on_a_thread(a * 3.0), graph)
+    assert isinstance(first, ad._Side) and first.side == 0 and first.root is None
+    assert first.requires_grad and first._vjp is None
+    assert isinstance(second, ad._Side) and second.side == 1 and second.root is graph
+    assert second.data is graph.data and second.requires_grad and second._vjp is None
+    assert first.pair is second.pair
+    plain = Tensor(np.ones(3)) * 2.0
+    assert ad.two_sides(np.zeros(3), walked_on_a_thread(a * 3.0), plain)[1] is plain
+    # `concurrently` returns its results as they are
+    assert ad.concurrently(lambda: graph, lambda: 7) == (graph, 7)
     # the caller's graph using a side's node directly meets it spent
-    first, _ = ad.concurrently(lambda: ad.gelu(shared), lambda: None)
+    shared = a * 2.0
+    first, second = elsewhere(lambda: ad.tsum(a * 5.0), lambda: ad.gelu(shared))
     with pytest.raises(ContractError, match="spent graph: its 'mul' node"):
-        backward(ad.tsum(first) + ad.tsum(shared))
+        backward(ad.tsum(first + second) + ad.tsum(shared))
     assert a.grad is None
 
 
@@ -1291,16 +1446,16 @@ def _pass_through(x: Tensor, vjp) -> Tensor:
     return ad._node(x.data.copy(), (x,), vjp, "pass_through")
 
 
-def _branches(leaf: Tensor, make) -> Tensor:
-    """A loss over two sides built from `leaf` through `concurrently`, each
+def _branches(leaf: Tensor, make, split=elsewhere) -> Tensor:
+    """A loss over two sides built from `leaf` through `split`, each
     through `make(x, name)`, named "left" (the first call) and "right"."""
-    left, right = ad.concurrently(lambda: ad.gelu(make(leaf * 2.0, "left")),
-                                  lambda: ad.gelu(make(leaf * 3.0, "right")))
+    left, right = split(lambda: ad.gelu(make(leaf * 2.0, "left")),
+                        lambda: ad.gelu(make(leaf * 3.0, "right")))
     return ad.tsum(left + right)
 
 
 @pytest.mark.parametrize("side", [0, 1])
-def test_non_finite_gradient_in_one_side_names_the_primitive(two_threads, side):
+def test_non_finite_gradient_in_one_side_names_the_primitive(side):
     a = Tensor(np.ones((4, 3)), requires_grad=True)
 
     def build(k):
@@ -1309,7 +1464,7 @@ def test_non_finite_gradient_in_one_side_names_the_primitive(two_threads, side):
             return ad.tsum(ad.tsqrt(a * np.zeros((4, 3))))
         return ad.tsum(ad.gelu(a * (2.0 + k)))
 
-    first, second = ad.concurrently(partial(build, 0), partial(build, 1))
+    first, second = elsewhere(partial(build, 0), partial(build, 1))
     with np.errstate(divide="ignore"), pytest.raises(NumericError, match="'mul'"):
         backward(first + second)
     assert a.grad is None
@@ -1320,22 +1475,19 @@ class Boom(Exception):
 
 
 def test_raising_vjp_on_the_caller_releases_the_helper(two_threads):
-    caller, failed = threading.get_ident(), threading.Event()
+    failed = threading.Event()
 
-    def make(x, name):
-        def vjp(g):
-            if threading.get_ident() == caller:
-                failed.set()
-                raise Boom()
-            # the helper holds its node until the caller has failed on the other
-            assert failed.wait(timeout=30)
-            return (g,)
+    def first():
+        # the helper holds its call until the caller has failed in the other
+        assert failed.wait(timeout=30)
+        return 1
 
-        return _pass_through(x, vjp)
+    def second():
+        failed.set()
+        raise Boom()
 
-    a = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(Boom):
-        backward(_branches(a, make))
+        ad.concurrently(first, second)
     assert two_threads.submit(lambda: 1).result(timeout=30) == 1
     b = Tensor(np.ones(3), requires_grad=True)
     backward(ad.tsum(b * b))
@@ -1343,28 +1495,25 @@ def test_raising_vjp_on_the_caller_releases_the_helper(two_threads):
 
 
 def test_interrupt_on_the_helper_is_raised_in_the_caller(two_threads):
-    caller, interrupted = threading.get_ident(), threading.Event()
+    interrupted = threading.Event()
 
-    def make(x, name):
-        def vjp(g):
-            if threading.get_ident() != caller:
-                interrupted.set()
-                raise KeyboardInterrupt
-            # the caller holds its node until the helper has been interrupted
-            assert interrupted.wait(timeout=30)
-            return (g,)
+    def first():
+        interrupted.set()
+        raise KeyboardInterrupt
 
-        return _pass_through(x, vjp)
+    def second():
+        # the caller holds its call until the helper has been interrupted
+        assert interrupted.wait(timeout=30)
+        raise Boom()
 
-    a = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(KeyboardInterrupt):
-        backward(_branches(a, make))
+        ad.concurrently(first, second)
     assert two_threads.submit(lambda: 1).result(timeout=30) == 1
 
 
 @pytest.mark.parametrize("slow", ["left", "right"])
-def test_two_failures_raise_the_one_thread_walks_first(two_threads, monkeypatch, slow):
-    def loss_with_two_failures(parties):
+def test_two_failures_raise_the_one_thread_walks_first(slow):
+    def loss_with_two_failures(parties, split):
         barrier = threading.Barrier(parties, timeout=30)
 
         def make(x, name):
@@ -1376,23 +1525,20 @@ def test_two_failures_raise_the_one_thread_walks_first(two_threads, monkeypatch,
 
             return _pass_through(x, vjp)
 
-        return _branches(Tensor(np.ones(3), requires_grad=True), make)
+        return _branches(Tensor(np.ones(3), requires_grad=True), make, split)
 
     with pytest.raises(Boom) as threaded:
-        backward(loss_with_two_failures(2))
-    monkeypatch.setattr(ad, "_HELPER", False)
+        backward(loss_with_two_failures(2, elsewhere))
     with pytest.raises(Boom) as sequential:
-        backward(loss_with_two_failures(1))
+        backward(loss_with_two_failures(1, uncut))
     assert str(threaded.value) == str(sequential.value) == "left"
 
 
-@pytest.mark.parametrize("threads", [2, 1])
-def test_a_later_failure_first_does_not_hide_the_one_thread_walks_error(two_threads, monkeypatch, threads):
+@pytest.mark.parametrize("cores", [2, 1])
+def test_a_later_failure_first_does_not_hide_the_one_thread_walks_error(cores):
     """The second side's node q fails while the first side's node p is still
     waiting for its consumer; the first side must still reach p, and p's
     error is raised."""
-    if threads == 1:
-        monkeypatch.setattr(ad, "_HELPER", False)
     a = Tensor(np.ones(3), requires_grad=True)
     q_failed, roles, built = threading.Event(), {}, {}
 
@@ -1400,7 +1546,7 @@ def test_a_later_failure_first_does_not_hide_the_one_thread_walks_error(two_thre
         def vjp(g):
             role = roles.get(id(node))
             if role == "hold":  # p's consumer waits until q has failed
-                q_failed.wait(timeout=30 if threads == 2 else 0)
+                q_failed.wait(timeout=30 if cores == 2 else 0)
             elif role == "q":
                 q_failed.set()
                 raise Boom("q")
@@ -1416,17 +1562,18 @@ def test_a_later_failure_first_does_not_hide_the_one_thread_walks_error(two_thre
         built[k] = inner, make(inner)
         return built[k][1]
 
-    first, second = ad.concurrently(partial(side, 0, 2.0), partial(side, 1, 3.0))
+    split = elsewhere if cores == 2 else uncut
+    first, second = split(partial(side, 0, 2.0), partial(side, 1, 3.0))
     loss = ad.tsum(first + second)
     roles.update({id(built[0][0]): "p", id(built[0][1]): "hold", id(built[1][0]): "q"})
     with pytest.raises(Boom, match="^p$"):
         backward(loss)
-    assert q_failed.is_set() == (threads == 2)
+    assert q_failed.is_set() == (cores == 2)
 
 
 # A call nested in work the one-worker helper runs: `concurrently`, or a
-# stage-4 step (its forward nests `concurrently` too) whose gradients must
-# equal those of the one-thread walk. Waiting on the busy helper would hang.
+# stage-4 step through `_both_sides` whose gradients must equal those of the
+# one-thread walk. Waiting on the busy helper would hang.
 NESTED_SCRIPT = """
 import sys
 import threading
@@ -1456,7 +1603,7 @@ else:
     params = list(student.params.values())
 
     def step():
-        backward(loss_stage4(anchor, *_both_sides(student.encode, batch)).value, params=params)
+        backward(loss_stage4(anchor, *_both_sides(student, "encode", batch)).value, params=params)
         grads = [p.grad for p in params]
         zero_grads(params)
         return grads
@@ -1521,8 +1668,12 @@ def test_helper_needs_two_cpus_and_an_openblas_setter(monkeypatch):
 
 
 def test_forked_child_trains_after_the_parent_used_the_helper(two_threads):
-    student, loss_fn = toy_row("mcl", np.float32)
+    student, _, loss_fn = toy_row("mcl", np.float32)
     params = list(student.params.values())
+    # the helper runs a large forward-only encode's half before the fork
+    frozen = SentenceEncoder.init(toy_config("corpus", "out").student, seed=3).freeze()
+    ids = np.full((64, 16), 5)
+    frozen.encode(ids, np.ones_like(ids))
     backward(loss_fn(), params=params)
     expected = {name: p.grad for name, p in student.params.items()}
     zero_grads(params)
@@ -1530,6 +1681,7 @@ def test_forked_child_trains_after_the_parent_used_the_helper(two_threads):
     receiver, sender = context.Pipe(duplex=False)
 
     def one_step():
+        frozen.encode(ids, np.ones_like(ids))
         backward(loss_fn(), params=params)
         sender.send({name: p.grad for name, p in student.params.items()})
 
@@ -1587,8 +1739,9 @@ def test_encodes_reuse_freed_memory_without_page_faults():
 
 
 # Five warm-up stage-4 steps of the toy student on a (64, 12) batch per side,
-# through `_both_sides` and `backward`, then minor page faults over 20 more.
-# With the helper thread running, its arena must keep its freed memory too.
+# through a side worker's two-sided forward and `backward`, then this
+# process's minor page faults over 20 more: once the worker's fork has cost
+# its copies, the steps reuse freed memory as one-process steps do.
 TWO_SIDED_FAULT_SCRIPT = """
 import resource
 import numpy as np
@@ -1596,10 +1749,11 @@ from crosstill.autodiff import Tensor, backward, zero_grads
 from crosstill.corpus import ParallelBatch
 from crosstill.encoder import SentenceEncoder
 from crosstill.losses import loss_stage4
-from crosstill.pipeline import _both_sides, toy_config
+from crosstill.pipeline import _SideWorker, toy_config
 
 student = SentenceEncoder.init(toy_config("corpus", "out").student, seed=0)
 params = list(student.params.values())
+worker = _SideWorker({"student": student.config})
 rng = np.random.default_rng(0)
 source, target = (rng.integers(4, student.config.vocab_size, size=(64, 12)) for _ in range(2))
 mask = np.ones((64, 12), dtype=np.uint8)
@@ -1607,14 +1761,16 @@ batch = ParallelBatch(source, target, mask, mask)
 anchor = Tensor(rng.standard_normal((64, 64)).astype(np.float32))
 
 def step():
-    backward(loss_stage4(anchor, *_both_sides(student.encode, batch)).value, params=params)
+    backward(loss_stage4(anchor, *sides(student, "encode", batch)).value, params=params)
     zero_grads(params)
 
-for _ in range(5):
-    step()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
-    step()
+with worker:
+    sides = worker.stage({"student": student})
+    for _ in range(5):
+        step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        step()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -254,16 +254,17 @@ class TestTrain:
         assert first == second
 
     def test_determinism_across_processes_and_blas_threads(self, config_path, tmp_path):
-        # The first two processes use the helper thread wherever the machine
-        # has two CPUs, and the helper sets OpenBLAS to one thread. The third
-        # turns the helper off before training, so on two CPUs it trains with
-        # two BLAS threads. The fourth may run on one CPU only, so it trains
-        # without the helper, with one BLAS thread.
+        # The first two processes train with the side worker wherever the
+        # machine has two CPUs, and OpenBLAS is set to one thread before it
+        # forks. The third turns the second core off before training (no
+        # side worker, no helper thread), so on two CPUs it trains with two
+        # BLAS threads. The fourth may run on one CPU only, so it trains
+        # without the worker, with one BLAS thread.
         module = ["-m", "crosstill"]
-        no_helper = ["-c", "import sys; import crosstill.autodiff as ad; ad._HELPER = False; "
+        no_worker = ["-c", "import sys; import crosstill.autodiff as ad; ad._HELPER = False; "
                            "from crosstill.cli import main; sys.exit(main(sys.argv[1:]))"]
         one_cpu = lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # noqa: E731
-        runs = [("1", module, None), ("2", module, None), ("2", no_helper, None)]
+        runs = [("1", module, None), ("2", module, None), ("2", no_worker, None)]
         if hasattr(os, "sched_setaffinity"):
             runs.append(("2", module, one_cpu))
         digests = []

@@ -7,6 +7,8 @@ suite.
 """
 
 import json
+import multiprocessing
+import os
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosstill.autodiff import Tensor
+from crosstill.autodiff import Tensor, second_thread_free
 from crosstill.checkpoint import load_checkpoint
 from crosstill.corpus import OracleSemantics, VocabSpec, batch_pairs, gen_parallel_corpus, gen_sts_set
 from crosstill.encoder import EncoderConfig, SentenceEncoder, init_student_from_assistant
@@ -563,6 +565,74 @@ class TestRunPipeline:
         final = [r for r in result.log.records if r["stage"] == 4][-1]
         assert final["loss_components"]["contrastive"] == 0.0
         assert final["loss"] == pytest.approx(final["loss_components"]["kd"], rel=1e-6)
+
+
+class TestSideWorker:
+    """The side worker a training run forks never outlives the run."""
+
+    @staticmethod
+    def assert_no_child_left():
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The side workers started, counted; on two CPUs at least one must."""
+        workers = []
+
+        class Counted(crosstill.pipeline._SideWorker):
+            def __init__(self, configs):
+                super().__init__(configs)
+                workers.append(self)
+
+        monkeypatch.setattr(crosstill.pipeline, "_SideWorker", Counted)
+        yield workers
+        if second_thread_free():
+            assert workers
+
+    def test_no_child_outlives_a_run(self, corpus_dir, tmp_path, started):
+        result = run_pipeline(micro_cfg(corpus_dir, tmp_path))
+        assert result.retrieval_report is not None
+        self.assert_no_child_left()
+        # one worker for the whole run
+        assert len(started) == (1 if second_thread_free() else 0)
+
+    def test_no_child_outlives_a_single_stage_run(self, corpus_dir, tmp_path, started):
+        run_single_stage(micro_cfg(corpus_dir, tmp_path), "random_init")
+        self.assert_no_child_left()
+
+    def test_no_child_outlives_a_non_finite_loss(self, corpus_dir, tmp_path, started,
+                                                 monkeypatch):
+        cfg = micro_cfg(corpus_dir, tmp_path)
+        calls = []
+
+        def poisoned_on_the_third_step(anchor, out_src, out_tgt):
+            calls.append(None)
+            return LossValue(value=Tensor(np.float32(np.nan if len(calls) == 3 else 0.5)))
+
+        monkeypatch.setattr(crosstill.pipeline, "loss_anchor_align", poisoned_on_the_third_step)
+        with pytest.raises(NumericError, match="non-finite loss.*last good checkpoint retained"):
+            run_pipeline(cfg)
+        self.assert_no_child_left()
+        # the stage's first checkpoint, written before its first step
+        fresh = SentenceEncoder.init(cfg.assistant, seed=derive_seed(cfg.seed, "assistant-init"))
+        assert load_checkpoint(tmp_path / "stage1.xdst").checksum() == fresh.checksum()
+
+    def test_no_child_outlives_an_interrupt(self, corpus_dir, tmp_path, started, monkeypatch):
+        steps = []
+        step = crosstill.pipeline.AdamW.step
+
+        def interrupted_on_the_fourth_step(optimizer):
+            steps.append(None)
+            if len(steps) == 4:
+                raise KeyboardInterrupt
+            return step(optimizer)
+
+        monkeypatch.setattr(crosstill.pipeline.AdamW, "step", interrupted_on_the_fourth_step)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(micro_cfg(corpus_dir, tmp_path))
+        self.assert_no_child_left()
 
 
 class TestResumeStage:
